@@ -110,12 +110,12 @@ def is_invariant(g: RootedWeightedGraph) -> InvarianceReport:
     g.require_bipartition()
     maximal = set(enumerate_mpf(g))
     witness = _orbit_closed(maximal, g.p)
-    tags = _normalized_matches(g) if g.p and g.q else []
+    tags = match_theorem61(g) if g.p and g.q else []
     swapped = tags[0].swapped if tags else False
     return InvarianceReport(witness is None, witness, tuple(tags), swapped)
 
 
-def check_lemma_maximal_suffices(
+def check_lemma61(
     g: RootedWeightedGraph, *, max_set: int | None = None
 ) -> bool:
     """Compare invariance of the full parking set against the maximal set.
@@ -128,16 +128,12 @@ def check_lemma_maximal_suffices(
     return full_verdict == is_invariant(g).invariant
 
 
-# backwards-friendly alias used by the command line
-check_lemma61 = check_lemma_maximal_suffices
-
-
 # ---------------------------------------------------------------------------
 # case matching
 
 
-def _normalized_matches(g: RootedWeightedGraph) -> list[FamilyTag]:
-    """Case matches under both block labelings.
+def match_theorem61(g: RootedWeightedGraph) -> list[FamilyTag]:
+    """All structural cases the graph matches, lowest case first.
 
     The case list is stated for a root touching the first block, but a root
     touching both blocks can realize a case in either labeling (a cycle
@@ -162,11 +158,6 @@ def _normalized_matches(g: RootedWeightedGraph) -> list[FamilyTag]:
     order = {case: k for k, case in enumerate(CASE_ORDER)}
     tags.sort(key=lambda t: (order[t.case], t.swapped))
     return tags
-
-
-def match_theorem61(g: RootedWeightedGraph) -> list[FamilyTag]:
-    """All structural cases the graph matches, lowest case first."""
-    return _normalized_matches(g)
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +244,10 @@ def _side_vector(shape: str, length: int, first: int, second: int) -> Vector:
 
 def _cycle_case_grid(p: int, q: int, a: int, b: int) -> WeightGrid:
     """Grid for the cycle cases; the marked-root band is a, the rest b."""
-    if p > 2:
-        assert a == b, "cycles with more than two first-block vertices are uniform"
+    if p > 2 and a != b:
+        raise InvalidParameters(
+            "cycles with more than two first-block vertices are uniform"
+        )
     bump_u = a + b if p <= 2 else 2 * a
     bump_v = 2 * b if p <= 2 else 2 * a
     u_rows = []
@@ -358,7 +351,7 @@ def construct_u_for_graph(g: RootedWeightedGraph) -> GridConstruction:
     transposed back so that its east direction always corresponds to the
     graph's first block as labeled.
     """
-    tags = _normalized_matches(g)
+    tags = match_theorem61(g)
     if not tags:
         raise NotClassified("graph matches no case of the classification")
     tag = tags[0]

@@ -25,7 +25,7 @@ from .classify import (
     sweep_classification,
     verify_equality,
 )
-from .errors import DomainError, InvalidParameters
+from .errors import DomainError, InvalidParameters, ShapeMismatch
 from .graph import (
     RootedWeightedGraph,
     format_graph_text,
@@ -35,6 +35,7 @@ from .graph import (
 )
 from .lattice import (
     WeightGrid,
+    affine_coefficients,
     increasing_maximal_pairs,
     is_upf,
     load_grid,
@@ -82,8 +83,15 @@ def _load_graph(
     return g
 
 
+def _read_grid_json(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ShapeMismatch(f"grid file is not valid JSON: {exc}") from None
+
+
 def _load_grid_file(path: str) -> WeightGrid:
-    return load_grid(json.loads(Path(path).read_text()))
+    return load_grid(_read_grid_json(path))
 
 
 def _guarded(pretty: bool, produce) -> None:
@@ -279,26 +287,13 @@ def construct_graph_cmd(grid_path, pretty) -> None:
     """Build the graph matching an affine grid description."""
 
     def produce():
-        raw = json.loads(Path(grid_path).read_text())
+        raw = _read_grid_json(grid_path)
         if "affine" not in raw or "p" not in raw or "q" not in raw:
             raise InvalidParameters(
                 "construct-graph needs p, q, and an affine block"
             )
-        aff = raw["affine"]
-        missing = [k for k in ("a", "b", "c", "cprime", "d", "e") if k not in aff]
-        if missing:
-            raise InvalidParameters(
-                f"affine block misses {', '.join(missing)}"
-            )
         g = graph_from_affine_u(
-            int(raw["p"]),
-            int(raw["q"]),
-            a=int(aff["a"]),
-            b=int(aff["b"]),
-            c=int(aff["c"]),
-            cprime=int(aff["cprime"]),
-            d=int(aff["d"]),
-            e=int(aff["e"]),
+            int(raw["p"]), int(raw["q"]), **affine_coefficients(raw["affine"])
         )
         out = g.to_json()
         out["text"] = format_graph_text(g)

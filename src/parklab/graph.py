@@ -9,10 +9,12 @@ the convention, so changing the blocks means relabeling the graph.
 
 Besides construction and validation this module provides the structural
 queries the classification needs: weighted out-degrees into a subset, cut
-vertices, induced subgraphs, quotients by vertex partitions, the component
-graph of a bipartitioned graph, and recognizers for the named families
-(uniform trees, cycles, banded complete graphs, two-weight trees, and each
-case of the invariance classification).
+vertices, induced subgraphs, quotients by vertex partitions, and
+recognizers for the named families (uniform trees, cycles, banded complete
+graphs, two-weight trees, and each case of the invariance classification).
+Each structure (tree, forest, cycle, rooted complete graph) has exactly
+one recognizer, which looks at part of the graph; whole-graph checks pass
+every vertex.
 """
 
 from __future__ import annotations
@@ -85,9 +87,6 @@ class RootedWeightedGraph:
     def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
         return self.adjacency[v]
 
-    def weighted_degree(self, v: int) -> int:
-        return sum(w for _, w in self.adjacency[v])
-
     def simple_degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -117,16 +116,6 @@ class RootedWeightedGraph:
                 f"blocks of sizes {p} and {q} do not cover {self.n} non-root vertices"
             )
         return RootedWeightedGraph(self.n, self.edges, p, q)
-
-    def without_bipartition(self) -> "RootedWeightedGraph":
-        return RootedWeightedGraph(self.n, self.edges, None, None)
-
-    def block_of(self, v: int) -> str:
-        """Return "root", "A", or "B" for a vertex under the bipartition."""
-        self.require_bipartition()
-        if v == ROOT:
-            return "root"
-        return "A" if v <= self.p else "B"
 
     def to_json(self) -> dict:
         return {
@@ -358,61 +347,6 @@ def _components(members: Sequence[int], edges: Iterable[tuple[int, int]]):
     return sorted((frozenset(c) for c in groups.values()), key=min)
 
 
-def _block_classes(
-    g: RootedWeightedGraph, block: frozenset[int]
-) -> list[frozenset[int]]:
-    # components of the block-plus-root subgraph, so two block vertices
-    # joined only through the root still merge; the root itself is removed
-    # afterwards and never forms a class
-    members = block | {ROOT}
-    comps = _components(
-        sorted(members),
-        ((i, j) for i, j, _ in g.edges if i in members and j in members),
-    )
-    classes = [frozenset(c - {ROOT}) for c in comps]
-    return sorted((c for c in classes if c), key=min)
-
-
-def component_graph(
-    g: RootedWeightedGraph,
-) -> tuple[RootedWeightedGraph, tuple[str, ...]]:
-    """Quotient by connected components of the two rooted block subgraphs.
-
-    Nodes are the classes of block vertices lying in one connected component
-    of the subgraph induced on the block plus the root; the root forms its
-    own node. Weights of merged edges add up. Returns the quotient,
-    bipartitioned with A-nodes first, together with a per-node kind tuple
-    ("root", "A", "B").
-    """
-    g.require_bipartition()
-    a_comps = _block_classes(g, g.block_a)
-    b_comps = _block_classes(g, g.block_b)
-    blocks = [frozenset({ROOT})] + a_comps + b_comps
-    quotient = quotient_graph(g, blocks)
-    # quotient labels follow min-member order, which interleaves A and B
-    # components; relabel so A-nodes come first.
-    order = sorted(blocks[1:], key=min)
-    new_label = {ROOT: ROOT}
-    kinds = ["root"]
-    next_id = 1
-    for comp in a_comps + b_comps:
-        old = order.index(comp) + 1
-        new_label[old] = next_id
-        kinds.append("A" if comp <= g.block_a else "B")
-        next_id += 1
-    relabeled = [
-        (new_label[i], new_label[j], w) for i, j, w in quotient.edges
-    ]
-    out = build_graph(
-        quotient.n,
-        relabeled,
-        p=len(a_comps),
-        q=len(b_comps),
-        require_connected=False,
-    )
-    return out, tuple(kinds)
-
-
 def swap_blocks(g: RootedWeightedGraph) -> RootedWeightedGraph:
     """Exchange the two blocks, relabeling so the old B becomes 1..q."""
     g.require_bipartition()
@@ -499,14 +433,12 @@ def uniform_weight(weights: Iterable[int]) -> int | None:
 
 
 def is_tree(g: RootedWeightedGraph) -> bool:
-    return len(g.edges) == g.n and is_connected(g)
+    return _is_tree_on(g, frozenset(g.vertices))
 
 
 def is_cycle_graph(g: RootedWeightedGraph) -> bool:
-    """One cycle through every vertex: connected with all simple degrees 2."""
-    if g.n + 1 < 3 or len(g.edges) != g.n + 1:
-        return False
-    return all(g.simple_degree(v) == 2 for v in g.vertices) and is_connected(g)
+    """One cycle through every vertex."""
+    return _is_cycle_on(g, frozenset(g.vertices))
 
 
 def is_star_graph(g: RootedWeightedGraph) -> bool:
@@ -519,29 +451,6 @@ def is_path_graph(g: RootedWeightedGraph) -> bool:
         return False
     degs = sorted(g.simple_degree(v) for v in g.vertices)
     return degs[-1] <= 2
-
-
-def is_complete(g: RootedWeightedGraph) -> bool:
-    return len(g.edges) == (g.n + 1) * g.n // 2
-
-
-def rooted_complete_bands(g: RootedWeightedGraph) -> tuple[int, int] | None:
-    """Bands (a, b) of a complete graph: root edges a, inner edges b.
-
-    For a single non-root vertex the inner band is empty and reported as 0.
-    """
-    if g.n < 1 or not is_complete(g):
-        return None
-    a = uniform_weight(w for i, _, w in g.edges if i == ROOT)
-    if a is None:
-        return None
-    inner = [w for i, _, w in g.edges if i != ROOT]
-    if not inner:
-        return a, 0
-    b = uniform_weight(inner)
-    if b is None:
-        return None
-    return a, b
 
 
 def two_weight_tree_bands(g: RootedWeightedGraph) -> tuple[int, int] | None:
@@ -572,42 +481,38 @@ def two_weight_tree_bands(g: RootedWeightedGraph) -> tuple[int, int] | None:
 
 
 def _induced_edges(g: RootedWeightedGraph, verts: frozenset[int]):
+    # verts is a vertex subset, so at full size it is every vertex
+    if len(verts) == g.n + 1:
+        return g.edges
     return [(i, j, w) for i, j, w in g.edges if i in verts and j in verts]
 
 
-def _uniform_tree_on(g: RootedWeightedGraph, verts: frozenset[int]) -> int | None:
+def _is_tree_on(g: RootedWeightedGraph, verts: frozenset[int]) -> bool:
+    """Whether the subgraph induced on verts is a tree."""
     edges = _induced_edges(g, verts)
-    if len(edges) != len(verts) - 1 or not _connected_within(g, verts):
-        return None
-    return uniform_weight(w for _, _, w in edges)
+    return len(edges) == len(verts) - 1 and _connected_within(g, verts)
 
 
-def _uniform_forest_on(
-    g: RootedWeightedGraph, verts: frozenset[int]
-) -> int | None:
-    """Uniform weight of an induced forest, or None; a forest needs >= 1 edge."""
-    edges = _induced_edges(g, verts)
-    comps = _components(sorted(verts), [(i, j) for i, j, _ in edges])
-    if len(edges) != len(verts) - len(comps):
-        return None
-    if not edges:
-        return None
-    return uniform_weight(w for _, _, w in edges)
+def _forest_components(
+    members: Sequence[int], edges: Sequence[Edge]
+) -> list[frozenset[int]] | None:
+    """Components of the forest the edges form on members, or None on a cycle."""
+    comps = _components(members, [(i, j) for i, j, _ in edges])
+    return comps if len(edges) == len(members) - len(comps) else None
 
 
-def _uniform_cycle_on(g: RootedWeightedGraph, verts: frozenset[int]) -> int | None:
+def _is_cycle_on(g: RootedWeightedGraph, verts: frozenset[int]) -> bool:
+    """Whether the subgraph induced on verts is one cycle through all of them."""
     if len(verts) < 3:
-        return None
+        return False
     edges = _induced_edges(g, verts)
-    if len(edges) != len(verts) or not _connected_within(g, verts):
-        return None
-    degree = {v: 0 for v in verts}
+    if len(edges) != len(verts):
+        return False
+    degree = dict.fromkeys(verts, 0)
     for i, j, _ in edges:
         degree[i] += 1
         degree[j] += 1
-    if any(d != 2 for d in degree.values()):
-        return None
-    return uniform_weight(w for _, _, w in edges)
+    return all(d == 2 for d in degree.values()) and _connected_within(g, verts)
 
 
 def _rooted_complete_on(
@@ -658,13 +563,11 @@ def _side_family(
     and 0 as second_band.
     """
     verts = others | {root}
-    if allow_tree:
-        a = _uniform_tree_on(g, verts)
-        if a is not None:
-            return "tree", a, 0
-    c = _uniform_cycle_on(g, verts)
-    if c is not None:
-        return "cycle", c, 0
+    tree = allow_tree and _is_tree_on(g, verts)
+    if tree or _is_cycle_on(g, verts):
+        weight = uniform_weight(w for _, _, w in _induced_edges(g, verts))
+        if weight is not None:
+            return ("tree" if tree else "cycle"), weight, 0
     bands = _rooted_complete_on(g, root, others)
     if bands is not None:
         return "complete", bands[0], bands[1]
@@ -779,16 +682,13 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
             cross = [
                 (i, j, w) for i, j, w in g.edges if i in B or j in B
             ]
-            members = sorted(B | set(attach))
-            comps = _components(members, [(i, j) for i, j, _ in cross])
+            comps = _forest_components(sorted(B | set(attach)), cross)
             # forest of trees hanging each from a single attachment vertex:
             # a second attachment in one component would put a second-block
             # vertex on a cycle of the whole graph
-            attach_set = set(attach)
-            single_attached = all(
-                sum(1 for v in comp if v in attach_set) == 1 for comp in comps
-            )
-            if len(cross) == len(members) - len(comps) and single_attached:
+            if comps is not None and all(
+                len(comp.intersection(attach)) == 1 for comp in comps
+            ):
                 c = uniform_weight(w for _, _, w in cross)
                 if c is not None:
                     tags.append(
@@ -808,17 +708,15 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
     # carrying a cycle or complete second side, no cycle elsewhere
     ga_verts = A | {ROOT}
     forest_edges = _induced_edges(g, ga_verts)
-    comps = _components(sorted(ga_verts), [(i, j) for i, j, _ in forest_edges])
-    forest_ok = len(forest_edges) == len(ga_verts) - len(comps)
-    a_weight = uniform_weight(w for _, _, w in forest_edges) if forest_edges else None
-    if forest_ok and a_weight is not None:
+    comps = _forest_components(sorted(ga_verts), forest_edges)
+    a_weight = uniform_weight(w for _, _, w in forest_edges)
+    if comps is not None and a_weight is not None:
         zero_comp = next(c for c in comps if ROOT in c)
         for i in sorted(zero_comp):
             side = _side_family(g, i, B, allow_tree=False)
             if side is None:
                 continue
-            rest = (A | {ROOT}) - {i}
-            if any(vertex_on_cycle(g, v) for v in sorted(rest)):
+            if any(vertex_on_cycle(g, v) for v in sorted(ga_verts - {i})):
                 continue
             shape_b, c, d = side
             tags.append(
@@ -839,7 +737,7 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
 
     # case vi: a tree entering the first block with one weight, the second
     # block with another
-    bands = two_weight_tree_bands(g) if is_tree(g) else None
+    bands = two_weight_tree_bands(g)
     if bands is not None:
         tags.append(
             FamilyTag("invariant_case", "vi", _params(a=bands[0], b=bands[1]))
@@ -858,7 +756,7 @@ def recognize_family(g: RootedWeightedGraph) -> FamilyTag:
     classification, and "unclassified" as the fallback.
     """
     if is_tree(g):
-        a = uniform_weight(w for _, _, w in g.edges) if g.edges else None
+        a = uniform_weight(w for _, _, w in g.edges)
         if a is not None:
             if is_star_graph(g):
                 return FamilyTag("uniform_star", params=_params(a=a))
@@ -875,7 +773,7 @@ def recognize_family(g: RootedWeightedGraph) -> FamilyTag:
         a = uniform_weight(w for _, _, w in g.edges)
         if a is not None:
             return FamilyTag("uniform_cycle", params=_params(a=a))
-    bands = rooted_complete_bands(g)
+    bands = _rooted_complete_on(g, ROOT, frozenset(range(1, g.n + 1)))
     if bands is not None and g.n >= 2:
         return FamilyTag("banded_complete", params=_params(a=bands[0], b=bands[1]))
     if g.has_bipartition and g.p and g.q:
@@ -900,10 +798,13 @@ def parse_graph_text(text: str) -> RootedWeightedGraph:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 3:
+        try:
+            row = [int(x) for x in line.split()]
+        except ValueError:
+            row = []
+        if len(row) != 3:
             raise ShapeMismatch(f"expected three integers per line, got {raw!r}")
-        rows.append([int(x) for x in parts])
+        rows.append(row)
     if not rows:
         raise ShapeMismatch("empty graph description")
     n, p, q = rows[0]

@@ -16,7 +16,8 @@ keeps the whole array monotone.
 Maximal pairs come from paths directly: along any path the east weights
 (and the north weights) are non-decreasing, so subtracting one from them
 yields the increasing maximal candidates; their permutations within each
-block fill out the maximal set.
+block fill out the maximal set, and its downward closure (the same one graph
+parking sets use) is the full parking set.
 """
 
 from __future__ import annotations
@@ -27,16 +28,16 @@ from typing import Iterable, Mapping, Sequence
 
 from . import orientations as _ori
 from .errors import (
+    InvalidParameters,
     NegativeEntry,
     NotMonotone,
     PathDoesNotBound,
     PeelingStalled,
     ShapeMismatch,
-    TooLarge,
     UNotMonotone,
 )
 from .graph import ROOT, RootedWeightedGraph
-from .parking import default_max_set, order_statistics
+from .parking import _down_set, default_max_set, order_statistics
 
 Pair = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -175,6 +176,15 @@ def grids_agree_on_steps(g1: WeightGrid, g2: WeightGrid) -> bool:
     return True
 
 
+def affine_coefficients(aff: Mapping) -> dict[str, int]:
+    """The six coefficients of an affine block, as keyword arguments."""
+    keys = ("a", "b", "c", "cprime", "d", "e")
+    missing = [k for k in keys if k not in aff]
+    if missing:
+        raise InvalidParameters(f"affine block misses {', '.join(missing)}")
+    return {k: int(aff[k]) for k in keys}
+
+
 def load_grid(obj: Mapping) -> WeightGrid:
     """Build a grid from one of the three accepted descriptions.
 
@@ -183,22 +193,18 @@ def load_grid(obj: Mapping) -> WeightGrid:
     "d": .., "e": ..}} an affine grid; {"p", "q", "u", "v"} gives the node
     arrays explicitly. Extra keys are ignored.
     """
+    if not isinstance(obj, Mapping):
+        raise ShapeMismatch("grid description must be a JSON object")
     if "vectors" in obj:
         vecs = obj["vectors"]
+        if "u" not in vecs or "v" not in vecs:
+            raise ShapeMismatch("vectors description needs both u and v")
         return grid_from_vectors(tuple(vecs["u"]), tuple(vecs["v"]))
     if "affine" in obj:
         if "p" not in obj or "q" not in obj:
             raise ShapeMismatch("affine description needs p and q")
-        aff = obj["affine"]
         return grid_from_affine(
-            int(obj["p"]),
-            int(obj["q"]),
-            a=int(aff["a"]),
-            b=int(aff["b"]),
-            c=int(aff["c"]),
-            cprime=int(aff["cprime"]),
-            d=int(aff["d"]),
-            e=int(aff["e"]),
+            int(obj["p"]), int(obj["q"]), **affine_coefficients(obj["affine"])
         )
     if all(k in obj for k in ("p", "q", "u", "v")):
         return WeightGrid(
@@ -342,28 +348,13 @@ def enumerate_mupf(grid: WeightGrid) -> list[Pair]:
 def enumerate_upf(
     grid: WeightGrid, *, max_set: int | None = None
 ) -> list[Pair]:
-    """Full parking set by filtering the bounded product space.
+    """Full parking set: downward closure of the maximal pairs, sorted.
 
-    Entries of the first block live below the largest consumed east weight,
-    second block below the largest consumed north weight. Guarded against
-    product spaces larger than the size limit.
+    Raises TooLarge when the set holds more pairs than the size guard.
     """
     limit = default_max_set() if max_set is None else max_set
-    a_bound = grid.u[grid.p - 1][grid.q] if grid.p else 1
-    b_bound = grid.v[grid.p][grid.q - 1] if grid.q else 1
-    size = a_bound**grid.p * b_bound**grid.q
-    if size > limit:
-        raise TooLarge(
-            f"product space of {size} candidate pairs exceeds the guard of {limit}"
-        )
-    all_paths = paths(grid.p, grid.q)
-    out = []
-    for a in itertools.product(range(a_bound), repeat=grid.p):
-        for b in itertools.product(range(b_bound), repeat=grid.q):
-            pair = (a, b)
-            if any(is_bounded_by(pair, path, grid) for path in all_paths):
-                out.append(pair)
-    return sorted(out)
+    closure = _down_set((a + b for a, b in enumerate_mupf(grid)), limit)
+    return [(v[: grid.p], v[grid.p :]) for v in closure]
 
 
 def maximal_upf_sum_witness(grid: WeightGrid) -> tuple[int, int]:

@@ -90,8 +90,8 @@ def in_A(o: Orientation) -> bool:
     return is_acyclic(o) and has_unique_source(o)
 
 
-def enumerate_A(g: RootedWeightedGraph) -> list[Orientation]:
-    """All acyclic orientations with the root as unique source.
+def _head_tuples(g: RootedWeightedGraph) -> set[tuple[int, ...]]:
+    """Heads of every orientation in A(G), one tuple per orientation.
 
     Recursive source elimination: grow vertex orders starting at the root,
     admitting a vertex only once it has an already-placed neighbor (otherwise
@@ -120,7 +120,22 @@ def enumerate_A(g: RootedWeightedGraph) -> list[Orientation]:
                 placed[v] = False
 
     grow(1)
-    return [Orientation(g, heads) for heads in sorted(found)]
+    return found
+
+
+def _heads_to_mpf(
+    g: RootedWeightedGraph, heads: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Weighted indegree minus one per non-root vertex."""
+    acc = [-1] * (g.n + 1)
+    for (_, _, w), h in zip(g.edges, heads):
+        acc[h] += w
+    return tuple(acc[1:])
+
+
+def enumerate_A(g: RootedWeightedGraph) -> list[Orientation]:
+    """All acyclic orientations with the root as unique source, sorted by heads."""
+    return [Orientation(g, heads) for heads in sorted(_head_tuples(g))]
 
 
 def enumerate_A_bruteforce(
@@ -142,8 +157,7 @@ def orientation_to_mpf(o: Orientation) -> tuple[int, ...]:
     """Indegree minus one per non-root vertex; o must lie in A(G)."""
     if not in_A(o):
         raise NotInA("orientation is not acyclic with the root as only source")
-    counts = indegree_vector(o)
-    return tuple(c - 1 for c in counts[1:])
+    return _heads_to_mpf(o.graph, o.heads)
 
 
 def mpf_to_orientation(
@@ -187,5 +201,8 @@ def mpf_to_orientation(
                 head_of[key] = pick
         remaining.remove(pick)
     o = Orientation(g, tuple(head_of[(i, j)] for i, j, _ in g.edges))
-    assert orientation_to_mpf(o) == b
+    if orientation_to_mpf(o) != b:
+        raise InconsistentIndegrees(
+            f"sink peeling does not realize indegree targets {b}"
+        )
     return o

@@ -6,10 +6,12 @@ against an arbitrary positive non-decreasing threshold vector; graph
 parking functions require every non-empty set of non-root vertices to
 contain a vertex whose entry is beaten by its outward weighted degree.
 
-The full parking set of a graph is enumerated as the downward closure of
-its maximal elements, which come from the acyclic orientations with unique
-source at the root. Set sizes are guarded; the guard can be lifted with the
-PARKLAB_MAX_SET environment variable or a keyword argument.
+The full parking set of a graph is the downward closure of its maximal
+elements, which are the indegree vectors of the acyclic orientations with
+unique source at the root. The same closure serves the parking pairs of a
+weight grid. Closures count the elements they produce against a size
+guard; the PARKLAB_MAX_SET environment variable or a keyword argument
+lifts it.
 """
 
 from __future__ import annotations
@@ -139,28 +141,23 @@ def is_g_pf_by_subsets(
 
 def enumerate_mpf(g: RootedWeightedGraph) -> list[Vector]:
     """All maximal parking functions, via orientations, in sorted order."""
-    found = {
-        orientations.orientation_to_mpf(o) for o in orientations.enumerate_A(g)
-    }
-    return sorted(found)
+    return sorted(
+        {orientations._heads_to_mpf(g, h) for h in orientations._head_tuples(g)}
+    )
 
 
-def enumerate_pf(
-    g: RootedWeightedGraph, *, max_set: int | None = None
-) -> list[Vector]:
-    """The full parking set: downward closure of the maximal elements.
+def _down_set(maximal: Iterable[Vector], limit: int) -> list[Vector]:
+    """Sorted downward closure of non-negative vectors in the entrywise order.
 
-    Raises TooLarge when the closure exceeds the size guard.
+    Raises TooLarge as soon as the closure holds more than limit vectors.
     """
-    limit = default_max_set() if max_set is None else max_set
-    maximal = enumerate_mpf(g)
     seen: set[Vector] = set(maximal)
     if len(seen) > limit:
         raise TooLarge(f"parking set exceeds the guard of {limit}")
-    stack: list[Vector] = list(maximal)
+    stack: list[Vector] = list(seen)
     while stack:
         vec = stack.pop()
-        for idx in range(g.n):
+        for idx in range(len(vec)):
             if vec[idx] == 0:
                 continue
             smaller = vec[:idx] + (vec[idx] - 1,) + vec[idx + 1 :]
@@ -172,6 +169,17 @@ def enumerate_pf(
     return sorted(seen)
 
 
+def enumerate_pf(
+    g: RootedWeightedGraph, *, max_set: int | None = None
+) -> list[Vector]:
+    """The full parking set: downward closure of the maximal elements.
+
+    Raises TooLarge when the closure exceeds the size guard.
+    """
+    limit = default_max_set() if max_set is None else max_set
+    return _down_set(enumerate_mpf(g), limit)
+
+
 def is_maximal(g: RootedWeightedGraph, b: Sequence[int]) -> bool:
     """Whether b parks and no single entry can grow while still parking."""
     if not is_g_pf(g, b):
@@ -181,8 +189,3 @@ def is_maximal(g: RootedWeightedGraph, b: Sequence[int]) -> bool:
         if is_g_pf(g, bumped):
             return False
     return True
-
-
-def parking_vectors_below(bounds: Iterable[int]):
-    """Iterate the product space of entries 0 <= b_i < bound_i."""
-    return itertools.product(*(range(b) for b in bounds))

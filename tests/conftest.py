@@ -71,22 +71,6 @@ def clique_fan():
 
 
 @pytest.fixture
-def two_arm():
-    """Both block subgraphs disconnected; component quotient is a tree."""
-    return build_graph(
-        14,
-        [
-            (0, 7, 1), (7, 1, 1), (1, 2, 1), (2, 9, 1), (9, 11, 1),
-            (0, 8, 1), (8, 1, 1), (1, 3, 1), (3, 10, 1), (7, 8, 1),
-            (9, 10, 1), (0, 4, 1), (4, 5, 1), (5, 6, 1), (6, 13, 1),
-            (13, 14, 1), (5, 12, 1),
-        ],
-        p=6,
-        q=8,
-    )
-
-
-@pytest.fixture
 def chorded_cycle():
     """Cycle 0-1-3-4-5-2-0 with chord {1,2}; root edges 2, chord 1, rest 3."""
     return build_graph(

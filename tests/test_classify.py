@@ -1,13 +1,15 @@
 """Tests for invariance testing, case matching, and the classification sweep."""
 
+import hashlib
 import json
+from collections import Counter
 
 import pytest
 
 from parklab import (
     build_graph,
     check_lemma61,
-    component_graph,
+    connected_block_graphs,
     construct_u_for_graph,
     cut_vertices,
     d_U,
@@ -32,6 +34,7 @@ from parklab.errors import (
     NotClassified,
     ShapeMismatch,
 )
+from parklab.classify import _cycle_case_grid
 from parklab.graph import is_connected
 
 FOUR_CYCLE = build_graph(3, ((0, 2, 1), (1, 2, 1), (1, 3, 1), (0, 3, 2)), p=2, q=1)
@@ -351,8 +354,43 @@ class TestQuotientRecognition:
         )
 
 
-class TestComponentStructure:
-    def test_component_graph_stays_small_on_invariant_graphs(self, diamond_split) -> None:
-        comp, kinds = component_graph(diamond_split)
-        assert kinds[0] == "root" and set(kinds[1:]) <= {"A", "B"}
-        assert comp.n <= diamond_split.n
+class TestCycleCaseGrid:
+    def test_long_cycle_with_two_bands_is_rejected(self) -> None:
+        with pytest.raises(InvalidParameters):
+            _cycle_case_grid(3, 1, 1, 2)
+
+
+class TestRecognizerCounts:
+    """Families and case lists of every block graph with n <= 3, weights <= 2."""
+
+    WITH_BLOCKS = {
+        "banded_complete": 10, "i.b": 4, "i.c": 2, "ii": 8, "iii": 50,
+        "iv.a": 24, "two_weight_tree": 42, "unclassified": 500,
+        "uniform_cycle": 10, "uniform_path": 28, "uniform_star": 6,
+        "uniform_tree": 8, "v": 12,
+    }
+    WITHOUT_BLOCKS = {
+        "banded_complete": 10, "unclassified": 642, "uniform_cycle": 10,
+        "uniform_path": 28, "uniform_star": 6, "uniform_tree": 8,
+    }
+    # sha256 of repr() of every graph's [(case, swapped), ...] match list
+    MATCH_DIGEST = "56ccf1decef21fd91b91530c222a68d8089e38b6e12105f178bec22e9a4bc6a1"
+
+    def test_counts_and_case_lists_are_pinned(self) -> None:
+        graphs = [
+            g
+            for n in (2, 3)
+            for p in range(1, n)
+            for g in connected_block_graphs(p, n - p, 2)
+        ]
+        assert len(graphs) == 704
+
+        def family(g) -> str:
+            tag = recognize_family(g)
+            return tag.case or tag.kind
+
+        assert Counter(map(family, graphs)) == self.WITH_BLOCKS
+        unblocked = [build_graph(g.n, g.edges) for g in graphs]
+        assert Counter(map(family, unblocked)) == self.WITHOUT_BLOCKS
+        rows = [case_list(g) for g in graphs]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.MATCH_DIGEST

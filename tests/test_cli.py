@@ -209,3 +209,34 @@ class TestOutputDiscipline:
             env={"PARKLAB_MAX_SET": "3"},
         )
         assert data["count"] > 3
+
+
+class TestMalformedInput:
+    def error_of(self, runner, tmp_path, command, flag, text):
+        path = tmp_path / "input"
+        path.write_text(text)
+        return run_json(runner, [command, flag, str(path)], expect_exit=1)["error"]
+
+    def test_non_integer_edge_token(self, runner, tmp_path) -> None:
+        error = self.error_of(runner, tmp_path, "mpf", "--graph", "1 0 0\n0 1 x\n")
+        assert error["type"] == "shape-mismatch"
+
+    def test_vectors_block_without_v(self, runner, tmp_path) -> None:
+        error = self.error_of(
+            runner, tmp_path, "grid", "--grid", '{"vectors": {"u": [1]}}'
+        )
+        assert error["type"] == "shape-mismatch"
+
+    def test_incomplete_affine_block(self, runner, tmp_path) -> None:
+        text = '{"p":1,"q":1,"affine":{"a":1}}'
+        for command in ("grid", "construct-graph"):
+            error = self.error_of(runner, tmp_path, command, "--grid", text)
+            assert error == {
+                "type": "invalid-parameters",
+                "message": "affine block misses b, c, cprime, d, e",
+            }
+
+    @pytest.mark.parametrize("text", ["{bad", "5"])
+    def test_grid_file_without_a_json_object(self, runner, tmp_path, text) -> None:
+        error = self.error_of(runner, tmp_path, "grid", "--grid", text)
+        assert error["type"] == "shape-mismatch"

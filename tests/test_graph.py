@@ -8,7 +8,6 @@ import pytest
 
 from parklab import (
     build_graph,
-    component_graph,
     cut_vertices,
     d_U,
     format_graph_text,
@@ -174,28 +173,6 @@ class TestQuotientGraph:
             assert sum(w for _, _, w in quot.edges) == total - intra
 
 
-class TestComponentGraph:
-    def test_two_arm_tree(self, two_arm):
-        quot, kinds = component_graph(two_arm)
-        assert kinds == ("root", "A", "A", "B", "B", "B", "B")
-        assert quot.edges == (
-            (0, 2, 1), (0, 3, 2), (1, 3, 2), (1, 4, 2), (2, 5, 1), (2, 6, 1),
-        )
-
-    def test_connected_blocks_collapse_to_three_nodes(self, clique_fan):
-        quot, kinds = component_graph(clique_fan)
-        assert quot.n + 1 <= 3
-        assert kinds == ("root", "A", "B")
-
-    def test_alternating_star_merges_through_root(self):
-        g = build_graph(
-            4, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1)], p=2, q=2
-        )
-        quot, kinds = component_graph(g)
-        assert kinds == ("root", "A", "B")
-        assert quot.edges == ((0, 1, 2), (0, 2, 2))
-
-
 class TestRecognizeFamily:
     def test_uniform_star(self):
         g = build_graph(3, [(0, 1, 2), (0, 2, 2), (0, 3, 2)])
@@ -290,6 +267,10 @@ class TestTextFormat:
         g = parse_graph_text(text)
         assert len(g.edges) == 5
         assert not g.has_bipartition
+
+    def test_non_integer_token_is_a_shape_error(self):
+        with pytest.raises(ShapeMismatch):
+            parse_graph_text("1 0 0\n0 1 x\n")
 
     def test_header_block_mismatch(self):
         with pytest.raises(ShapeMismatch):

@@ -189,6 +189,29 @@ class TestEnumerate:
         with pytest.raises(TooLarge):
             enumerate_upf(grid, max_set=5)
 
+    def test_guard_counts_the_set_exactly(self) -> None:
+        # three parking pairs out of four candidates in the product space
+        grid = grid_from_vectors((1, 2), (1,))
+        assert len(enumerate_upf(grid, max_set=3)) == 3
+        with pytest.raises(TooLarge):
+            enumerate_upf(grid, max_set=2)
+
+    def test_closure_matches_product_filter_on_small_affine_grids(self) -> None:
+        # first-block entries of a parking pair stay below the largest
+        # consumed east weight, second-block entries below the largest
+        # consumed north weight
+        for p, q in product((1, 2), repeat=2):
+            for a, b, c, cprime, d, e in product((0, 1), repeat=6):
+                grid = grid_from_affine(p, q, a=a, b=b, c=c, cprime=cprime, d=d, e=e)
+                a_bound, b_bound = grid.u[p - 1][q], grid.v[p][q - 1]
+                want = [
+                    (x, y)
+                    for x in product(range(a_bound), repeat=p)
+                    for y in product(range(b_bound), repeat=q)
+                    if is_upf((x, y), grid)
+                ]
+                assert enumerate_upf(grid) == want
+
     def test_members_are_upf(self, tripartite_grid) -> None:
         members = enumerate_upf(tripartite_grid)
         assert members and all(is_upf(pair, tripartite_grid) for pair in members)

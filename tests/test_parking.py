@@ -26,7 +26,8 @@ from parklab.errors import (
     TooLarge,
     UNotMonotone,
 )
-from conftest import DIAMOND_MPF, random_connected_graph_capped
+from parklab.orientations import enumerate_A_bruteforce, orientation_to_mpf
+from conftest import DIAMOND_MPF, random_connected_graph, random_connected_graph_capped
 
 
 def classical_pf_oracle(v: tuple[int, ...]) -> bool:
@@ -140,6 +141,23 @@ class TestEnumerate:
     def test_guard_respected(self, diamond):
         with pytest.raises(TooLarge):
             enumerate_pf(diamond, max_set=3)
+
+    def test_guard_counts_the_set_exactly(self, diamond):
+        size = len(enumerate_pf(diamond))
+        assert len(enumerate_pf(diamond, max_set=size)) == size
+        with pytest.raises(TooLarge):
+            enumerate_pf(diamond, max_set=size - 1)
+
+    def test_maximals_match_brute_force_orientations(self):
+        rng = random.Random(2305)
+        checked = 0
+        while checked < 50:
+            g = random_connected_graph(rng, 5, 3)
+            if len(g.edges) > 10:
+                continue
+            brute = {orientation_to_mpf(o) for o in enumerate_A_bruteforce(g)}
+            assert enumerate_mpf(g) == sorted(brute)
+            checked += 1
 
     def test_classical_specialization_small(self):
         for n in (2, 3):

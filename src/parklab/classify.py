@@ -33,6 +33,7 @@ from .graph import (
     FamilyTag,
     RootedWeightedGraph,
     build_graph,
+    is_connected,
     matching_invariant_cases,
     swap_blocks,
 )
@@ -355,11 +356,19 @@ def construct_u_for_graph(g: RootedWeightedGraph) -> GridConstruction:
     if not tags:
         raise NotClassified("graph matches no case of the classification")
     tag = tags[0]
-    p, q = (g.q, g.p) if tag.swapped else (g.p, g.q)
-    grid = _grid_for_case(p, q, tag)
-    if tag.swapped:
-        grid = grid_transpose(grid)
-    return GridConstruction(grid, tag, tuple(tags), tag.swapped)
+    return GridConstruction(_grid_for_tag(g, tag), tag, tuple(tags), tag.swapped)
+
+
+def _grid_for_tag(g: RootedWeightedGraph, tag: FamilyTag) -> WeightGrid:
+    """Grid of a matched case, transposed back when it matched swapped."""
+    if not tag.swapped:
+        return _grid_for_case(g.p, g.q, tag)
+    return grid_transpose(_grid_for_case(g.q, g.p, tag))
+
+
+def _grid_maximal_set(grid: WeightGrid) -> set[Vector]:
+    """Maximal parking pairs of the grid, each joined into one vector."""
+    return {a + b for a, b in enumerate_mupf(grid)}
 
 
 def verify_equality(g: RootedWeightedGraph, grid: WeightGrid) -> bool:
@@ -373,9 +382,7 @@ def verify_equality(g: RootedWeightedGraph, grid: WeightGrid) -> bool:
         raise ShapeMismatch(
             f"graph blocks ({g.p}, {g.q}) against grid ({grid.p}, {grid.q})"
         )
-    from_graph = set(enumerate_mpf(g))
-    from_grid = {a + b for a, b in enumerate_mupf(grid)}
-    return from_graph == from_grid
+    return set(enumerate_mpf(g)) == _grid_maximal_set(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -407,46 +414,25 @@ def _block_relabelings(p: int, q: int, slots: list[tuple[int, int]]):
     return maps
 
 
-def _connected_assignment(
-    n: int, slots: list[tuple[int, int]], weights: tuple[int, ...]
-) -> bool:
-    parent = list(range(n + 1))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    merged = 0
-    for (i, j), w in zip(slots, weights):
-        if w:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-                merged += 1
-    return merged == n
-
-
 def connected_block_graphs(p: int, q: int, max_w: int):
     """All connected bipartitioned graphs up to relabeling within blocks.
 
     Every edge slot takes a weight in 0..max_w (0 means absent); only the
     lexicographically smallest weight assignment of each block-relabeling
-    orbit is yielded.
+    orbit is built, and it is yielded when graph.is_connected accepts it.
     """
     n = p + q
     slots = _slots(n)
     relabelings = _block_relabelings(p, q, slots)
     for weights in itertools.product(range(max_w + 1), repeat=len(slots)):
-        if not _connected_assignment(n, slots, weights):
-            continue
         if any(
             tuple(weights[k] for k in perm) < weights for perm in relabelings
         ):
             continue
         edges = [(i, j, w) for (i, j), w in zip(slots, weights) if w]
-        yield build_graph(n, edges, p=p, q=q)
+        g = build_graph(n, edges, p=p, q=q, require_connected=False)
+        if is_connected(g):
+            yield g
 
 
 @dataclass
@@ -479,19 +465,19 @@ def _sweep_block(args: tuple[int, int, int, int, int]) -> dict:
         if idx % shards != shard:
             continue
         tested += 1
-        report = is_invariant(g)
-        if not report.invariant:
+        maximal = set(enumerate_mpf(g))
+        if _orbit_closed(maximal, p) is not None:
             continue
         invariant += 1
-        if not report.family_matches:
+        tags = match_theorem61(g)
+        if not tags:
             bad.append(
                 {"graph": g.to_json(), "reason": "no-case-matches"}
             )
             continue
-        construction = construct_u_for_graph(g)
-        case = construction.case.case
+        case = tags[0].case
         counts[case] = counts.get(case, 0) + 1
-        if not verify_equality(g, construction.grid):
+        if maximal != _grid_maximal_set(_grid_for_tag(g, tags[0])):
             bad.append(
                 {
                     "graph": g.to_json(),
@@ -513,9 +499,11 @@ def sweep_classification(
     """Check the classification on every graph within the budget.
 
     Every connected bipartitioned graph with both blocks non-empty, at most
-    max_n non-root vertices, and weights up to max_w is tested for
-    invariance; each invariant graph must match a case whose grid passes
-    verify_equality. Failures are reported as counterexamples.
+    max_n non-root vertices, and weights up to max_w has its maximal parking
+    set enumerated once and tested for closure under block permutations.
+    Only invariant graphs are matched against the case list; each must match
+    a case whose grid has that same maximal set. Failures are reported as
+    counterexamples.
     """
     tasks = []
     shards = max(1, jobs)
@@ -551,14 +539,14 @@ def search_graph_matching_grid(
     one value can never agree; survivors get the full comparison. Returns
     the first match (None if none) and the number of graphs scanned.
     """
-    target = enumerate_mupf(grid)
-    target_sums = {sum(a) + sum(b) for a, b in target}
+    target = _grid_maximal_set(grid)
+    target_sums = {sum(vec) for vec in target}
     n = grid.p + grid.q
     tested = 0
     for g in connected_block_graphs(grid.p, grid.q, max_w):
         tested += 1
         if len(target_sums) != 1 or g.total_weight - n not in target_sums:
             continue
-        if verify_equality(g, grid):
+        if set(enumerate_mpf(g)) == target:
             return g, tested
     return None, tested

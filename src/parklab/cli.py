@@ -73,7 +73,7 @@ def _parse_pair(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _load_graph(
     path: str, block_a: str | None, block_b: str | None
 ) -> RootedWeightedGraph:
-    g = parse_graph_text(Path(path).read_text())
+    g = parse_graph_text(_read_text(path))
     if (block_a is None) != (block_b is None):
         raise click.UsageError("--A and --B must be given together")
     if block_a is not None:
@@ -83,9 +83,16 @@ def _load_graph(
     return g
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ShapeMismatch(f"input file is not UTF-8 text: {exc}") from None
+
+
 def _read_grid_json(path: str):
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ShapeMismatch(f"grid file is not valid JSON: {exc}") from None
 
@@ -103,12 +110,9 @@ def _guarded(pretty: bool, produce) -> None:
     _emit(result, pretty)
 
 
-graph_option = click.option(
-    "--graph", "graph_path", required=True, type=click.Path(exists=True)
-)
-grid_option = click.option(
-    "--grid", "grid_path", required=True, type=click.Path(exists=True)
-)
+input_file = click.Path(exists=True, dir_okay=False)
+graph_option = click.option("--graph", "graph_path", required=True, type=input_file)
+grid_option = click.option("--grid", "grid_path", required=True, type=input_file)
 block_options = (
     click.option("--A", "block_a", default=None, help="first block labels"),
     click.option("--B", "block_b", default=None, help="second block labels"),
@@ -288,13 +292,11 @@ def construct_graph_cmd(grid_path, pretty) -> None:
 
     def produce():
         raw = _read_grid_json(grid_path)
-        if "affine" not in raw or "p" not in raw or "q" not in raw:
+        if not isinstance(raw, dict) or not {"affine", "p", "q"} <= raw.keys():
             raise InvalidParameters(
                 "construct-graph needs p, q, and an affine block"
             )
-        g = graph_from_affine_u(
-            int(raw["p"]), int(raw["q"]), **affine_coefficients(raw["affine"])
-        )
+        g = graph_from_affine_u(**affine_coefficients(raw))
         out = g.to_json()
         out["text"] = format_graph_text(g)
         return out

@@ -14,7 +14,11 @@ recognizers for the named families (uniform trees, cycles, banded complete
 graphs, two-weight trees, and each case of the invariance classification).
 Each structure (tree, forest, cycle, rooted complete graph) has exactly
 one recognizer, which looks at part of the graph; whole-graph checks pass
-every vertex.
+every vertex. Connectivity has one routine too: a reachability search
+restricted to a vertex subset. It decides is_connected (which build_graph
+and the block-graph generator call), cut_vertices, vertex_on_cycle and the
+tree, cycle and forest recognizers, and gives two-weight trees their
+parent edges.
 """
 
 from __future__ import annotations
@@ -177,18 +181,27 @@ def build_graph(
     return g
 
 
-def is_connected(g: RootedWeightedGraph) -> bool:
-    if g.n == 0:
-        return True
-    seen = {ROOT}
-    stack = [ROOT]
+def _reach(
+    g: RootedWeightedGraph, start: int, allowed: frozenset[int] | None = None
+) -> dict[int, int]:
+    """Vertices reachable from start through allowed vertices (all when None).
+
+    Each maps to the weight of the edge the search first reached it by (0 for
+    start); on a tree that is the edge toward start.
+    """
+    seen = {start: 0}
+    stack = [start]
     while stack:
         v = stack.pop()
-        for u, _ in g.neighbors(v):
-            if u not in seen:
-                seen.add(u)
+        for u, w in g.neighbors(v):
+            if u not in seen and (allowed is None or u in allowed):
+                seen[u] = w
                 stack.append(u)
-    return len(seen) == g.n + 1
+    return seen
+
+
+def is_connected(g: RootedWeightedGraph) -> bool:
+    return len(_reach(g, ROOT)) == g.n + 1
 
 
 def d_U(g: RootedWeightedGraph, U: Iterable[int], i: int) -> int:
@@ -207,16 +220,7 @@ def d_U(g: RootedWeightedGraph, U: Iterable[int], i: int) -> int:
 
 def _connected_within(g: RootedWeightedGraph, verts: frozenset[int]) -> bool:
     """Whether the induced subgraph on verts is connected (verts non-empty)."""
-    start = next(iter(verts))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u, _ in g.neighbors(v):
-            if u in verts and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(verts)
+    return len(_reach(g, next(iter(verts)), verts)) == len(verts)
 
 
 def cut_vertices(g: RootedWeightedGraph) -> frozenset[int]:
@@ -234,21 +238,10 @@ def vertex_on_cycle(g: RootedWeightedGraph, v: int) -> bool:
     """Whether some cycle of the graph passes through v."""
     nbrs = [u for u, _ in g.neighbors(v)]
     rest = frozenset(g.vertices) - {v}
-    for a, b in itertools.combinations(nbrs, 2):
-        # a and b connected while avoiding v closes a cycle through v
-        seen = {a}
-        stack = [a]
-        while stack:
-            x = stack.pop()
-            if x == b:
-                break
-            for u, _ in g.neighbors(x):
-                if u in rest and u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if b in seen:
-            return True
-    return False
+    # a and b connected while avoiding v closes a cycle through v
+    return any(
+        b in _reach(g, a, rest) for a, b in itertools.combinations(nbrs, 2)
+    )
 
 
 def induced_subgraph(
@@ -325,26 +318,6 @@ def quotient_graph(
         [(i, j, w) for (i, j), w in merged.items()],
         require_connected=False,
     )
-
-
-def _components(members: Sequence[int], edges: Iterable[tuple[int, int]]):
-    """Connected components of a graph given as members plus edges (union-find)."""
-    parent = {v: v for v in members}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[int, set[int]] = {}
-    for v in members:
-        groups.setdefault(find(v), set()).add(v)
-    return sorted((frozenset(c) for c in groups.values()), key=min)
 
 
 def swap_blocks(g: RootedWeightedGraph) -> RootedWeightedGraph:
@@ -463,16 +436,7 @@ def two_weight_tree_bands(g: RootedWeightedGraph) -> tuple[int, int] | None:
     g.require_bipartition()
     if not is_tree(g):
         return None
-    parent_weight: dict[int, int] = {}
-    seen = {ROOT}
-    stack = [ROOT]
-    while stack:
-        v = stack.pop()
-        for u, w in g.neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                parent_weight[u] = w
-                stack.append(u)
+    parent_weight = _reach(g, ROOT)
     a = uniform_weight(parent_weight[v] for v in g.block_a) if g.p else 0
     b = uniform_weight(parent_weight[v] for v in g.block_b) if g.q else 0
     if a is None or b is None:
@@ -494,10 +458,14 @@ def _is_tree_on(g: RootedWeightedGraph, verts: frozenset[int]) -> bool:
 
 
 def _forest_components(
-    members: Sequence[int], edges: Sequence[Edge]
+    g: RootedWeightedGraph, members: frozenset[int], edges: Sequence[Edge]
 ) -> list[frozenset[int]] | None:
-    """Components of the forest the edges form on members, or None on a cycle."""
-    comps = _components(members, [(i, j) for i, j, _ in edges])
+    """Components of the forest edges form on members, or None on a cycle."""
+    forest = RootedWeightedGraph(g.n, tuple(edges))
+    comps: list[frozenset[int]] = []
+    for v in sorted(members):
+        if not any(v in comp for comp in comps):
+            comps.append(frozenset(_reach(forest, v, members)))
     return comps if len(edges) == len(members) - len(comps) else None
 
 
@@ -682,7 +650,7 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
             cross = [
                 (i, j, w) for i, j, w in g.edges if i in B or j in B
             ]
-            comps = _forest_components(sorted(B | set(attach)), cross)
+            comps = _forest_components(g, B | set(attach), cross)
             # forest of trees hanging each from a single attachment vertex:
             # a second attachment in one component would put a second-block
             # vertex on a cycle of the whole graph
@@ -708,7 +676,7 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
     # carrying a cycle or complete second side, no cycle elsewhere
     ga_verts = A | {ROOT}
     forest_edges = _induced_edges(g, ga_verts)
-    comps = _forest_components(sorted(ga_verts), forest_edges)
+    comps = _forest_components(g, ga_verts, forest_edges)
     a_weight = uniform_weight(w for _, _, w in forest_edges)
     if comps is not None and a_weight is not None:
         zero_comp = next(c for c in comps if ROOT in c)

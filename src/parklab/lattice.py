@@ -176,13 +176,27 @@ def grids_agree_on_steps(g1: WeightGrid, g2: WeightGrid) -> bool:
     return True
 
 
-def affine_coefficients(aff: Mapping) -> dict[str, int]:
-    """The six coefficients of an affine block, as keyword arguments."""
+def _json_ints(value, what: str, depth: int = 0):
+    """A JSON integer, or lists of them nested depth deep as tuples; no floats."""
+    if depth and isinstance(value, list):
+        return tuple(_json_ints(x, what, depth - 1) for x in value)
+    if depth or type(value) is not int:
+        kind = "a list" if depth else "an integer"
+        raise ShapeMismatch(f"{what} must be {kind}, got {value!r}")
+    return value
+
+
+def affine_coefficients(obj: Mapping) -> dict[str, int]:
+    """p, q and the affine block's coefficients, as keyword arguments."""
+    aff = obj["affine"]
+    if not isinstance(aff, Mapping):
+        raise ShapeMismatch(f"affine block must be a JSON object, got {aff!r}")
     keys = ("a", "b", "c", "cprime", "d", "e")
     missing = [k for k in keys if k not in aff]
     if missing:
         raise InvalidParameters(f"affine block misses {', '.join(missing)}")
-    return {k: int(aff[k]) for k in keys}
+    sizes = {k: _json_ints(obj[k], k) for k in ("p", "q")}
+    return sizes | {k: _json_ints(aff[k], k) for k in keys}
 
 
 def load_grid(obj: Mapping) -> WeightGrid:
@@ -197,21 +211,21 @@ def load_grid(obj: Mapping) -> WeightGrid:
         raise ShapeMismatch("grid description must be a JSON object")
     if "vectors" in obj:
         vecs = obj["vectors"]
-        if "u" not in vecs or "v" not in vecs:
+        if not isinstance(vecs, Mapping) or "u" not in vecs or "v" not in vecs:
             raise ShapeMismatch("vectors description needs both u and v")
-        return grid_from_vectors(tuple(vecs["u"]), tuple(vecs["v"]))
+        return grid_from_vectors(
+            _json_ints(vecs["u"], "u", 1), _json_ints(vecs["v"], "v", 1)
+        )
     if "affine" in obj:
         if "p" not in obj or "q" not in obj:
             raise ShapeMismatch("affine description needs p and q")
-        return grid_from_affine(
-            int(obj["p"]), int(obj["q"]), **affine_coefficients(obj["affine"])
-        )
+        return grid_from_affine(**affine_coefficients(obj))
     if all(k in obj for k in ("p", "q", "u", "v")):
         return WeightGrid(
-            int(obj["p"]),
-            int(obj["q"]),
-            tuple(tuple(int(x) for x in row) for row in obj["u"]),
-            tuple(tuple(int(x) for x in row) for row in obj["v"]),
+            _json_ints(obj["p"], "p"),
+            _json_ints(obj["q"], "q"),
+            _json_ints(obj["u"], "u", 2),
+            _json_ints(obj["v"], "v", 2),
         )
     raise ShapeMismatch(
         "grid description needs 'vectors', 'affine', or explicit arrays"

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 from . import orientations
 from .errors import (
+    InvalidParameters,
     LengthMismatch,
     NotAParkingFunction,
     TooLarge,
@@ -40,7 +41,10 @@ def default_max_set() -> int:
     raw = os.environ.get("PARKLAB_MAX_SET")
     if raw is None:
         return DEFAULT_MAX_SET
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidParameters(f"PARKLAB_MAX_SET is not an integer: {raw!r}") from None
 
 
 def order_statistics(values: Sequence[int]) -> Vector:

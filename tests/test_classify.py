@@ -34,6 +34,7 @@ from parklab.errors import (
     NotClassified,
     ShapeMismatch,
 )
+from parklab import classify
 from parklab.classify import _cycle_case_grid
 from parklab.graph import is_connected
 
@@ -272,6 +273,32 @@ class TestSweep:
         assert report.counterexamples == []
         assert report.invariant_count < report.graphs_tested
         assert sum(report.per_family_counts.values()) >= report.invariant_count
+        assert (report.graphs_tested, report.invariant_count) == (704, 220)
+        assert report.per_family_counts == {
+            "i.a": 10, "i.b": 8, "i.c": 4, "ii": 16, "iii": 82,
+            "iv.a": 60, "iv.b": 8, "v": 32,
+        }
+        assert sweep_classification(3, 2, jobs=2) == report
+
+    def test_unmatched_invariant_graphs_are_reported(self, monkeypatch) -> None:
+        monkeypatch.setattr(classify, "match_theorem61", lambda g: [])
+        report = sweep_classification(2, 2)
+        bad = report.counterexamples
+        assert [d["reason"] for d in bad] == ["no-case-matches"] * 20
+        keys = [sorted(d["graph"]["edges"]) for d in bad]
+        assert keys == sorted(keys)
+        assert report.per_family_counts == {}
+
+    def test_mismatched_grids_are_reported(self, monkeypatch) -> None:
+        monkeypatch.setattr(
+            classify,
+            "_grid_for_case",
+            lambda p, q, tag: grid_from_vectors((100,) * p, (100,) * q),
+        )
+        bad = sweep_classification(2, 2).counterexamples
+        assert [d["reason"] for d in bad] == ["grid-mismatch"] * 20
+        cases = Counter(d["case"] for d in bad)
+        assert cases == {"i.a": 2, "i.b": 4, "iii": 10, "iv.a": 4}
 
     def test_report_serialization(self) -> None:
         data = sweep_classification(2, 1).to_json()

@@ -240,3 +240,62 @@ class TestMalformedInput:
     def test_grid_file_without_a_json_object(self, runner, tmp_path, text) -> None:
         error = self.error_of(runner, tmp_path, "grid", "--grid", text)
         assert error["type"] == "shape-mismatch"
+
+    AFFINE = '"affine":{"a":1,"b":0,"c":1,"cprime":1,"d":0,"e":1}'
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("grid", '{"vectors": 5}'),
+            ("grid", '{"vectors": {"u": ["a"], "v": [1]}}'),
+            ("grid", '{"vectors": {"u": 5, "v": [1]}}'),
+            ("grid", '{"p":1,"q":1,"u":[[1,"a"],[1,1]],"v":[[1,1],[1,1]]}'),
+            ("grid", '{"p":1,"q":1,"u":[1,1],"v":[[1,1],[1,1]]}'),
+            ("grid", '{"p":1,"q":1,"affine":5}'),
+            ("construct-graph", '{"p":1,"q":1,"affine":5}'),
+            ("grid", '{"p":"x","q":1,' + AFFINE + "}"),
+            ("construct-graph", '{"p":"x","q":1,' + AFFINE + "}"),
+            ("grid", '{"p":1.5,"q":1,' + AFFINE + "}"),
+            ("construct-graph", '{"p":1,"q":true,' + AFFINE + "}"),
+            ("grid", '{"p":1,"q":1,' + AFFINE.replace('"e":1', '"e":"x"') + "}"),
+            (
+                "construct-graph",
+                '{"p":1,"q":1,' + AFFINE.replace('"e":1', '"e":"x"') + "}",
+            ),
+        ],
+    )
+    def test_wrongly_typed_grid_values(self, runner, tmp_path, command, text) -> None:
+        error = self.error_of(runner, tmp_path, command, "--grid", text)
+        assert error["type"] == "shape-mismatch"
+
+    @pytest.mark.parametrize("text", ["5", "null", '"abc"'])
+    def test_construct_graph_needs_an_object(self, runner, tmp_path, text) -> None:
+        error = self.error_of(runner, tmp_path, "construct-graph", "--grid", text)
+        assert error == {
+            "type": "invalid-parameters",
+            "message": "construct-graph needs p, q, and an affine block",
+        }
+
+
+class TestInputEdges:
+    def test_unparsable_guard_variable(self, runner, graph_file) -> None:
+        error = run_json(
+            runner,
+            ["pf", "--graph", graph_file],
+            expect_exit=1,
+            env={"PARKLAB_MAX_SET": "abc"},
+        )["error"]
+        assert error["type"] == "invalid-parameters"
+        assert "PARKLAB_MAX_SET" in error["message"]
+
+    @pytest.mark.parametrize("command, flag", [("pf", "--graph"), ("grid", "--grid")])
+    def test_directory_is_a_usage_error(self, runner, tmp_path, command, flag) -> None:
+        result = runner.invoke(main, [command, flag, str(tmp_path)])
+        assert result.exit_code == 2
+
+    @pytest.mark.parametrize("command, flag", [("pf", "--graph"), ("grid", "--grid")])
+    def test_file_that_is_not_utf8(self, runner, tmp_path, command, flag) -> None:
+        path = tmp_path / "latin1"
+        path.write_bytes(b"1 0 0\n0 1 1 # caf\xe9\n")
+        error = run_json(runner, [command, flag, str(path)], expect_exit=1)["error"]
+        assert error["type"] == "shape-mismatch"

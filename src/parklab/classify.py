@@ -18,6 +18,7 @@ sweep_classification does so for every invariant graph within a budget.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -503,7 +504,8 @@ def sweep_classification(
     set enumerated once and tested for closure under block permutations.
     Only invariant graphs are matched against the case list; each must match
     a case whose grid has that same maximal set. Failures are reported as
-    counterexamples.
+    counterexamples. jobs shards the work, run on at most os.cpu_count()
+    processes.
     """
     tasks = []
     shards = max(1, jobs)
@@ -512,7 +514,7 @@ def sweep_classification(
             for shard in range(shards):
                 tasks.append((p, n - p, max_w, shard, shards))
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(min(jobs, os.cpu_count() or 1)) as pool:
             partials = list(pool.map(_sweep_block, tasks))
     else:
         partials = [_sweep_block(t) for t in tasks]

@@ -166,15 +166,14 @@ def mpf_cmd(graph_path, block_a, block_b, pretty) -> None:
 @graph_option
 @_with_blocks
 @click.option("--vector", required=True, help="candidate vector, CSV")
-@click.option("--max-n", type=int, default=None, help="size guard")
 @pretty_option
-def check_cmd(graph_path, block_a, block_b, vector, max_n, pretty) -> None:
+def check_cmd(graph_path, block_a, block_b, vector, pretty) -> None:
     """Test one vector for membership and maximality."""
 
     def produce():
         g = _load_graph(graph_path, block_a, block_b)
         b = _csv_ints(vector, "--vector")
-        parking = is_g_pf(g, b, max_n=max_n)
+        parking = is_g_pf(g, b)
         maximal = is_maximal(g, b) if parking else False
         return {"parking_function": parking, "maximal": maximal}
 

@@ -399,31 +399,18 @@ def maximal_upf_sum_witness(grid: WeightGrid) -> tuple[int, int]:
 def path_from_orientation(
     g: RootedWeightedGraph, o: _ori.Orientation
 ) -> str:
-    """Read a path off an orientation by repeated source removal.
+    """Read a path off the burning order of an orientation's vector.
 
-    After deleting the root, repeatedly delete the smallest-indexed
-    remaining vertex with no incoming edge from the remaining set, recording
-    E for a first-block vertex and N for a second-block vertex.
+    That order takes next the smallest vertex whose in-neighbours are all
+    taken; each vertex after the root records E (first block) or N (second).
     """
     g.require_bipartition()
     if not _ori.in_A(o):
         raise PeelingStalled(
             "only acyclic orientations with the root as unique source unwind"
         )
-    arrows = [(t, h) for t, h, _ in o.directed_edges()]
-    remaining = set(range(1, g.n + 1))
-    word = []
-    while remaining:
-        ready = None
-        for v in sorted(remaining):
-            if not any(h == v and t in remaining for t, h in arrows):
-                ready = v
-                break
-        if ready is None:
-            raise PeelingStalled("cycle among remaining vertices")
-        word.append("E" if ready <= g.p else "N")
-        remaining.remove(ready)
-    return "".join(word)
+    order = _ori._burn_order(g, _ori._heads_to_mpf(g, o.heads))
+    return "".join("E" if v <= g.p else "N" for v in order[1:])
 
 
 def orientation_from_path(
@@ -431,11 +418,11 @@ def orientation_from_path(
 ) -> _ori.Orientation:
     """Rebuild the orientation whose sorted indegree pair sits under the path.
 
-    Processes the root, then the vertex named by each step (an east step
+    Orders the root, then the vertex named by each step (an east step
     from column i claims first-block vertex i+1, a north step from row j
-    claims second-block vertex p+j+1), directing every still-undirected
-    edge at the current vertex away from it. Fails if the result is not a
-    valid orientation or does not block-sort to the given pair.
+    claims second-block vertex p+j+1), and points every edge at its later
+    endpoint in that order. Fails if the result is not a valid orientation
+    or does not block-sort to the given pair.
     """
     g.require_bipartition()
     validate_path(path, g.p, g.q)
@@ -449,18 +436,12 @@ def orientation_from_path(
         else:
             order.append(g.p + y + 1)
             y += 1
-    head_of: dict[tuple[int, int], int] = {}
-    for v in order:
-        for u, _ in g.neighbors(v):
-            key = (u, v) if u < v else (v, u)
-            if key not in head_of:
-                head_of[key] = u
-    o = _ori.Orientation(g, tuple(head_of[(i, j)] for i, j, _ in g.edges))
+    o = _ori.Orientation(g, _ori._heads(g, {v: k for k, v in enumerate(order)}))
     if not _ori.in_A(o):
         raise PathDoesNotBound(
             f"path {path!r} does not orient this graph validly"
         )
-    image = _ori.orientation_to_mpf(o)
+    image = _ori._heads_to_mpf(g, o.heads)
     got = block_sorted((image[: g.p], image[g.p :]))
     if got != block_sorted(pair):
         raise PathDoesNotBound(

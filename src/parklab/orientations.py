@@ -4,6 +4,12 @@ An orientation assigns a head to every edge. The set A(G) collects the
 acyclic ones whose only source is the root; they are in bijection with the
 maximal parking functions of the graph, a vertex receiving its weighted
 indegree minus one.
+
+Both sides are read off one vertex order, Dhar's burning order. For the
+vector of an orientation in A(G) it burns next the smallest vertex whose
+in-neighbours are all burned, and pointing every edge at its later endpoint
+gives the orientation back. Membership, the generator, the inverse map and
+the paths of orientations all use it.
 """
 
 from __future__ import annotations
@@ -90,36 +96,69 @@ def in_A(o: Orientation) -> bool:
     return is_acyclic(o) and has_unique_source(o)
 
 
-def _head_tuples(g: RootedWeightedGraph) -> set[tuple[int, ...]]:
-    """Heads of every orientation in A(G), one tuple per orientation.
+def _burn_order(g: RootedWeightedGraph, b) -> list[int] | None:
+    """Dhar's burning order [ROOT, ...] of a non-negative b, None if it stalls.
 
-    Recursive source elimination: grow vertex orders starting at the root,
-    admitting a vertex only once it has an already-placed neighbor (otherwise
-    it would become a second source). Each admissible order orients every
-    edge toward its later endpoint; distinct orders can repeat an
-    orientation, so results are deduplicated.
+    From the root, repeatedly burn the smallest-indexed vertex whose entry
+    is beaten by its weighted degree into the burned set. b parks exactly
+    when every vertex burns.
+    """
+    alive = set(range(1, g.n + 1))
+    # outward degree of v relative to the current alive set
+    out = {
+        v: sum(w for u, w in g.neighbors(v) if u not in alive)
+        for v in alive
+    }
+    order = [ROOT]
+    while alive:
+        burned = None
+        for v in sorted(alive):
+            if b[v - 1] < out[v]:
+                burned = v
+                break
+        if burned is None:
+            return None
+        order.append(burned)
+        alive.remove(burned)
+        for u, w in g.neighbors(burned):
+            if u in alive:
+                out[u] += w
+    return order
+
+
+def _heads(g: RootedWeightedGraph, pos) -> tuple[int, ...]:
+    """Point every edge at its later endpoint; pos[v] is v's place in the order."""
+    return tuple(j if pos[i] < pos[j] else i for i, j, _ in g.edges)
+
+
+def _head_tuples(g: RootedWeightedGraph) -> list[tuple[int, ...]]:
+    """Heads of every orientation in A(G), each exactly once.
+
+    Grows only burning orders from the root. A vertex may come next if it
+    has a placed neighbour and is not owed. Placing v makes every unplaced
+    u < v not adjacent to v owed: u was passed over, so a neighbour of u
+    must be placed before u; placing a neighbour clears the debt.
     """
     n = g.n
-    adj = {v: [u for u, _ in g.neighbors(v)] for v in g.vertices}
-    placed = [False] * (n + 1)
-    placed[ROOT] = True
+    nbr = [0] * (n + 1)
+    for i, j, _ in g.edges:
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
     pos = [0] * (n + 1)
-    found: set[tuple[int, ...]] = set()
+    found: list[tuple[int, ...]] = []
 
-    def grow(depth: int) -> None:
+    def grow(depth: int, placed: int, owed: int) -> None:
         if depth == n + 1:
-            found.add(
-                tuple(j if pos[i] < pos[j] else i for i, j, _ in g.edges)
-            )
+            found.append(_heads(g, pos))
             return
         for v in range(1, n + 1):
-            if not placed[v] and any(placed[u] for u in adj[v]):
-                placed[v] = True
-                pos[v] = depth
-                grow(depth + 1)
-                placed[v] = False
+            bit = 1 << v
+            if (placed | owed) & bit or not nbr[v] & placed:
+                continue
+            pos[v] = depth
+            grow(depth + 1, placed | bit, (owed | (bit - 1) & ~placed) & ~nbr[v])
 
-    grow(1)
+    grow(1, 1 << ROOT, 0)
     return found
 
 
@@ -163,13 +202,11 @@ def orientation_to_mpf(o: Orientation) -> tuple[int, ...]:
 def mpf_to_orientation(
     g: RootedWeightedGraph, b
 ) -> Orientation:
-    """Invert the indegree map on maximal parking functions by sink peeling.
+    """Invert the indegree map on maximal parking functions by burning.
 
-    Repeatedly find the smallest-indexed remaining non-root vertex whose
-    target indegree equals its remaining weighted degree, orient its
-    remaining edges toward it, and remove it. A wrong entry sum can never be
-    maximal; a stall with the right sum means no orientation hits the
-    targets.
+    Every edge points at its later endpoint in the burning order of b. A
+    wrong entry sum can never be maximal; with the right sum, b is maximal
+    exactly when it burns.
     """
     b = tuple(b)
     if len(b) != g.n:
@@ -181,28 +218,14 @@ def mpf_to_orientation(
             "maximal parking functions have non-negative entries summing to "
             f"{g.total_weight - g.n}"
         )
-    targets = [0] + [x + 1 for x in b]
-    remaining = set(g.vertices)
-    head_of: dict[tuple[int, int], int] = {}
-    while len(remaining) > 1:
-        pick = None
-        for v in sorted(remaining - {ROOT}):
-            deg = sum(w for u, w in g.neighbors(v) if u in remaining)
-            if targets[v] == deg:
-                pick = v
-                break
-        if pick is None:
-            raise InconsistentIndegrees(
-                f"no orientation realizes indegree targets {tuple(b)}"
-            )
-        for u, _ in g.neighbors(pick):
-            if u in remaining:
-                key = (u, pick) if u < pick else (pick, u)
-                head_of[key] = pick
-        remaining.remove(pick)
-    o = Orientation(g, tuple(head_of[(i, j)] for i, j, _ in g.edges))
+    order = _burn_order(g, b)
+    if order is None:
+        raise InconsistentIndegrees(
+            f"no orientation realizes indegree targets {b}"
+        )
+    o = Orientation(g, _heads(g, {v: k for k, v in enumerate(order)}))
     if orientation_to_mpf(o) != b:
         raise InconsistentIndegrees(
-            f"sink peeling does not realize indegree targets {b}"
+            f"the burning order does not realize indegree targets {b}"
         )
     return o

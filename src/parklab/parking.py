@@ -72,50 +72,23 @@ def is_vector_pf(a: Sequence[int], u: Sequence[int]) -> bool:
     return all(v < bound for v, bound in zip(order_statistics(a), u))
 
 
-def _check_vector(g: RootedWeightedGraph, b: Sequence[int], max_n: int | None):
-    limit = DEFAULT_MAX_MEMBERSHIP if max_n is None else max_n
-    if g.n > limit:
-        raise TooLarge(
-            f"membership scan guarded at {limit} vertices; got {g.n}"
-        )
+def _check_length(g: RootedWeightedGraph, b: Sequence[int]) -> None:
     if len(b) != g.n:
         raise LengthMismatch(
             f"vector of length {len(b)} against {g.n} non-root vertices"
         )
 
 
-def is_g_pf(
-    g: RootedWeightedGraph, b: Sequence[int], *, max_n: int | None = None
-) -> bool:
-    """Graph parking membership via the burning scan.
+def is_g_pf(g: RootedWeightedGraph, b: Sequence[int]) -> bool:
+    """Graph parking membership in polynomial time, by Dhar's burning.
 
-    Starting from all non-root vertices, repeatedly delete the
-    smallest-indexed vertex whose entry is beaten by its weighted degree out
-    of the surviving set; b parks exactly when the set burns down to nothing.
-    Entries must be non-negative to park.
+    b parks exactly when its entries are non-negative and its burning order
+    reaches every vertex.
     """
-    _check_vector(g, b, max_n)
+    _check_length(g, b)
     if any(x < 0 for x in b):
         return False
-    alive = set(range(1, g.n + 1))
-    # outward degree of v relative to the current alive set
-    out = {
-        v: sum(w for u, w in g.neighbors(v) if u not in alive)
-        for v in alive
-    }
-    while alive:
-        burned = None
-        for v in sorted(alive):
-            if b[v - 1] < out[v]:
-                burned = v
-                break
-        if burned is None:
-            return False
-        alive.remove(burned)
-        for u, w in g.neighbors(burned):
-            if u in alive:
-                out[u] += w
-    return True
+    return orientations._burn_order(g, b) is not None
 
 
 def is_g_pf_by_subsets(
@@ -124,8 +97,12 @@ def is_g_pf_by_subsets(
     """Graph parking membership by scanning every non-empty vertex subset.
 
     Exponential reference implementation; must agree with is_g_pf everywhere.
+    Guarded at DEFAULT_MAX_MEMBERSHIP vertices unless max_n says otherwise.
     """
-    _check_vector(g, b, max_n)
+    limit = DEFAULT_MAX_MEMBERSHIP if max_n is None else max_n
+    if g.n > limit:
+        raise TooLarge(f"subset scan guarded at {limit} vertices; got {g.n}")
+    _check_length(g, b)
     if any(x < 0 for x in b):
         return False
     verts = range(1, g.n + 1)
@@ -144,9 +121,9 @@ def is_g_pf_by_subsets(
 
 
 def enumerate_mpf(g: RootedWeightedGraph) -> list[Vector]:
-    """All maximal parking functions, via orientations, in sorted order."""
+    """All maximal parking functions, one per orientation, in sorted order."""
     return sorted(
-        {orientations._heads_to_mpf(g, h) for h in orientations._head_tuples(g)}
+        orientations._heads_to_mpf(g, h) for h in orientations._head_tuples(g)
     )
 
 
@@ -185,11 +162,11 @@ def enumerate_pf(
 
 
 def is_maximal(g: RootedWeightedGraph, b: Sequence[int]) -> bool:
-    """Whether b parks and no single entry can grow while still parking."""
+    """Whether b parks and no single entry can grow while still parking.
+
+    Every maximal element sums to W - n; a parking b with that sum lies
+    under a maximal one of equal sum, so it is that one.
+    """
     if not is_g_pf(g, b):
         raise NotAParkingFunction(f"{tuple(b)} does not park on this graph")
-    for idx in range(g.n):
-        bumped = tuple(b[:idx]) + (b[idx] + 1,) + tuple(b[idx + 1 :])
-        if is_g_pf(g, bumped):
-            return False
-    return True
+    return sum(b) == g.total_weight - g.n

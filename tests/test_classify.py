@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 from collections import Counter
 
 import pytest
@@ -279,6 +280,27 @@ class TestSweep:
             "iv.a": 60, "iv.b": 8, "v": 32,
         }
         assert sweep_classification(3, 2, jobs=2) == report
+
+    def test_jobs_beyond_the_cpu_count_share_the_cpus(self, monkeypatch) -> None:
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(classify, "ProcessPoolExecutor", InProcessPool)
+        report = sweep_classification(2, 1, jobs=64)
+        assert len(asked) == 1 and asked[0] <= (os.cpu_count() or 1)
+        assert report == sweep_classification(2, 1)
 
     def test_unmatched_invariant_graphs_are_reported(self, monkeypatch) -> None:
         monkeypatch.setattr(classify, "match_theorem61", lambda g: [])

@@ -78,6 +78,18 @@ class TestMembershipCommands:
         )
         assert data == {"parking_function": False, "maximal": False}
 
+    def test_check_answers_beyond_the_subset_scan_guard(
+        self, runner, tmp_path
+    ) -> None:
+        path = tmp_path / "path30.txt"
+        path.write_text(
+            "30 0 0\n" + "".join(f"{v - 1} {v} 1\n" for v in range(1, 31))
+        )
+        data = run_json(
+            runner, ["check", "--graph", str(path), "--vector", ",".join(["0"] * 30)]
+        )
+        assert data == {"parking_function": True, "maximal": True}
+
     def test_orientations_match_maximal_vectors(self, runner, graph_file) -> None:
         data = run_json(runner, ["orientations", "--graph", graph_file])
         mpf = run_json(runner, ["mpf", "--graph", graph_file])

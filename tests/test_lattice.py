@@ -1,5 +1,6 @@
 """Tests for weight grids, lattice paths, and two-dimensional parking pairs."""
 
+import random
 from itertools import product
 from math import comb
 
@@ -44,6 +45,7 @@ from parklab.lattice import (
     validate_path,
 )
 from parklab.orientations import Orientation
+from conftest import random_bipartitioned_graph
 
 LADDER_PAIR = ((2, 0, 1), (1, 3, 0))
 
@@ -282,6 +284,27 @@ class TestPathFromOrientation:
         star = build_graph(5, edges, p=2, q=3)
         (o,) = enumerate_A(star)
         assert path_from_orientation(star, o) == "EENNN"
+
+    def test_word_is_smallest_first_source_removal(self) -> None:
+        def source_removal(g, o) -> str:
+            arrows = [(t, h) for t, h, _ in o.directed_edges()]
+            remaining = set(range(1, g.n + 1))
+            word = []
+            while remaining:
+                ready = min(
+                    v
+                    for v in remaining
+                    if not any(h == v and t in remaining for t, h in arrows)
+                )
+                word.append("E" if ready <= g.p else "N")
+                remaining.remove(ready)
+            return "".join(word)
+
+        rng = random.Random(61)
+        for _ in range(30):
+            g = random_bipartitioned_graph(rng, 5, 3)
+            for o in enumerate_A(g):
+                assert path_from_orientation(g, o) == source_removal(g, o)
 
     def test_cyclic_orientation_stalls(self, tripartite) -> None:
         heads = (1, 2, 3, 4, 5, 4, 1, 2, 5, 4, 5)

@@ -15,13 +15,15 @@ from parklab import (
     mpf_to_orientation,
     orientation_to_mpf,
 )
+from parklab.classify import connected_block_graphs
 from parklab.orientations import (
+    _head_tuples,
     enumerate_A_bruteforce,
     has_unique_source,
     indegree_vector,
     is_acyclic,
 )
-from parklab.errors import NotInA, NotMaximal
+from parklab.errors import InconsistentIndegrees, NotInA, NotMaximal
 from conftest import DIAMOND_MPF, random_connected_graph_capped
 
 
@@ -73,6 +75,21 @@ class TestEnumerateA:
             slow = {o.heads for o in enumerate_A_bruteforce(g)}
             assert fast == slow
 
+    def test_each_orientation_is_built_once(self):
+        graphs = [
+            g
+            for n in (2, 3)
+            for p in range(1, n)
+            for g in connected_block_graphs(p, n - p, 2)
+        ]
+        assert len(graphs) == 704
+        graphs.append(build_graph(12, [(0, v, 1) for v in range(1, 13)]))
+        graphs.append(build_graph(12, [(v - 1, v, 1) for v in range(1, 13)]))
+        for g in graphs:
+            tuples = _head_tuples(g)
+            assert len(tuples) == len(set(tuples))
+            assert set(tuples) == {o.heads for o in enumerate_A_bruteforce(g)}
+
     def test_members_pass_predicates(self, diamond):
         for o in enumerate_A(diamond):
             assert is_acyclic(o)
@@ -106,6 +123,10 @@ class TestBijection:
     def test_non_maximal_rejected(self, diamond):
         with pytest.raises(NotMaximal):
             mpf_to_orientation(diamond, (0, 0, 0))
+
+    def test_right_sum_that_does_not_park_is_rejected(self, diamond):
+        with pytest.raises(InconsistentIndegrees):
+            mpf_to_orientation(diamond, (0, 0, 8))
 
     def test_image_sum_is_total_weight_minus_n(self):
         rng = random.Random(47)

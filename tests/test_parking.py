@@ -109,6 +109,16 @@ class TestGraphMembership:
                 b = tuple(rng.randrange(bound + 1) for _ in range(g.n))
                 assert is_g_pf(g, b) == is_g_pf_by_subsets(g, b)
 
+    def test_burning_has_no_size_guard(self):
+        path = build_graph(30, [(v - 1, v, 1) for v in range(1, 31)])
+        assert is_g_pf(path, (0,) * 30)
+        assert is_maximal(path, (0,) * 30)
+
+    def test_subset_scan_keeps_its_guard(self):
+        path = build_graph(25, [(v - 1, v, 1) for v in range(1, 26)])
+        with pytest.raises(TooLarge, match="subset scan guarded at 24 vertices; got 25"):
+            is_g_pf_by_subsets(path, (0,) * 25)
+
 
 class TestEnumerate:
     def test_single_edge(self):
@@ -188,6 +198,22 @@ class TestMaximality:
     def test_requires_membership(self, diamond):
         with pytest.raises(NotAParkingFunction):
             is_maximal(diamond, (6, 1, 2))
+
+    def test_agrees_with_the_definition(self):
+        rng = random.Random(59)
+        for _ in range(30):
+            g = random_connected_graph_capped(rng, 5, 12)
+            members = set(enumerate_pf(g))
+            accepted = []
+            for b in members:
+                grows = any(
+                    b[:k] + (b[k] + 1,) + b[k + 1 :] in members
+                    for k in range(g.n)
+                )
+                assert is_maximal(g, b) == (not grows)
+                if not grows:
+                    accepted.append(b)
+            assert sorted(accepted) == enumerate_mpf(g)
 
 
 class TestParkingProperties:

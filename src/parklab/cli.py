@@ -1,15 +1,18 @@
 """Batch command line emitting canonical JSON for every library operation.
 
 Every subcommand reads its inputs from files and flags, runs exactly one
-library operation, and prints one JSON document. Output is byte-identical
-across runs: keys sorted, sets emitted in lexicographic order. Domain
-errors become {"error": {"type", "message"}} with exit code 1; usage
-errors exit with code 2. verify and sweep exit 0 even when the verdict is
-negative, because the verdict is the data.
+library operation, and returns one JSON document. One wrapper, `command`,
+owns the output policy: it prints that document with keys sorted (sets
+come in lexicographic order, so output is byte-identical across runs),
+indents it under --pretty, and turns a domain error into
+{"error": {"type", "message"}} with exit code 1; usage errors exit with
+code 2. verify and sweep exit 0 even when the verdict is negative,
+because the verdict is the data.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -101,29 +104,14 @@ def _load_grid_file(path: str) -> WeightGrid:
     return load_grid(_read_grid_json(path))
 
 
-def _guarded(pretty: bool, produce) -> None:
-    try:
-        result = produce()
-    except DomainError as exc:
-        _emit({"error": exc.to_json()}, pretty)
-        sys.exit(1)
-    _emit(result, pretty)
-
-
 input_file = click.Path(exists=True, dir_okay=False)
 graph_option = click.option("--graph", "graph_path", required=True, type=input_file)
 grid_option = click.option("--grid", "grid_path", required=True, type=input_file)
+# in the order --help shows them
 block_options = (
-    click.option("--A", "block_a", default=None, help="first block labels"),
     click.option("--B", "block_b", default=None, help="second block labels"),
+    click.option("--A", "block_a", default=None, help="first block labels"),
 )
-pretty_option = click.option("--pretty", is_flag=True, default=False)
-
-
-def _with_blocks(fn):
-    for opt in block_options:
-        fn = opt(fn)
-    return fn
 
 
 @click.group()
@@ -131,94 +119,91 @@ def main() -> None:
     """Parking functions on weighted graphs and weighted lattice grids."""
 
 
-@main.command("pf")
-@graph_option
-@_with_blocks
-@click.option("--max-set", type=int, default=None, help="enumeration guard")
-@pretty_option
-def pf_cmd(graph_path, block_a, block_b, max_set, pretty) -> None:
+def command(name: str, *options):
+    """Register a subcommand whose function returns its JSON document.
+
+    The options show in the order given, then --pretty. A DomainError
+    prints {"error": ...} and exits 1; click's usage errors pass through.
+    """
+
+    def register(fn):
+        @functools.wraps(fn)
+        def run(pretty: bool, **kwargs) -> None:
+            try:
+                result = fn(**kwargs)
+            except DomainError as exc:
+                _emit({"error": exc.to_json()}, pretty)
+                sys.exit(1)
+            _emit(result, pretty)
+
+        for opt in reversed((*options, click.option("--pretty", is_flag=True))):
+            run = opt(run)
+        return main.command(name)(run)
+
+    return register
+
+
+@command(
+    "pf",
+    graph_option,
+    *block_options,
+    click.option("--max-set", type=int, default=None, help="enumeration guard"),
+)
+def pf_cmd(graph_path, block_a, block_b, max_set):
     """List every parking function of the graph."""
-
-    def produce():
-        g = _load_graph(graph_path, block_a, block_b)
-        elements = enumerate_pf(g, max_set=max_set)
-        return {"count": len(elements), "elements": [list(b) for b in elements]}
-
-    _guarded(pretty, produce)
+    g = _load_graph(graph_path, block_a, block_b)
+    elements = enumerate_pf(g, max_set=max_set)
+    return {"count": len(elements), "elements": [list(b) for b in elements]}
 
 
-@main.command("mpf")
-@graph_option
-@_with_blocks
-@pretty_option
-def mpf_cmd(graph_path, block_a, block_b, pretty) -> None:
+@command("mpf", graph_option, *block_options)
+def mpf_cmd(graph_path, block_a, block_b):
     """List the maximal parking functions of the graph."""
-
-    def produce():
-        g = _load_graph(graph_path, block_a, block_b)
-        elements = enumerate_mpf(g)
-        return {"count": len(elements), "elements": [list(b) for b in elements]}
-
-    _guarded(pretty, produce)
+    g = _load_graph(graph_path, block_a, block_b)
+    elements = enumerate_mpf(g)
+    return {"count": len(elements), "elements": [list(b) for b in elements]}
 
 
-@main.command("check")
-@graph_option
-@_with_blocks
-@click.option("--vector", required=True, help="candidate vector, CSV")
-@pretty_option
-def check_cmd(graph_path, block_a, block_b, vector, pretty) -> None:
+@command(
+    "check",
+    graph_option,
+    *block_options,
+    click.option("--vector", required=True, help="candidate vector, CSV"),
+)
+def check_cmd(graph_path, block_a, block_b, vector):
     """Test one vector for membership and maximality."""
-
-    def produce():
-        g = _load_graph(graph_path, block_a, block_b)
-        b = _csv_ints(vector, "--vector")
-        parking = is_g_pf(g, b)
-        maximal = is_maximal(g, b) if parking else False
-        return {"parking_function": parking, "maximal": maximal}
-
-    _guarded(pretty, produce)
+    g = _load_graph(graph_path, block_a, block_b)
+    b = _csv_ints(vector, "--vector")
+    parking = is_g_pf(g, b)
+    maximal = is_maximal(g, b) if parking else False
+    return {"parking_function": parking, "maximal": maximal}
 
 
-@main.command("orientations")
-@graph_option
-@_with_blocks
-@pretty_option
-def orientations_cmd(graph_path, block_a, block_b, pretty) -> None:
+@command("orientations", graph_option, *block_options)
+def orientations_cmd(graph_path, block_a, block_b):
     """List the acyclic unique-source orientations with their vectors."""
-
-    def produce():
-        g = _load_graph(graph_path, block_a, block_b)
-        items = []
-        for o in enumerate_A(g):
-            items.append(
-                {
-                    "edges": list(o.tokens()),
-                    "mpf": list(orientation_to_mpf(o)),
-                }
-            )
-        return {"count": len(items), "orientations": items}
-
-    _guarded(pretty, produce)
+    g = _load_graph(graph_path, block_a, block_b)
+    items = [
+        {"edges": list(o.tokens()), "mpf": list(orientation_to_mpf(o))}
+        for o in enumerate_A(g)
+    ]
+    return {"count": len(items), "orientations": items}
 
 
-@main.command("upf")
-@grid_option
-@click.option("--pair", "pair_text", required=True, help='pair "CSV;CSV"')
-@pretty_option
-def upf_cmd(grid_path, pair_text, pretty) -> None:
+@command(
+    "upf",
+    grid_option,
+    click.option("--pair", "pair_text", required=True, help='pair "CSV;CSV"'),
+)
+def upf_cmd(grid_path, pair_text):
     """Test one pair against the grid; report the first bounding path."""
-
-    def produce():
-        grid = _load_grid_file(grid_path)
-        pair = _parse_pair(pair_text)
-        member = is_upf(pair, grid)
-        return {
-            "upf": member,
-            "witness_path": witness_path(pair, grid) if member else None,
-        }
-
-    _guarded(pretty, produce)
+    grid = _load_grid_file(grid_path)
+    pair = _parse_pair(pair_text)
+    member = is_upf(pair, grid)
+    return {
+        "upf": member,
+        "witness_path": witness_path(pair, grid) if member else None,
+    }
 
 
 def _orbit_size(pair) -> int:
@@ -231,107 +216,63 @@ def _orbit_size(pair) -> int:
     return size
 
 
-@main.command("grid")
-@grid_option
-@pretty_option
-def grid_cmd(grid_path, pretty) -> None:
+@command("grid", grid_option)
+def grid_cmd(grid_path):
     """Normalize a grid description and summarize its maximal pairs."""
-
-    def produce():
-        grid = _load_grid_file(grid_path)
-        increasing = increasing_maximal_pairs(grid)
-        east, north = maximal_upf_sum_witness(grid)
-        out = grid.to_json()
-        out["maximal_increasing"] = [
-            [list(a), list(b)] for a, b in increasing
-        ]
-        out["maximal_count"] = sum(_orbit_size(pair) for pair in increasing)
-        out["sum_witness"] = {"east_first": east, "north_first": north}
-        return out
-
-    _guarded(pretty, produce)
+    grid = _load_grid_file(grid_path)
+    increasing = increasing_maximal_pairs(grid)
+    east, north = maximal_upf_sum_witness(grid)
+    out = grid.to_json()
+    out["maximal_increasing"] = [[list(a), list(b)] for a, b in increasing]
+    out["maximal_count"] = sum(_orbit_size(pair) for pair in increasing)
+    out["sum_witness"] = {"east_first": east, "north_first": north}
+    return out
 
 
-@main.command("classify")
-@graph_option
-@_with_blocks
-@pretty_option
-def classify_cmd(graph_path, block_a, block_b, pretty) -> None:
+@command("classify", graph_option, *block_options)
+def classify_cmd(graph_path, block_a, block_b):
     """Test invariance and report every matching structural case."""
-
-    def produce():
-        g = _load_graph(graph_path, block_a, block_b)
-        report = is_invariant(g)
-        out = report.to_json()
-        out["family"] = recognize_family(g).to_json()
-        return out
-
-    _guarded(pretty, produce)
+    g = _load_graph(graph_path, block_a, block_b)
+    out = is_invariant(g).to_json()
+    out["family"] = recognize_family(g).to_json()
+    return out
 
 
-@main.command("construct-u")
-@graph_option
-@_with_blocks
-@pretty_option
-def construct_u_cmd(graph_path, block_a, block_b, pretty) -> None:
+@command("construct-u", graph_option, *block_options)
+def construct_u_cmd(graph_path, block_a, block_b):
     """Build the weight grid prescribed for a matched graph."""
-
-    def produce():
-        g = _load_graph(graph_path, block_a, block_b)
-        return construct_u_for_graph(g).to_json()
-
-    _guarded(pretty, produce)
+    return construct_u_for_graph(_load_graph(graph_path, block_a, block_b)).to_json()
 
 
-@main.command("construct-graph")
-@grid_option
-@pretty_option
-def construct_graph_cmd(grid_path, pretty) -> None:
+@command("construct-graph", grid_option)
+def construct_graph_cmd(grid_path):
     """Build the graph matching an affine grid description."""
-
-    def produce():
-        raw = _read_grid_json(grid_path)
-        if not isinstance(raw, dict) or not {"affine", "p", "q"} <= raw.keys():
-            raise InvalidParameters(
-                "construct-graph needs p, q, and an affine block"
-            )
-        g = graph_from_affine_u(**affine_coefficients(raw))
-        out = g.to_json()
-        out["text"] = format_graph_text(g)
-        return out
-
-    _guarded(pretty, produce)
+    raw = _read_grid_json(grid_path)
+    if not isinstance(raw, dict) or not {"affine", "p", "q"} <= raw.keys():
+        raise InvalidParameters("construct-graph needs p, q, and an affine block")
+    g = graph_from_affine_u(**affine_coefficients(raw))
+    out = g.to_json()
+    out["text"] = format_graph_text(g)
+    return out
 
 
-@main.command("verify")
-@graph_option
-@grid_option
-@_with_blocks
-@pretty_option
-def verify_cmd(graph_path, grid_path, block_a, block_b, pretty) -> None:
+@command("verify", graph_option, grid_option, *block_options)
+def verify_cmd(graph_path, grid_path, block_a, block_b):
     """Compare the graph's parking functions against the grid's pairs."""
-
-    def produce():
-        g = _load_graph(graph_path, block_a, block_b)
-        grid = _load_grid_file(grid_path)
-        equal = verify_equality(g, grid)
-        return {"equal": equal}
-
-    _guarded(pretty, produce)
+    g = _load_graph(graph_path, block_a, block_b)
+    grid = _load_grid_file(grid_path)
+    return {"equal": verify_equality(g, grid)}
 
 
-@main.command("sweep")
-@click.option("--max-n", type=int, required=True, help="largest vertex count")
-@click.option("--max-w", type=int, default=2, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
-@pretty_option
-def sweep_cmd(max_n, max_w, jobs, pretty) -> None:
+@command(
+    "sweep",
+    click.option("--max-n", type=int, required=True, help="largest vertex count"),
+    click.option("--max-w", type=int, default=2, show_default=True),
+    click.option("--jobs", type=int, default=1, show_default=True),
+)
+def sweep_cmd(max_n, max_w, jobs):
     """Exhaustively check the classification within a size budget."""
-
-    def produce():
-        return sweep_classification(max_n, max_w, jobs=jobs).to_json()
-
-    _guarded(pretty, produce)
+    return sweep_classification(max_n, max_w, jobs=jobs).to_json()
 
 
 if __name__ == "__main__":

@@ -132,12 +132,6 @@ class ShapeMismatch(DomainError):
     code = "shape-mismatch"
 
 
-class PeelingStalled(DomainError):
-    """Source elimination cannot finish; the orientation is not usable."""
-
-    code = "peeling-stalled"
-
-
 class PathDoesNotBound(DomainError):
     """The lattice path does not produce the requested maximal pair."""
 

@@ -32,7 +32,6 @@ from .errors import (
     NegativeEntry,
     NotMonotone,
     PathDoesNotBound,
-    PeelingStalled,
     ShapeMismatch,
     UNotMonotone,
 )
@@ -405,11 +404,7 @@ def path_from_orientation(
     taken; each vertex after the root records E (first block) or N (second).
     """
     g.require_bipartition()
-    if not _ori.in_A(o):
-        raise PeelingStalled(
-            "only acyclic orientations with the root as unique source unwind"
-        )
-    order = _ori._burn_order(g, _ori._heads_to_mpf(g, o.heads))
+    order = _ori._burn_order(g, _ori.orientation_to_mpf(o))
     return "".join("E" if v <= g.p else "N" for v in order[1:])
 
 

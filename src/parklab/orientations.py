@@ -26,6 +26,8 @@ from .errors import (
 )
 from .graph import ROOT, RootedWeightedGraph
 
+MAX_BRUTE_EDGES = 12
+
 
 @dataclass(frozen=True)
 class Orientation:
@@ -137,7 +139,9 @@ def _head_tuples(g: RootedWeightedGraph) -> list[tuple[int, ...]]:
     Grows only burning orders from the root. A vertex may come next if it
     has a placed neighbour and is not owed. Placing v makes every unplaced
     u < v not adjacent to v owed: u was passed over, so a neighbour of u
-    must be placed before u; placing a neighbour clears the debt.
+    must be placed before u; placing a neighbour clears the debt. A vertex
+    whose neighbours are all placed could never be cleared, so once it has
+    been tried no larger vertex is placed at that depth.
     """
     n = g.n
     nbr = [0] * (n + 1)
@@ -157,6 +161,8 @@ def _head_tuples(g: RootedWeightedGraph) -> list[tuple[int, ...]]:
                 continue
             pos[v] = depth
             grow(depth + 1, placed | bit, (owed | (bit - 1) & ~placed) & ~nbr[v])
+            if not nbr[v] & ~placed:
+                break
 
     grow(1, 1 << ROOT, 0)
     return found
@@ -177,13 +183,11 @@ def enumerate_A(g: RootedWeightedGraph) -> list[Orientation]:
     return [Orientation(g, heads) for heads in sorted(_head_tuples(g))]
 
 
-def enumerate_A_bruteforce(
-    g: RootedWeightedGraph, *, max_edges: int = 12
-) -> list[Orientation]:
+def enumerate_A_bruteforce(g: RootedWeightedGraph) -> list[Orientation]:
     """Filter all 2^|E| orientations; reference oracle for enumerate_A."""
     m = len(g.edges)
-    if m > max_edges:
-        raise TooLarge(f"brute force guarded at {max_edges} edges; got {m}")
+    if m > MAX_BRUTE_EDGES:
+        raise TooLarge(f"brute force guarded at {MAX_BRUTE_EDGES} edges; got {m}")
     out = []
     for choice in itertools.product(*(((i, j)) for i, j, _ in g.edges)):
         o = Orientation(g, tuple(choice))

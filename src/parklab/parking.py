@@ -33,7 +33,7 @@ from .graph import RootedWeightedGraph
 Vector = tuple[int, ...]
 
 DEFAULT_MAX_SET = 10_000_000
-DEFAULT_MAX_MEMBERSHIP = 24
+MAX_SUBSET_SCAN_VERTICES = 24
 
 
 def default_max_set() -> int:
@@ -91,17 +91,16 @@ def is_g_pf(g: RootedWeightedGraph, b: Sequence[int]) -> bool:
     return orientations._burn_order(g, b) is not None
 
 
-def is_g_pf_by_subsets(
-    g: RootedWeightedGraph, b: Sequence[int], *, max_n: int | None = None
-) -> bool:
+def is_g_pf_by_subsets(g: RootedWeightedGraph, b: Sequence[int]) -> bool:
     """Graph parking membership by scanning every non-empty vertex subset.
 
     Exponential reference implementation; must agree with is_g_pf everywhere.
-    Guarded at DEFAULT_MAX_MEMBERSHIP vertices unless max_n says otherwise.
+    Guarded at MAX_SUBSET_SCAN_VERTICES vertices.
     """
-    limit = DEFAULT_MAX_MEMBERSHIP if max_n is None else max_n
-    if g.n > limit:
-        raise TooLarge(f"subset scan guarded at {limit} vertices; got {g.n}")
+    if g.n > MAX_SUBSET_SCAN_VERTICES:
+        raise TooLarge(
+            f"subset scan guarded at {MAX_SUBSET_SCAN_VERTICES} vertices; got {g.n}"
+        )
     _check_length(g, b)
     if any(x < 0 for x in b):
         return False

@@ -311,3 +311,53 @@ class TestInputEdges:
         path.write_bytes(b"1 0 0\n0 1 1 # caf\xe9\n")
         error = run_json(runner, [command, flag, str(path)], expect_exit=1)["error"]
         assert error["type"] == "shape-mismatch"
+
+
+GRAPH_BLOCKS = ["--graph", "--B", "--A"]
+COMMAND_OPTIONS = {
+    "pf": [*GRAPH_BLOCKS, "--max-set"],
+    "mpf": GRAPH_BLOCKS,
+    "check": [*GRAPH_BLOCKS, "--vector"],
+    "orientations": GRAPH_BLOCKS,
+    "upf": ["--grid", "--pair"],
+    "grid": ["--grid"],
+    "classify": GRAPH_BLOCKS,
+    "construct-u": GRAPH_BLOCKS,
+    "construct-graph": ["--grid"],
+    "verify": ["--graph", "--grid", "--B", "--A"],
+    "sweep": ["--max-n", "--max-w", "--jobs"],
+}
+# every command but sweep reads files; the extra arguments each one needs
+FILE_COMMANDS = {command: [] for command in COMMAND_OPTIONS if command != "sweep"}
+FILE_COMMANDS |= {"check": ["--vector", "0"], "upf": ["--pair", "0;"]}
+
+
+class TestEveryCommand:
+    def test_all_commands_are_covered(self) -> None:
+        assert sorted(main.commands) == sorted(COMMAND_OPTIONS)
+
+    @pytest.mark.parametrize("command", COMMAND_OPTIONS)
+    def test_help_lists_options_in_order(self, runner, command) -> None:
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0
+        options = result.output.split("Options:\n", 1)[1].splitlines()
+        names = [line.split()[0] for line in options if line.startswith("  --")]
+        assert names == [*COMMAND_OPTIONS[command], "--pretty", "--help"]
+
+    @pytest.mark.parametrize("command", FILE_COMMANDS)
+    def test_malformed_input_is_a_json_error(self, runner, tmp_path, command) -> None:
+        graph = tmp_path / "graph.txt"
+        graph.write_text("1 0 0\n0 1 x\n")
+        grid = tmp_path / "grid.json"
+        grid.write_text("{bad")
+        args = [command, *FILE_COMMANDS[command]]
+        for flag, path in (("--graph", graph), ("--grid", grid)):
+            if flag in COMMAND_OPTIONS[command]:
+                args += [flag, str(path)]
+        doc = run_json(runner, args, expect_exit=1)
+        assert list(doc) == ["error"]
+        assert set(doc["error"]) == {"type", "message"}
+        assert doc["error"]["type"] == "shape-mismatch"
+        pretty = runner.invoke(main, [*args, "--pretty"])
+        assert pretty.exit_code == 1
+        assert pretty.output == json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -29,8 +29,8 @@ from parklab import (
 )
 from parklab.errors import (
     NegativeEntry,
+    NotInA,
     PathDoesNotBound,
-    PeelingStalled,
     ShapeMismatch,
     TooLarge,
     UNotMonotone,
@@ -308,7 +308,7 @@ class TestPathFromOrientation:
 
     def test_cyclic_orientation_stalls(self, tripartite) -> None:
         heads = (1, 2, 3, 4, 5, 4, 1, 2, 5, 4, 5)
-        with pytest.raises(PeelingStalled):
+        with pytest.raises(NotInA):
             path_from_orientation(tripartite, Orientation(tripartite, heads))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -23,7 +24,7 @@ from parklab.orientations import (
     indegree_vector,
     is_acyclic,
 )
-from parklab.errors import InconsistentIndegrees, NotInA, NotMaximal
+from parklab.errors import InconsistentIndegrees, NotInA, NotMaximal, TooLarge
 from conftest import DIAMOND_MPF, random_connected_graph_capped
 
 
@@ -85,10 +86,25 @@ class TestEnumerateA:
         assert len(graphs) == 704
         graphs.append(build_graph(12, [(0, v, 1) for v in range(1, 13)]))
         graphs.append(build_graph(12, [(v - 1, v, 1) for v in range(1, 13)]))
+        chords = [(1, 2, 1), (5, 9, 2)]
+        graphs.append(build_graph(10, [(0, v, 1) for v in range(1, 11)] + chords))
+        assert len(enumerate_A(graphs[-1])) == 4
         for g in graphs:
             tuples = _head_tuples(g)
             assert len(tuples) == len(set(tuples))
             assert set(tuples) == {o.heads for o in enumerate_A_bruteforce(g)}
+
+    def test_star_walks_one_order(self):
+        star = build_graph(20, [(0, v, 1) for v in range(1, 21)])
+        start = time.perf_counter()
+        assert enumerate_mpf(star) == [(0,) * 20]
+        assert len(enumerate_A(star)) == 1
+        assert time.perf_counter() - start < 1.0
+
+    def test_bruteforce_keeps_its_guard(self):
+        path = build_graph(13, [(v - 1, v, 1) for v in range(1, 14)])
+        with pytest.raises(TooLarge, match="brute force guarded at 12 edges; got 13"):
+            enumerate_A_bruteforce(path)
 
     def test_members_pass_predicates(self, diamond):
         for o in enumerate_A(diamond):

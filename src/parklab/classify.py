@@ -34,7 +34,6 @@ from .graph import (
     FamilyTag,
     RootedWeightedGraph,
     build_graph,
-    is_connected,
     matching_invariant_cases,
     swap_blocks,
 )
@@ -415,25 +414,95 @@ def _block_relabelings(p: int, q: int, slots: list[tuple[int, int]]):
     return maps
 
 
+def _reaches_all(nbrs: list[int]) -> bool:
+    """Whether vertex 0 reaches every vertex; nbrs[v] is v's neighbour bitmask."""
+    reach = frontier = 1
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= nbrs[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~reach
+        reach |= step
+    return reach == (1 << len(nbrs)) - 1
+
+
 def connected_block_graphs(p: int, q: int, max_w: int):
     """All connected bipartitioned graphs up to relabeling within blocks.
 
-    Every edge slot takes a weight in 0..max_w (0 means absent); only the
-    lexicographically smallest weight assignment of each block-relabeling
-    orbit is built, and it is yielded when graph.is_connected accepts it.
+    Every edge slot takes a weight in 0..max_w (0 means absent), and of each
+    block-relabeling orbit only the lexicographically smallest assignment is
+    yielded, in lexicographic order, when it is connected. The walk assigns
+    the slots depth first, in order (orderly generation, after Read 1978). A
+    relabeling is compared with the identity on the assigned prefix only:
+    where it already reads smaller the whole subtree is pruned, and where it
+    already reads larger it is dropped for the subtree. Connectivity is
+    decided on per-vertex neighbour bitmasks, and only the yielded graphs
+    are built.
     """
+    if max_w < 0:
+        raise InvalidParameters(
+            f"max_w must be >= 0 (weights run 0..max_w), got {max_w}"
+        )
+    if p < 0 or q < 0:
+        raise ShapeMismatch(f"block sizes {p} and {q} must be non-negative")
     n = p + q
     slots = _slots(n)
-    relabelings = _block_relabelings(p, q, slots)
-    for weights in itertools.product(range(max_w + 1), repeat=len(slots)):
-        if any(
-            tuple(weights[k] for k in perm) < weights for perm in relabelings
-        ):
+    if not slots:  # the root alone
+        yield RootedWeightedGraph(n, (), p, q)
+        return
+    last = len(slots) - 1
+    # (perm, wait, t): perm agrees with the identity before position t, and
+    # position t can be compared once slot wait[t] is assigned
+    relabelings = []
+    for perm in _block_relabelings(p, q, slots):
+        wait = tuple(map(max, range(len(slots)), perm))
+        relabelings.append((perm, wait, 0))
+    weights = [-1] * len(slots)  # -1: slot not assigned yet
+    undecided = [relabelings] + [None] * last  # input states per depth
+    nbrs = [0] * (n + 1)
+    edges = []
+    d = 0
+    while d >= 0:
+        i, j = slots[d]
+        w = weights[d] + 1
+        if w > max_w:
+            weights[d] = -1
+            nbrs[i] &= ~(1 << j)
+            nbrs[j] &= ~(1 << i)
+            d -= 1
+            if d >= 0 and weights[d]:
+                edges.pop()
             continue
-        edges = [(i, j, w) for (i, j), w in zip(slots, weights) if w]
-        g = build_graph(n, edges, p=p, q=q, require_connected=False)
-        if is_connected(g):
-            yield g
+        weights[d] = w
+        if w == 1:  # slot d's bits stay set until its weights run out
+            nbrs[i] |= 1 << j
+            nbrs[j] |= 1 << i
+        kept = []
+        for state in undecided[d]:
+            perm, wait, t = state
+            if wait[t] == d:
+                while t <= last and wait[t] <= d and weights[perm[t]] == weights[t]:
+                    t += 1
+                if t > last:
+                    continue  # perm fixes the assignment
+                if wait[t] <= d:
+                    if weights[perm[t]] < weights[t]:
+                        break  # a relabeling reads smaller: prune
+                    continue  # it reads larger for good
+                state = (perm, wait, t)
+            kept.append(state)
+        else:  # no relabeling reads smaller
+            if d < last:
+                if w:
+                    edges.append((i, j, w))
+                undecided[d + 1] = kept
+                d += 1
+                continue
+            if _reaches_all(nbrs):
+                leaf = (*edges, (i, j, w)) if w else tuple(edges)
+                yield RootedWeightedGraph(n, leaf, p, q)
 
 
 @dataclass
@@ -507,6 +576,8 @@ def sweep_classification(
     counterexamples. jobs shards the work, run on at most os.cpu_count()
     processes.
     """
+    if max_n < 0:
+        raise InvalidParameters(f"max_n must be >= 0, got {max_n}")
     tasks = []
     shards = max(1, jobs)
     for n in range(2, max_n + 1):

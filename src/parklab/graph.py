@@ -15,10 +15,12 @@ graphs, two-weight trees, and each case of the invariance classification).
 Each structure (tree, forest, cycle, rooted complete graph) has exactly
 one recognizer, which looks at part of the graph; whole-graph checks pass
 every vertex. Connectivity has one routine too: a reachability search
-restricted to a vertex subset. It decides is_connected (which build_graph
-and the block-graph generator call), cut_vertices, vertex_on_cycle and the
-tree, cycle and forest recognizers, and gives two-weight trees their
-parent edges.
+restricted to a vertex subset. It is the one search over built graphs: it
+decides is_connected (which build_graph calls), cut_vertices,
+vertex_on_cycle and the tree, cycle and forest recognizers, and gives
+two-weight trees their parent edges. The block-graph generator in classify
+decides connectivity on its own slot bitmasks before it builds a graph;
+is_connected is that generator's test oracle.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """Tests for invariance testing, case matching, and the classification sweep."""
 
 import hashlib
+import itertools
 import json
 import os
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -261,6 +263,129 @@ class TestVerifyEquality:
             verify_equality(diamond_split, grid_from_vectors((1,), (1,)))
 
 
+def block_relabelings(p: int, q: int):
+    """Every relabeling inside the two blocks, the identity first, as vertex maps."""
+    for a in itertools.permutations(range(1, p + 1)):
+        for b in itertools.permutations(range(p + 1, p + q + 1)):
+            yield (0, *a, *b)
+
+
+def reference_block_graphs(p: int, q: int, max_w: int):
+    """The product-and-filter generator that the orderly walk replaced.
+
+    Every weight tuple over the slots is tried; it is kept when no block
+    relabeling reads it lexicographically smaller, then built and tested.
+    """
+    n = p + q
+    slots = list(itertools.combinations(range(n + 1), 2))
+    index = {pair: k for k, pair in enumerate(slots)}
+    perms = [
+        tuple(index[tuple(sorted((v[i], v[j])))] for i, j in slots)
+        for v in block_relabelings(p, q)
+    ]
+    for weights in itertools.product(range(max_w + 1), repeat=len(slots)):
+        if any(tuple(weights[k] for k in perm) < weights for perm in perms):
+            continue
+        edges = [(i, j, w) for (i, j), w in zip(slots, weights) if w]
+        g = build_graph(n, edges, p=p, q=q, require_connected=False)
+        if is_connected(g):
+            yield g
+
+
+def count_block_graphs(p: int, q: int, max_w: int) -> int:
+    """Orbits of connected weight assignments under block relabeling.
+
+    Burnside's lemma: the mean over all relabelings of the connected
+    assignments each one fixes. The identity fixes every connected labelled
+    graph, counted by the rooted-subset recurrence (all graphs on k vertices
+    minus those whose root component has j < k of them). Any other
+    relabeling fixes the assignments constant on its slot cycles.
+    """
+    n = p + q
+    values = max_w + 1
+    labelled = [0, 1]
+    for k in range(2, n + 2):
+        labelled.append(
+            values ** comb(k, 2)
+            - sum(
+                comb(k - 1, j - 1) * labelled[j] * values ** comb(k - j, 2)
+                for j in range(1, k)
+            )
+        )
+    slots = list(itertools.combinations(range(n + 1), 2))
+    relabelings = list(block_relabelings(p, q))
+    fixed = labelled[n + 1]
+    for v in relabelings[1:]:
+        image = {(i, j): tuple(sorted((v[i], v[j]))) for i, j in slots}
+        cycles, seen = [], set()
+        for slot in slots:
+            cycle = []
+            while slot not in seen:
+                seen.add(slot)
+                cycle.append(slot)
+                slot = image[slot]
+            if cycle:
+                cycles.append(cycle)
+        for ws in itertools.product(range(values), repeat=len(cycles)):
+            edges = [(i, j, w) for cycle, w in zip(cycles, ws) if w for i, j in cycle]
+            fixed += is_connected(build_graph(n, edges, require_connected=False))
+    count, rest = divmod(fixed, len(relabelings))
+    assert rest == 0
+    return count
+
+
+SMALL_SHAPES = [
+    (p, n - p, w) for n in range(5) for p in range(n + 1) for w in range(3)
+] + [(1, 2, 3), (2, 1, 3)]
+
+
+class TestBlockGraphGeneration:
+    """The orderly walk against the product-and-filter and Burnside oracles."""
+
+    # sha256 over repr(g.edges) of every graph reference_block_graphs(2, 2, 3)
+    # yields, in order
+    A09_DIGEST = "cc0818822176f40e9d1bc550513a2c251c14fe214c8da785309f8f93f063015e"
+
+    @staticmethod
+    def stream(graphs) -> list:
+        return [(g.p, g.q, g.edges) for g in graphs]
+
+    @pytest.mark.parametrize("p, q, max_w", SMALL_SHAPES)
+    def test_same_graphs_in_the_same_order(self, p, q, max_w) -> None:
+        assert self.stream(connected_block_graphs(p, q, max_w)) == self.stream(
+            reference_block_graphs(p, q, max_w)
+        )
+
+    @pytest.mark.parametrize("p, q, max_w", SMALL_SHAPES)
+    def test_length_is_the_burnside_count(self, p, q, max_w) -> None:
+        generated = sum(1 for _ in connected_block_graphs(p, q, max_w))
+        assert generated == count_block_graphs(p, q, max_w)
+
+    def test_a09_stream_is_unchanged(self) -> None:
+        digest = hashlib.sha256()
+        count = 0
+        for g in connected_block_graphs(2, 2, 3):
+            digest.update(repr(g.edges).encode())
+            count += 1
+        assert count == count_block_graphs(2, 2, 3) == 265_374
+        assert digest.hexdigest() == self.A09_DIGEST
+
+    @pytest.mark.parametrize(
+        "p, q, max_w", [s for s in SMALL_SHAPES if s[0] + s[1] <= 3]
+    )
+    def test_yielded_graphs_are_valid_builds(self, p, q, max_w) -> None:
+        for g in connected_block_graphs(p, q, max_w):
+            assert g == build_graph(g.n, g.edges, p=g.p, q=g.q)
+
+    def test_negative_weight_bound_is_rejected(self) -> None:
+        with pytest.raises(InvalidParameters, match="-1"):
+            next(connected_block_graphs(2, 1, -1))
+
+    def test_negative_block_size_is_rejected(self) -> None:
+        with pytest.raises(ShapeMismatch):
+            next(connected_block_graphs(-1, 3, 1))
+
+
 class TestSweep:
     def test_two_vertex_budget(self) -> None:
         report = sweep_classification(2, 2)
@@ -321,6 +446,10 @@ class TestSweep:
         assert [d["reason"] for d in bad] == ["grid-mismatch"] * 20
         cases = Counter(d["case"] for d in bad)
         assert cases == {"i.a": 2, "i.b": 4, "iii": 10, "iv.a": 4}
+
+    def test_negative_vertex_budget_is_rejected(self) -> None:
+        with pytest.raises(InvalidParameters, match="-2"):
+            sweep_classification(-2, 2)
 
     def test_report_serialization(self) -> None:
         data = sweep_classification(2, 1).to_json()

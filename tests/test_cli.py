@@ -165,6 +165,15 @@ class TestClassifyCommands:
         assert data["graphs_tested"] == 20
         assert data["counterexamples"] == []
 
+    @pytest.mark.parametrize(
+        "budget, value",
+        [(["--max-n", "3", "--max-w", "-1"], "-1"), (["--max-n", "-2"], "-2")],
+    )
+    def test_sweep_rejects_a_negative_budget(self, runner, budget, value) -> None:
+        data = run_json(runner, ["sweep", *budget], expect_exit=1)
+        assert data["error"]["type"] == "invalid-parameters"
+        assert value in data["error"]["message"]
+
 
 class TestOutputDiscipline:
     def test_reruns_are_byte_identical(self, runner, graph_file) -> None:

@@ -576,8 +576,9 @@ def sweep_classification(
     counterexamples. jobs shards the work, run on at most os.cpu_count()
     processes.
     """
-    if max_n < 0:
-        raise InvalidParameters(f"max_n must be >= 0, got {max_n}")
+    for name, value in (("max_n", max_n), ("max_w", max_w)):
+        if value < 0:
+            raise InvalidParameters(f"{name} must be >= 0, got {value}")
     tasks = []
     shards = max(1, jobs)
     for n in range(2, max_n + 1):

@@ -167,7 +167,11 @@ class TestClassifyCommands:
 
     @pytest.mark.parametrize(
         "budget, value",
-        [(["--max-n", "3", "--max-w", "-1"], "-1"), (["--max-n", "-2"], "-2")],
+        [
+            (["--max-n", "3", "--max-w", "-1"], "-1"),
+            (["--max-n", "1", "--max-w", "-1"], "-1"),
+            (["--max-n", "-2"], "-2"),
+        ],
     )
     def test_sweep_rejects_a_negative_budget(self, runner, budget, value) -> None:
         data = run_json(runner, ["sweep", *budget], expect_exit=1)

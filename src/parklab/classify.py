@@ -39,6 +39,7 @@ from .graph import (
 )
 from .lattice import (
     WeightGrid,
+    _block_orbit,
     enumerate_mupf,
     grid_from_affine,
     grid_from_vectors,
@@ -51,13 +52,6 @@ Vector = tuple[int, ...]
 
 # ---------------------------------------------------------------------------
 # invariance testing
-
-
-def _block_orbit(vec: Vector, p: int):
-    """All distinct vectors obtained by permuting within the two blocks."""
-    for a in set(itertools.permutations(vec[:p])):
-        for b in set(itertools.permutations(vec[p:])):
-            yield a + b
 
 
 @dataclass(frozen=True)
@@ -576,11 +570,15 @@ def sweep_classification(
     counterexamples. jobs shards the work, run on at most os.cpu_count()
     processes.
     """
-    for name, value in (("max_n", max_n), ("max_w", max_w)):
-        if value < 0:
-            raise InvalidParameters(f"{name} must be >= 0, got {value}")
+    for name, value, least in (
+        ("max_n", max_n, 0),
+        ("max_w", max_w, 0),
+        ("jobs", jobs, 1),
+    ):
+        if value < least:
+            raise InvalidParameters(f"{name} must be >= {least}, got {value}")
     tasks = []
-    shards = max(1, jobs)
+    shards = jobs
     for n in range(2, max_n + 1):
         for p in range(1, n):
             for shard in range(shards):

@@ -324,15 +324,7 @@ def quotient_graph(
 
 def swap_blocks(g: RootedWeightedGraph) -> RootedWeightedGraph:
     """Exchange the two blocks, relabeling so the old B becomes 1..q."""
-    g.require_bipartition()
-    p, q = g.p, g.q
-    mapping = {ROOT: ROOT}
-    for v in range(p + 1, p + q + 1):
-        mapping[v] = v - p
-    for v in range(1, p + 1):
-        mapping[v] = v + q
-    edges = [(mapping[i], mapping[j], w) for i, j, w in g.edges]
-    return build_graph(g.n, edges, p=q, q=p, require_connected=False)
+    return relabel_for_blocks(g, g.block_b, g.block_a)[0]
 
 
 def relabel_for_blocks(

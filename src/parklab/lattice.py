@@ -30,13 +30,14 @@ from . import orientations as _ori
 from .errors import (
     InvalidParameters,
     NegativeEntry,
+    NotInA,
     NotMonotone,
     PathDoesNotBound,
     ShapeMismatch,
     UNotMonotone,
 )
 from .graph import ROOT, RootedWeightedGraph
-from .parking import _down_set, default_max_set, order_statistics
+from .parking import _burn_order, _down_set, default_max_set, order_statistics
 
 Pair = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -348,14 +349,23 @@ def increasing_maximal_pairs(grid: WeightGrid) -> list[Pair]:
     )
 
 
+def _block_orbit(vec: tuple[int, ...], p: int):
+    """All distinct vectors obtained by permuting within the two blocks."""
+    for a in set(itertools.permutations(vec[:p])):
+        for b in set(itertools.permutations(vec[p:])):
+            yield a + b
+
+
 def enumerate_mupf(grid: WeightGrid) -> list[Pair]:
     """All maximal parking pairs: block permutations of the increasing ones."""
-    out: set[Pair] = set()
-    for a, b in increasing_maximal_pairs(grid):
-        for pa in set(itertools.permutations(a)):
-            for pb in set(itertools.permutations(b)):
-                out.add((pa, pb))
-    return sorted(out)
+    p = grid.p
+    return sorted(
+        {
+            (vec[:p], vec[p:])
+            for a, b in increasing_maximal_pairs(grid)
+            for vec in _block_orbit(a + b, p)
+        }
+    )
 
 
 def enumerate_upf(
@@ -404,7 +414,7 @@ def path_from_orientation(
     taken; each vertex after the root records E (first block) or N (second).
     """
     g.require_bipartition()
-    order = _ori._burn_order(g, _ori.orientation_to_mpf(o))
+    order = _burn_order(g, _ori.orientation_to_mpf(o))
     return "".join("E" if v <= g.p else "N" for v in order[1:])
 
 
@@ -432,11 +442,12 @@ def orientation_from_path(
             order.append(g.p + y + 1)
             y += 1
     o = _ori.Orientation(g, _ori._heads(g, {v: k for k, v in enumerate(order)}))
-    if not _ori.in_A(o):
+    try:
+        image = _ori.orientation_to_mpf(o)
+    except NotInA:
         raise PathDoesNotBound(
             f"path {path!r} does not orient this graph validly"
-        )
-    image = _ori._heads_to_mpf(g, o.heads)
+        ) from None
     got = block_sorted((image[: g.p], image[g.p :]))
     if got != block_sorted(pair):
         raise PathDoesNotBound(

@@ -5,11 +5,10 @@ acyclic ones whose only source is the root; they are in bijection with the
 maximal parking functions of the graph, a vertex receiving its weighted
 indegree minus one.
 
-Both sides are read off one vertex order, Dhar's burning order. For the
-vector of an orientation in A(G) it burns next the smallest vertex whose
-in-neighbours are all burned, and pointing every edge at its later endpoint
-gives the orientation back. Membership, the generator, the inverse map and
-the paths of orientations all use it.
+This module is that bijection at the API edge. Dhar's burning order and the
+walk that enumerates the maximal parking functions live in parking; an
+orientation is read off the burning order of its vector by pointing every
+edge at its later endpoint, and A(G) is the image of the maximal set.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from .errors import (
     TooLarge,
 )
 from .graph import ROOT, RootedWeightedGraph
+from .parking import _burn_order, enumerate_mpf
 
 MAX_BRUTE_EDGES = 12
 
@@ -98,89 +98,17 @@ def in_A(o: Orientation) -> bool:
     return is_acyclic(o) and has_unique_source(o)
 
 
-def _burn_order(g: RootedWeightedGraph, b) -> list[int] | None:
-    """Dhar's burning order [ROOT, ...] of a non-negative b, None if it stalls.
-
-    From the root, repeatedly burn the smallest-indexed vertex whose entry
-    is beaten by its weighted degree into the burned set. b parks exactly
-    when every vertex burns.
-    """
-    alive = set(range(1, g.n + 1))
-    # outward degree of v relative to the current alive set
-    out = {
-        v: sum(w for u, w in g.neighbors(v) if u not in alive)
-        for v in alive
-    }
-    order = [ROOT]
-    while alive:
-        burned = None
-        for v in sorted(alive):
-            if b[v - 1] < out[v]:
-                burned = v
-                break
-        if burned is None:
-            return None
-        order.append(burned)
-        alive.remove(burned)
-        for u, w in g.neighbors(burned):
-            if u in alive:
-                out[u] += w
-    return order
-
-
 def _heads(g: RootedWeightedGraph, pos) -> tuple[int, ...]:
     """Point every edge at its later endpoint; pos[v] is v's place in the order."""
     return tuple(j if pos[i] < pos[j] else i for i, j, _ in g.edges)
 
 
-def _head_tuples(g: RootedWeightedGraph) -> list[tuple[int, ...]]:
-    """Heads of every orientation in A(G), each exactly once.
-
-    Grows only burning orders from the root. A vertex may come next if it
-    has a placed neighbour and is not owed. Placing v makes every unplaced
-    u < v not adjacent to v owed: u was passed over, so a neighbour of u
-    must be placed before u; placing a neighbour clears the debt. A vertex
-    whose neighbours are all placed could never be cleared, so once it has
-    been tried no larger vertex is placed at that depth.
-    """
-    n = g.n
-    nbr = [0] * (n + 1)
-    for i, j, _ in g.edges:
-        nbr[i] |= 1 << j
-        nbr[j] |= 1 << i
-    pos = [0] * (n + 1)
-    found: list[tuple[int, ...]] = []
-
-    def grow(depth: int, placed: int, owed: int) -> None:
-        if depth == n + 1:
-            found.append(_heads(g, pos))
-            return
-        for v in range(1, n + 1):
-            bit = 1 << v
-            if (placed | owed) & bit or not nbr[v] & placed:
-                continue
-            pos[v] = depth
-            grow(depth + 1, placed | bit, (owed | (bit - 1) & ~placed) & ~nbr[v])
-            if not nbr[v] & ~placed:
-                break
-
-    grow(1, 1 << ROOT, 0)
-    return found
-
-
-def _heads_to_mpf(
-    g: RootedWeightedGraph, heads: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Weighted indegree minus one per non-root vertex."""
-    acc = [-1] * (g.n + 1)
-    for (_, _, w), h in zip(g.edges, heads):
-        acc[h] += w
-    return tuple(acc[1:])
-
-
 def enumerate_A(g: RootedWeightedGraph) -> list[Orientation]:
     """All acyclic orientations with the root as unique source, sorted by heads."""
-    return [Orientation(g, heads) for heads in sorted(_head_tuples(g))]
+    return sorted(
+        (mpf_to_orientation(g, b) for b in enumerate_mpf(g)),
+        key=lambda o: o.heads,
+    )
 
 
 def enumerate_A_bruteforce(g: RootedWeightedGraph) -> list[Orientation]:
@@ -200,7 +128,7 @@ def orientation_to_mpf(o: Orientation) -> tuple[int, ...]:
     """Indegree minus one per non-root vertex; o must lie in A(G)."""
     if not in_A(o):
         raise NotInA("orientation is not acyclic with the root as only source")
-    return _heads_to_mpf(o.graph, o.heads)
+    return tuple(d - 1 for d in indegree_vector(o)[1:])
 
 
 def mpf_to_orientation(

@@ -6,21 +6,23 @@ against an arbitrary positive non-decreasing threshold vector; graph
 parking functions require every non-empty set of non-root vertices to
 contain a vertex whose entry is beaten by its outward weighted degree.
 
-The full parking set of a graph is the downward closure of its maximal
-elements, which are the indegree vectors of the acyclic orientations with
-unique source at the root. The same closure serves the parking pairs of a
-weight grid. Closures count the elements they produce against a size
-guard; the PARKLAB_MAX_SET environment variable or a keyword argument
-lifts it.
+Graph parking rests on Dhar's burning order, and this module owns it:
+membership burns the vector, and the maximal parking functions, the
+weighted indegrees minus one of the acyclic orientations with the root as
+unique source, are read off one walk over the burning orders. The full
+parking set of a graph is the downward closure of its maximal elements.
+The same closure serves the parking pairs of a weight grid. Closures count
+the elements they produce against a size guard; the PARKLAB_MAX_SET
+environment variable or a keyword argument lifts it.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import os
 from typing import Iterable, Sequence
 
-from . import orientations
 from .errors import (
     InvalidParameters,
     LengthMismatch,
@@ -28,7 +30,7 @@ from .errors import (
     TooLarge,
     UNotMonotone,
 )
-from .graph import RootedWeightedGraph
+from .graph import ROOT, RootedWeightedGraph
 
 Vector = tuple[int, ...]
 
@@ -79,6 +81,29 @@ def _check_length(g: RootedWeightedGraph, b: Sequence[int]) -> None:
         )
 
 
+def _burn_order(g: RootedWeightedGraph, b) -> list[int] | None:
+    """Dhar's burning order [ROOT, ...] of a non-negative b, None if it stalls.
+
+    From the root, repeatedly burn the smallest-indexed vertex whose entry
+    is beaten by its weighted degree into the burned set. b parks exactly
+    when every vertex burns. slack[v] is b's entry less v's degree into the
+    burned set; it only falls, so a vertex joins the heap of burnable
+    vertices once, when its slack turns negative.
+    """
+    slack = [-1, *b]
+    ready = [ROOT]
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for u, w in g.neighbors(v):
+            if slack[u] >= 0:
+                slack[u] -= w
+                if slack[u] < 0:
+                    heapq.heappush(ready, u)
+    return order if len(order) == g.n + 1 else None
+
+
 def is_g_pf(g: RootedWeightedGraph, b: Sequence[int]) -> bool:
     """Graph parking membership in polynomial time, by Dhar's burning.
 
@@ -88,7 +113,7 @@ def is_g_pf(g: RootedWeightedGraph, b: Sequence[int]) -> bool:
     _check_length(g, b)
     if any(x < 0 for x in b):
         return False
-    return orientations._burn_order(g, b) is not None
+    return _burn_order(g, b) is not None
 
 
 def is_g_pf_by_subsets(g: RootedWeightedGraph, b: Sequence[int]) -> bool:
@@ -120,10 +145,44 @@ def is_g_pf_by_subsets(g: RootedWeightedGraph, b: Sequence[int]) -> bool:
 
 
 def enumerate_mpf(g: RootedWeightedGraph) -> list[Vector]:
-    """All maximal parking functions, one per orientation, in sorted order."""
-    return sorted(
-        orientations._heads_to_mpf(g, h) for h in orientations._head_tuples(g)
-    )
+    """All maximal parking functions, one per orientation, in sorted order.
+
+    Grows only burning orders from the root. A vertex may come next if it
+    has a placed neighbour and is not owed. Placing v makes every unplaced
+    u < v not adjacent to v owed: u was passed over, so a neighbour of u
+    must be placed before u; placing a neighbour clears the debt. A vertex
+    whose neighbours are all placed could never be cleared, so once it has
+    been tried no larger vertex is placed at that depth. Each complete order
+    gives one vector: every edge's weight goes to its later endpoint, less
+    one per vertex.
+    """
+    n = g.n
+    edges = g.edges
+    nbr = [0] * (n + 1)
+    for i, j, _ in edges:
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
+    pos = [0] * (n + 1)
+    found: list[Vector] = []
+
+    def grow(depth: int, placed: int, owed: int) -> None:
+        if depth == n + 1:
+            acc = [-1] * (n + 1)
+            for i, j, w in edges:
+                acc[j if pos[i] < pos[j] else i] += w
+            found.append(tuple(acc[1:]))
+            return
+        for v in range(1, n + 1):
+            bit = 1 << v
+            if (placed | owed) & bit or not nbr[v] & placed:
+                continue
+            pos[v] = depth
+            grow(depth + 1, placed | bit, (owed | (bit - 1) & ~placed) & ~nbr[v])
+            if not nbr[v] & ~placed:
+                break
+
+    grow(1, 1 << ROOT, 0)
+    return sorted(found)
 
 
 def _down_set(maximal: Iterable[Vector], limit: int) -> list[Vector]:

@@ -451,6 +451,14 @@ class TestSweep:
         with pytest.raises(InvalidParameters, match="-2"):
             sweep_classification(-2, 2)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_fewer_than_one_job_is_rejected(self, monkeypatch, jobs) -> None:
+        ran = []
+        monkeypatch.setattr(classify, "_sweep_block", ran.append)
+        with pytest.raises(InvalidParameters, match=f"jobs must be >= 1, got {jobs}"):
+            sweep_classification(2, 2, jobs=jobs)
+        assert ran == []
+
     def test_report_serialization(self) -> None:
         data = sweep_classification(2, 1).to_json()
         assert data["budget"] == {"max_n": 2, "max_w": 1}

@@ -178,6 +178,16 @@ class TestClassifyCommands:
         assert data["error"]["type"] == "invalid-parameters"
         assert value in data["error"]["message"]
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_sweep_rejects_fewer_than_one_job(self, runner, jobs) -> None:
+        data = run_json(
+            runner, ["sweep", "--max-n", "2", "--jobs", jobs], expect_exit=1
+        )
+        assert data["error"] == {
+            "message": f"jobs must be >= 1, got {jobs}",
+            "type": "invalid-parameters",
+        }
+
 
 class TestOutputDiscipline:
     def test_reruns_are_byte_identical(self, runner, graph_file) -> None:

@@ -18,7 +18,6 @@ from parklab import (
 )
 from parklab.classify import connected_block_graphs
 from parklab.orientations import (
-    _head_tuples,
     enumerate_A_bruteforce,
     has_unique_source,
     indegree_vector,
@@ -26,6 +25,23 @@ from parklab.orientations import (
 )
 from parklab.errors import InconsistentIndegrees, NotInA, NotMaximal, TooLarge
 from conftest import DIAMOND_MPF, random_connected_graph_capped
+
+
+def _walk_graphs():
+    """The 704 block graphs with n <= 3, a 12-star, a 12-path, a chorded star."""
+    graphs = [
+        g
+        for n in (2, 3)
+        for p in range(1, n)
+        for g in connected_block_graphs(p, n - p, 2)
+    ]
+    assert len(graphs) == 704
+    graphs.append(build_graph(12, [(0, v, 1) for v in range(1, 13)]))
+    graphs.append(build_graph(12, [(v - 1, v, 1) for v in range(1, 13)]))
+    chords = [(1, 2, 1), (5, 9, 2)]
+    graphs.append(build_graph(10, [(0, v, 1) for v in range(1, 11)] + chords))
+    assert len(enumerate_A(graphs[-1])) == 4
+    return graphs
 
 
 class TestIndegree:
@@ -77,22 +93,18 @@ class TestEnumerateA:
             assert fast == slow
 
     def test_each_orientation_is_built_once(self):
-        graphs = [
-            g
-            for n in (2, 3)
-            for p in range(1, n)
-            for g in connected_block_graphs(p, n - p, 2)
-        ]
-        assert len(graphs) == 704
-        graphs.append(build_graph(12, [(0, v, 1) for v in range(1, 13)]))
-        graphs.append(build_graph(12, [(v - 1, v, 1) for v in range(1, 13)]))
-        chords = [(1, 2, 1), (5, 9, 2)]
-        graphs.append(build_graph(10, [(0, v, 1) for v in range(1, 11)] + chords))
-        assert len(enumerate_A(graphs[-1])) == 4
-        for g in graphs:
-            tuples = _head_tuples(g)
-            assert len(tuples) == len(set(tuples))
-            assert set(tuples) == {o.heads for o in enumerate_A_bruteforce(g)}
+        for g in _walk_graphs():
+            vectors = enumerate_mpf(g)
+            assert len(vectors) == len(set(vectors))
+            assert set(vectors) == {
+                orientation_to_mpf(o) for o in enumerate_A_bruteforce(g)
+            }
+
+    def test_orientations_come_sorted_by_heads(self):
+        for g in _walk_graphs():
+            assert [o.heads for o in enumerate_A(g)] == sorted(
+                o.heads for o in enumerate_A_bruteforce(g)
+            )
 
     def test_star_walks_one_order(self):
         star = build_graph(20, [(0, v, 1) for v in range(1, 21)])

@@ -27,6 +27,7 @@ from parklab.errors import (
     UNotMonotone,
 )
 from parklab.orientations import enumerate_A_bruteforce, orientation_to_mpf
+from parklab.parking import _burn_order
 from conftest import DIAMOND_MPF, random_connected_graph, random_connected_graph_capped
 
 
@@ -108,6 +109,38 @@ class TestGraphMembership:
             for _ in range(10):
                 b = tuple(rng.randrange(bound + 1) for _ in range(g.n))
                 assert is_g_pf(g, b) == is_g_pf_by_subsets(g, b)
+
+    def test_burn_order_is_the_smallest_first_scan(self):
+        def scan(g, b):
+            alive = set(range(1, g.n + 1))
+            out = {
+                v: sum(w for u, w in g.neighbors(v) if u not in alive)
+                for v in alive
+            }
+            order = [0]
+            while alive:
+                ready = [v for v in sorted(alive) if b[v - 1] < out[v]]
+                if not ready:
+                    return None
+                order.append(ready[0])
+                alive.remove(ready[0])
+                for u, w in g.neighbors(ready[0]):
+                    if u in alive:
+                        out[u] += w
+            return order
+
+        rng = random.Random(67)
+        stalls = 0
+        for _ in range(1500):
+            g = random_connected_graph(rng, 9, 3)
+            b = tuple(
+                rng.randint(0, sum(w for _, w in g.neighbors(v)))
+                for v in range(1, g.n + 1)
+            )
+            expected = scan(g, b)
+            stalls += expected is None
+            assert _burn_order(g, b) == expected
+        assert 0 < stalls < 1500
 
     def test_burning_has_no_size_guard(self):
         path = build_graph(30, [(v - 1, v, 1) for v in range(1, 31)])

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .errors import (
@@ -40,6 +39,7 @@ from .graph import (
 from .lattice import (
     WeightGrid,
     _block_orbit,
+    _node_grid,
     enumerate_mupf,
     grid_from_affine,
     grid_from_vectors,
@@ -245,21 +245,12 @@ def _cycle_case_grid(p: int, q: int, a: int, b: int) -> WeightGrid:
         )
     bump_u = a + b if p <= 2 else 2 * a
     bump_v = 2 * b if p <= 2 else 2 * a
-    u_rows = []
-    for i in range(p + 1):
-        row = []
-        for j in range(q + 1):
-            src = min(i, p - 1)
-            row.append(bump_u if (src == p - 1 and j == q) else a)
-        u_rows.append(tuple(row))
-    v_rows = []
-    for i in range(p + 1):
-        row = []
-        for j in range(q + 1):
-            src = min(j, q - 1)
-            row.append(bump_v if (i == p and src == q - 1) else b)
-        v_rows.append(tuple(row))
-    return WeightGrid(p, q, tuple(u_rows), tuple(v_rows))
+    return _node_grid(
+        p,
+        q,
+        lambda i, j: bump_u if i >= p - 1 and j == q else a,
+        lambda i, j: bump_v if i == p and j >= q - 1 else b,
+    )
 
 
 def _chord_case_grid(p: int, q: int, a: int, b: int, c: int) -> WeightGrid:
@@ -267,18 +258,12 @@ def _chord_case_grid(p: int, q: int, a: int, b: int, c: int) -> WeightGrid:
         raise InvalidParameters(
             "the chord case exists only with two first-block vertices"
         )
-    u_rows = [tuple(a for _ in range(q + 1))]
-    mid = tuple((a + b if j < q else a + b + c) for j in range(q + 1))
-    u_rows.append(mid)
-    u_rows.append(mid)
-    v_rows = []
-    for i in range(p + 1):
-        row = []
-        for j in range(q + 1):
-            src = min(j, q - 1)
-            row.append(2 * c if (i == 2 and src == q - 1) else c)
-        v_rows.append(tuple(row))
-    return WeightGrid(p, q, tuple(u_rows), tuple(v_rows))
+    return _node_grid(
+        p,
+        q,
+        lambda i, j: a if i == 0 else (a + b + c if j == q else a + b),
+        lambda i, j: 2 * c if i == p and j >= q - 1 else c,
+    )
 
 
 @dataclass(frozen=True)
@@ -584,6 +569,8 @@ def sweep_classification(
             for shard in range(shards):
                 tasks.append((p, n - p, max_w, shard, shards))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(min(jobs, os.cpu_count() or 1)) as pool:
             partials = list(pool.map(_sweep_block, tasks))
     else:

@@ -334,8 +334,12 @@ def relabel_for_blocks(
 
     Returns the relabeled graph and the old-to-new vertex map.
     """
-    a_sorted = sorted(set(block_a))
-    b_sorted = sorted(set(block_b))
+    a_sorted = sorted(block_a)
+    b_sorted = sorted(block_b)
+    for block in (a_sorted, b_sorted):
+        for v, w in zip(block, block[1:]):
+            if v == w:
+                raise NotAPartition(f"vertex {v} is listed twice in one block")
     if set(a_sorted) & set(b_sorted):
         raise NotAPartition("blocks overlap")
     if set(a_sorted) | set(b_sorted) != set(range(1, g.n + 1)):

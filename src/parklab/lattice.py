@@ -9,9 +9,10 @@ some path prices every order statistic strictly above it.
 
 Only part of the grid is ever read by a path: u[i][j] with i < p and
 v[i][j] with j < q (a path east of column p cannot step east again). The
-full arrays are stored for uniformity; constructors fill the unread row
-u[p][.] and column v[.][q] by mirroring their consumed neighbors, which
-keeps the whole array monotone.
+full arrays are stored for uniformity. Every constructor fills every node
+through one builder, _node_grid, from a formula in (i, j): vector and case
+grids repeat their last read entry into the unread row u[p][.] and column
+v[.][q], and affine grids extend their formula there.
 
 Maximal pairs come from paths directly: along any path the east weights
 (and the north weights) are non-decreasing, so subtracting one from them
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import orientations as _ori
 from .errors import (
@@ -90,6 +91,19 @@ class WeightGrid:
         }
 
 
+def _node_grid(
+    p: int, q: int, u_at: Callable[[int, int], int], v_at: Callable[[int, int], int]
+) -> WeightGrid:
+    """The grid whose node (i, j) holds u_at(i, j) and v_at(i, j)."""
+    rows, cols = range(p + 1), range(q + 1)
+    return WeightGrid(
+        p,
+        q,
+        tuple(tuple(u_at(i, j) for j in cols) for i in rows),
+        tuple(tuple(v_at(i, j) for j in cols) for i in rows),
+    )
+
+
 def grid_from_vectors(
     u: Sequence[int], v: Sequence[int]
 ) -> WeightGrid:
@@ -106,15 +120,12 @@ def grid_from_vectors(
                 f"{name} must be positive and non-decreasing, got {tuple(vec)}"
             )
     p, q = len(u), len(v)
-    u_rows = tuple(
-        tuple((u[i] if i < p else (u[p - 1] if p else 0)) for _ in range(q + 1))
-        for i in range(p + 1)
+    return _node_grid(
+        p,
+        q,
+        lambda i, j: u[min(i, p - 1)] if p else 0,
+        lambda i, j: v[min(j, q - 1)] if q else 0,
     )
-    v_rows = tuple(
-        tuple((v[j] if j < q else (v[q - 1] if q else 0)) for j in range(q + 1))
-        for _ in range(p + 1)
-    )
-    return WeightGrid(p, q, u_rows, v_rows)
 
 
 def grid_from_affine(
@@ -129,36 +140,24 @@ def grid_from_affine(
     e: int,
 ) -> WeightGrid:
     """Affine grid u[i][j] = b*i + c*j + a, v[i][j] = cprime*i + d*j + e."""
-    u_rows = []
-    v_rows = []
-    for i in range(p + 1):
-        u_row = []
-        v_row = []
-        for j in range(q + 1):
-            uu = b * i + c * j + a
-            vv = cprime * i + d * j + e
-            if uu < 0 or vv < 0:
-                raise NegativeEntry(
-                    f"affine weights go negative at node ({i}, {j})"
-                )
-            u_row.append(uu)
-            v_row.append(vv)
-        u_rows.append(tuple(u_row))
-        v_rows.append(tuple(v_row))
-    return WeightGrid(p, q, tuple(u_rows), tuple(v_rows))
+
+    def u_at(i: int, j: int) -> int:
+        return b * i + c * j + a
+
+    def v_at(i: int, j: int) -> int:
+        return cprime * i + d * j + e
+
+    for i, j in itertools.product(range(p + 1), range(q + 1)):
+        if u_at(i, j) < 0 or v_at(i, j) < 0:
+            raise NegativeEntry(f"affine weights go negative at node ({i}, {j})")
+    return _node_grid(p, q, u_at, v_at)
 
 
 def grid_transpose(grid: WeightGrid) -> WeightGrid:
     """Swap the two directions: east of the result is north of the input."""
-    u_rows = tuple(
-        tuple(grid.v[j][i] for j in range(grid.p + 1))
-        for i in range(grid.q + 1)
+    return _node_grid(
+        grid.q, grid.p, lambda i, j: grid.v[j][i], lambda i, j: grid.u[j][i]
     )
-    v_rows = tuple(
-        tuple(grid.u[j][i] for j in range(grid.p + 1))
-        for i in range(grid.q + 1)
-    )
-    return WeightGrid(grid.q, grid.p, u_rows, v_rows)
 
 
 def grids_agree_on_steps(g1: WeightGrid, g2: WeightGrid) -> bool:
@@ -388,17 +387,10 @@ def maximal_upf_sum_witness(grid: WeightGrid) -> tuple[int, int]:
     equal sums; a difference certifies that no single graph can produce the
     maximal set.
     """
-    east_first = (
-        sum(grid.u[i][0] for i in range(grid.p))
-        + sum(grid.v[grid.p][j] for j in range(grid.q))
-        - (grid.p + grid.q)
+    return tuple(
+        sum(map(sum, step_weights(grid, path))) - (grid.p + grid.q)
+        for path in ("E" * grid.p + "N" * grid.q, "N" * grid.q + "E" * grid.p)
     )
-    north_first = (
-        sum(grid.v[0][j] for j in range(grid.q))
-        + sum(grid.u[i][grid.q] for i in range(grid.p))
-        - (grid.p + grid.q)
-    )
-    return east_first, north_first
 
 
 # ---------------------------------------------------------------------------

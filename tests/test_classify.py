@@ -1,5 +1,6 @@
 """Tests for invariance testing, case matching, and the classification sweep."""
 
+import concurrent.futures
 import hashlib
 import itertools
 import json
@@ -422,7 +423,9 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(classify, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", InProcessPool
+        )
         report = sweep_classification(2, 1, jobs=64)
         assert len(asked) == 1 and asked[0] <= (os.cpu_count() or 1)
         assert report == sweep_classification(2, 1)

@@ -1,10 +1,15 @@
 """End-to-end tests for the batch command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import parklab
 from parklab.cli import main
 
 DIAMOND_TEXT = "3 2 1\n0 1 2\n0 2 2\n1 2 1\n1 3 3\n2 3 3\n"
@@ -334,6 +339,34 @@ class TestInputEdges:
         path.write_bytes(b"1 0 0\n0 1 1 # caf\xe9\n")
         error = run_json(runner, [command, flag, str(path)], expect_exit=1)["error"]
         assert error["type"] == "shape-mismatch"
+
+    def test_label_listed_twice_in_a_block(self, runner, graph_file) -> None:
+        doc = run_json(
+            runner,
+            ["mpf", "--graph", graph_file, "--A", "1,3", "--B", "2,2"],
+            expect_exit=1,
+        )
+        assert doc == {
+            "error": {
+                "type": "not-a-partition",
+                "message": "vertex 2 is listed twice in one block",
+            }
+        }
+
+    def test_start_up_leaves_the_process_pool_unloaded(self) -> None:
+        pool_modules = ("multiprocessing", "concurrent.futures.process")
+        code = (
+            "import sys, parklab.cli; "
+            f"print([m for m in {pool_modules!r} if m in sys.modules])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(parklab.__file__).parents[1])},
+        ).stdout
+        assert out == "[]\n"
 
 
 GRAPH_BLOCKS = ["--graph", "--B", "--A"]

@@ -249,6 +249,10 @@ class TestBlockRelabeling:
         with pytest.raises(NotAPartition):
             relabel_for_blocks(diamond, [1, 2], [2, 3])
 
+    def test_relabel_rejects_a_label_listed_twice(self, diamond):
+        with pytest.raises(NotAPartition, match="vertex 2 is listed twice"):
+            relabel_for_blocks(diamond, [1, 3], [2, 2])
+
     def test_swap_blocks_round_trip(self, diamond_split):
         twice = swap_blocks(swap_blocks(diamond_split))
         assert twice.edges == diamond_split.edges

@@ -1,6 +1,9 @@
 """Tests for weight grids, lattice paths, and two-dimensional parking pairs."""
 
+import hashlib
+import json
 import random
+from functools import partial
 from itertools import product
 from math import comb
 
@@ -27,7 +30,9 @@ from parklab import (
     path_from_orientation,
     witness_path,
 )
+from parklab.classify import _chord_case_grid, _cycle_case_grid
 from parklab.errors import (
+    DomainError,
     NegativeEntry,
     NotInA,
     PathDoesNotBound,
@@ -118,6 +123,48 @@ class TestGridConstruction:
     def test_load_grid_rejects_unknown_shape(self) -> None:
         with pytest.raises(ShapeMismatch):
             load_grid({"p": 2, "q": 2})
+
+
+def _pinned_constructions():
+    """Every grid construction the whole-grid digest covers, in a fixed order."""
+    for p, q in product(range(4), repeat=2):
+        for a, b, c, cp, d, e in product((-1, 0, 2), repeat=6):
+            yield partial(
+                grid_from_affine, p, q, a=a, b=b, c=c, cprime=cp, d=d, e=e
+            )
+    vectors = [x for n in range(4) for x in product(range(3), repeat=n)]
+    for u, v in product(vectors, repeat=2):
+        yield partial(grid_from_vectors, u, v)
+    for p, q in product(range(1, 5), repeat=2):
+        for a, b in product(range(4), repeat=2):
+            yield partial(_cycle_case_grid, p, q, a, b)
+        for a, b, c in product(range(4), repeat=3):
+            yield partial(_chord_case_grid, p, q, a, b, c)
+
+
+def test_whole_grids_are_pinned() -> None:
+    # Paths read only part of each node array, but the grid and construct-u
+    # commands print all of it: pin every entry, the transpose and the sum
+    # witness, or the error a construction raises.
+    digest = hashlib.sha256()
+    count = 0
+    for build in _pinned_constructions():
+        try:
+            grid = build()
+        except DomainError as exc:
+            record = [type(exc).__name__, str(exc)]
+        else:
+            record = [
+                grid.to_json(),
+                grid_transpose(grid).to_json(),
+                maximal_upf_sum_witness(grid),
+            ]
+        digest.update(json.dumps(record).encode() + b"\n")
+        count += 1
+    assert count == 14_544
+    assert digest.hexdigest() == (
+        "987a152c987c8c0b17122e584777c30507252139a5f4c42514afed6cefaf6ce5"
+    )
 
 
 class TestBoundedBy:

@@ -32,6 +32,8 @@ from .graph import (
     ROOT,
     FamilyTag,
     RootedWeightedGraph,
+    _band_layout,
+    _band_pairs,
     build_graph,
     matching_invariant_cases,
     swap_blocks,
@@ -197,9 +199,6 @@ def graph_from_affine_u(
         raise InvalidParameters(
             "asymmetric cross coefficients admit no single graph"
         )
-    A = range(1, p + 1)
-    B = range(p + 1, p + q + 1)
-    edges: list[tuple[int, int, int]] = []
     if c == 0:
         if a < 1 or e < 1:
             raise InvalidParameters(
@@ -207,22 +206,13 @@ def graph_from_affine_u(
             )
     elif a == 0 and e == 0:
         raise InvalidParameters("the root needs at least one positive band")
-    for i in A:
-        if a:
-            edges.append((ROOT, i, a))
-    for i, j in itertools.combinations(A, 2):
-        if b:
-            edges.append((i, j, b))
-    for i in A:
-        for j in B:
-            if c:
-                edges.append((i, j, c))
-    for i, j in itertools.combinations(B, 2):
-        if d:
-            edges.append((i, j, d))
-    for j in B:
-        if e:
-            edges.append((ROOT, j, e))
+    weights = {"a": a, "b": b, "c": c, "d": d, "e": e}
+    edges = [
+        (u, v, weights[name])
+        for name, groups in _band_layout(p, q).items()
+        if weights[name]
+        for u, v in _band_pairs(*groups)
+    ]
     return build_graph(p + q, edges, p=p, q=q)
 
 
@@ -295,17 +285,8 @@ def _grid_for_case(p: int, q: int, tag: FamilyTag) -> WeightGrid:
             p, q, tag.param("a"), tag.param("b"), tag.param("c")
         )
     if case == "iii":
-        c = tag.param("c")
-        return grid_from_affine(
-            p,
-            q,
-            a=tag.param("a"),
-            b=tag.param("b"),
-            c=c,
-            cprime=c,
-            d=tag.param("d"),
-            e=tag.param("e"),
-        )
+        bands = dict(tag.params)
+        return grid_from_affine(p, q, cprime=bands["c"], **bands)
     if case in ("iv.a", "iv.b", "v"):
         u_vec = _side_vector(
             tag.param("a_shape"), p, tag.param("a"), tag.param("b") if case != "v" else 0

@@ -14,8 +14,12 @@ recognizers for the named families (uniform trees, cycles, banded complete
 graphs, two-weight trees, and each case of the invariance classification).
 Each structure (tree, forest, cycle, rooted complete graph) has exactly
 one recognizer, which looks at part of the graph; whole-graph checks pass
-every vertex. Connectivity has one routine too: a reachability search
-restricted to a vertex subset. It is the one search over built graphs: it
+every vertex. The five bands of a complete band graph (root to A, inside A,
+A to B, inside B, root to B) are laid out once, in _band_layout, and _band
+is the one band reader, for case iii and for rooted complete sides alike;
+classify.graph_from_affine_u builds its edges from the same layout.
+Connectivity has one routine too: a reachability search restricted to a
+vertex subset. It is the one search over built graphs: it
 decides is_connected (which build_graph calls), cut_vertices,
 vertex_on_cycle and the tree, cycle and forest recognizers, and gives
 two-weight trees their parent edges. The block-graph generator in classify
@@ -481,42 +485,47 @@ def _is_cycle_on(g: RootedWeightedGraph, verts: frozenset[int]) -> bool:
     return all(d == 2 for d in degree.values()) and _connected_within(g, verts)
 
 
+def _band_layout(
+    p: int, q: int
+) -> dict[str, tuple[Sequence[int], Sequence[int]]]:
+    """Vertex groups of the five bands of a complete graph on blocks p and q.
+
+    a joins the root to A, b lies inside A, c joins A to B, d lies inside B
+    and e joins the root to B.
+    """
+    root, A, B = (ROOT,), range(1, p + 1), range(p + 1, p + q + 1)
+    return {"a": (root, A), "b": (A, A), "c": (A, B), "d": (B, B), "e": (root, B)}
+
+
+def _band_pairs(
+    left: Iterable[int], right: Iterable[int]
+) -> Iterable[tuple[int, int]]:
+    """Vertex pairs of a band; a band inside one group lists each pair once."""
+    if left == right:
+        return itertools.combinations(left, 2)
+    return [(u, v) for u in left for v in right]
+
+
+def _band(
+    g: RootedWeightedGraph, left: Iterable[int], right: Iterable[int]
+) -> int | None:
+    """Uniform positive weight of a band, 0 when it is absent, else None."""
+    weights = {g.weight(u, v) for u, v in _band_pairs(left, right)}
+    if len(weights) > 1:
+        return None
+    return weights.pop() if weights else 0
+
+
 def _rooted_complete_on(
     g: RootedWeightedGraph, root: int, leaves: frozenset[int]
 ) -> tuple[int, int] | None:
     """Bands (root_band, inner_band) of a complete graph on {root} | leaves."""
-    if not leaves:
+    a = _band(g, (root,), leaves)
+    if not a:
         return None
-    root_weights = [g.weight(root, v) for v in leaves]
-    if 0 in root_weights:
-        return None
-    a = uniform_weight(root_weights)
-    if a is None:
-        return None
-    inner = [g.weight(u, v) for u, v in itertools.combinations(sorted(leaves), 2)]
-    if not inner:
-        return a, 0
-    if 0 in inner:
-        return None
-    b = uniform_weight(inner)
-    if b is None:
-        return None
-    return a, b
-
-
-def _band_weights(g, left: Iterable[int], right: Iterable[int]) -> list[int]:
-    return [g.weight(u, v) for u in left for v in right]
-
-
-def _uniform_band(values: list[int]) -> int | None:
-    """Uniform positive band weight, 0 for an entirely absent band, else None."""
-    if not values:
-        return 0
-    if all(v == 0 for v in values):
-        return 0
-    if 0 in values:
-        return None
-    return uniform_weight(values)
+    b = _band(g, leaves, leaves)
+    # a lone leaf has no inner pairs; otherwise every inner pair is an edge
+    return (a, b) if b or len(leaves) == 1 else None
 
 
 def _side_family(
@@ -599,24 +608,10 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
                 )
 
     # case iii: complete up to absent bands, constant weight per band
-    a_band = _uniform_band(_band_weights(g, [ROOT], A))
-    b_band = _uniform_band(
-        [g.weight(u, v) for u, v in itertools.combinations(sorted(A), 2)]
-    )
-    c_band = _uniform_band(_band_weights(g, A, B))
-    d_band = _uniform_band(
-        [g.weight(u, v) for u, v in itertools.combinations(sorted(B), 2)]
-    )
-    e_band = _uniform_band(_band_weights(g, [ROOT], B))
-    bands = (a_band, b_band, c_band, d_band, e_band)
-    if None not in bands and a_band >= 1 and c_band >= 1:
-        tags.append(
-            FamilyTag(
-                "invariant_case",
-                "iii",
-                _params(a=a_band, b=b_band, c=c_band, d=d_band, e=e_band),
-            )
-        )
+    layout = _band_layout(g.p, g.q)
+    bands = {name: _band(g, *groups) for name, groups in layout.items()}
+    if None not in bands.values() and bands["a"] >= 1 and bands["c"] >= 1:
+        tags.append(FamilyTag("invariant_case", "iii", _params(**bands)))
 
     # cases iv.a / iv.b: first side is a cycle or complete, second side hangs
     # off a limited attachment set

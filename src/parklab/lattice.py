@@ -38,7 +38,7 @@ from .errors import (
     UNotMonotone,
 )
 from .graph import ROOT, RootedWeightedGraph
-from .parking import _burn_order, _down_set, default_max_set, order_statistics
+from .parking import _burn_order, _down_set, _size_guard, order_statistics
 
 Pair = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -374,7 +374,7 @@ def enumerate_upf(
 
     Raises TooLarge when the set holds more pairs than the size guard.
     """
-    limit = default_max_set() if max_set is None else max_set
+    limit = _size_guard(max_set)
     closure = _down_set((a + b for a, b in enumerate_mupf(grid)), limit)
     return [(v[: grid.p], v[grid.p :]) for v in closure]
 

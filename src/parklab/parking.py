@@ -38,15 +38,25 @@ DEFAULT_MAX_SET = 10_000_000
 MAX_SUBSET_SCAN_VERTICES = 24
 
 
-def default_max_set() -> int:
-    """Size guard for enumerations; PARKLAB_MAX_SET overrides the default."""
-    raw = os.environ.get("PARKLAB_MAX_SET")
-    if raw is None:
-        return DEFAULT_MAX_SET
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidParameters(f"PARKLAB_MAX_SET is not an integer: {raw!r}") from None
+def _size_guard(max_set: int | None) -> int:
+    """The enumeration guard: max_set, else PARKLAB_MAX_SET, else the default.
+
+    Raises InvalidParameters for a negative guard or a variable that is not
+    an integer.
+    """
+    source = "max_set"
+    if max_set is None:
+        source = "PARKLAB_MAX_SET"
+        raw = os.environ.get(source)
+        if raw is None:
+            return DEFAULT_MAX_SET
+        try:
+            max_set = int(raw)
+        except ValueError:
+            raise InvalidParameters(f"{source} is not an integer: {raw!r}") from None
+    if max_set < 0:
+        raise InvalidParameters(f"{source} must be >= 0, got {max_set}")
+    return max_set
 
 
 def order_statistics(values: Sequence[int]) -> Vector:
@@ -215,7 +225,7 @@ def enumerate_pf(
 
     Raises TooLarge when the closure exceeds the size guard.
     """
-    limit = default_max_set() if max_set is None else max_set
+    limit = _size_guard(max_set)
     return _down_set(enumerate_mpf(g), limit)
 
 

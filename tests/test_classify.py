@@ -34,6 +34,7 @@ from parklab import (
 )
 from parklab.errors import (
     BipartitionMissing,
+    DomainError,
     InvalidParameters,
     NotClassified,
     ShapeMismatch,
@@ -204,6 +205,34 @@ class TestGraphFromAffine:
         grid = grid_from_affine(2, 3, a=1, b=1, c=2, cprime=2, d=1, e=2)
         g = graph_from_affine_u(2, 3, a=1, b=1, c=2, cprime=2, d=1, e=2)
         assert verify_equality(g, grid)
+
+    # sha256 over every block size 0..3 and band weight -1..2: the graph's
+    # JSON, family and case list, or the error type and message
+    BAND_DIGEST = "fb458d2c8b200397221fea69f04cb0580a040486008716eda8211efe4085339c"
+
+    def test_band_graphs_are_pinned(self) -> None:
+        digest = hashlib.sha256()
+        built = case_iii = 0
+        for p, q in itertools.product(range(4), repeat=2):
+            for a, b, c, cprime, d, e in itertools.product(range(-1, 3), repeat=6):
+                try:
+                    g = graph_from_affine_u(
+                        p, q, a=a, b=b, c=c, cprime=cprime, d=d, e=e
+                    )
+                except DomainError as exc:
+                    record = [type(exc).__name__, str(exc)]
+                else:
+                    tags = match_theorem61(g)
+                    built += 1
+                    case_iii += any(t.case == "iii" for t in tags)
+                    record = [
+                        g.to_json(),
+                        recognize_family(g).to_json(),
+                        [t.to_json() for t in tags],
+                    ]
+                digest.update(json.dumps(record).encode() + b"\n")
+        assert (built, case_iii) == (1620, 1296)
+        assert digest.hexdigest() == self.BAND_DIGEST
 
 
 class TestConstruction:

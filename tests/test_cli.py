@@ -250,6 +250,32 @@ class TestOutputDiscipline:
         )
         assert data["count"] > 3
 
+    @pytest.mark.parametrize(
+        "flag, env, error",
+        [
+            (
+                ["--max-set", "-1"],
+                None,
+                ("invalid-parameters", "max_set must be >= 0, got -1"),
+            ),
+            (
+                [],
+                {"PARKLAB_MAX_SET": "-3"},
+                ("invalid-parameters", "PARKLAB_MAX_SET must be >= 0, got -3"),
+            ),
+            (
+                ["--max-set", "0"],
+                None,
+                ("too-large", "parking set exceeds the guard of 0"),
+            ),
+        ],
+    )
+    def test_guard_below_zero_is_rejected(
+        self, runner, graph_file, flag, env, error
+    ) -> None:
+        doc = run_json(runner, ["pf", "--graph", graph_file, *flag], 1, env)
+        assert doc == {"error": {"type": error[0], "message": error[1]}}
+
 
 class TestMalformedInput:
     def error_of(self, runner, tmp_path, command, flag, text):
@@ -307,6 +333,44 @@ class TestMalformedInput:
     def test_wrongly_typed_grid_values(self, runner, tmp_path, command, text) -> None:
         error = self.error_of(runner, tmp_path, command, "--grid", text)
         assert error["type"] == "shape-mismatch"
+
+    ARRAYS = '"u":[[1,1],[1,1]],"v":[[1,1],[1,1]]'
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (
+                '{"p":1,"q":1,"u":[[1,1]],"v":[[1,1],[1,1]]}',
+                ("shape-mismatch", "u must be a (2) x (2) array"),
+            ),
+            (
+                '{"p":1,"q":1,"u":[[1,-1],[1,1]],"v":[[1,1],[1,1]]}',
+                ("negative-entry", "u entry -1 is negative"),
+            ),
+            (
+                '{"p":-1,"q":1,' + ARRAYS + "}",
+                ("shape-mismatch", "grid dimensions must be non-negative"),
+            ),
+            (
+                "{" + AFFINE + "}",
+                ("shape-mismatch", "affine description needs p and q"),
+            ),
+        ],
+    )
+    def test_malformed_grid_description(self, runner, tmp_path, text, error) -> None:
+        doc = self.error_of(runner, tmp_path, "grid", "--grid", text)
+        assert doc == {"type": error[0], "message": error[1]}
+
+    @pytest.mark.parametrize("text", ["", "# a comment only\n\n"])
+    def test_empty_graph_file(self, runner, tmp_path, text) -> None:
+        error = self.error_of(runner, tmp_path, "mpf", "--graph", text)
+        assert error == {"type": "shape-mismatch", "message": "empty graph description"}
+
+    @pytest.mark.parametrize("pair", ["1,2", "0;0;0"])
+    def test_pair_without_one_semicolon_exits_two(self, runner, grid_file, pair):
+        result = runner.invoke(main, ["upf", "--grid", grid_file, "--pair", pair])
+        assert result.exit_code == 2
+        assert "one semicolon" in result.output
 
     @pytest.mark.parametrize("text", ["5", "null", '"abc"'])
     def test_construct_graph_needs_an_object(self, runner, tmp_path, text) -> None:

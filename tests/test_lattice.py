@@ -33,6 +33,7 @@ from parklab import (
 from parklab.classify import _chord_case_grid, _cycle_case_grid
 from parklab.errors import (
     DomainError,
+    InvalidParameters,
     NegativeEntry,
     NotInA,
     PathDoesNotBound,
@@ -244,6 +245,18 @@ class TestEnumerate:
         assert len(enumerate_upf(grid, max_set=3)) == 3
         with pytest.raises(TooLarge):
             enumerate_upf(grid, max_set=2)
+
+    def test_negative_guard_is_rejected(self, monkeypatch) -> None:
+        grid = grid_from_vectors((1, 2), (1,))
+        with pytest.raises(InvalidParameters, match="max_set must be >= 0, got -1"):
+            enumerate_upf(grid, max_set=-1)
+        monkeypatch.setenv("PARKLAB_MAX_SET", "-3")
+        with pytest.raises(
+            InvalidParameters, match="PARKLAB_MAX_SET must be >= 0, got -3"
+        ):
+            enumerate_upf(grid)
+        with pytest.raises(TooLarge, match="guard of 0"):
+            enumerate_upf(grid, max_set=0)
 
     def test_closure_matches_product_filter_on_small_affine_grids(self) -> None:
         # first-block entries of a parking pair stay below the largest

@@ -21,6 +21,7 @@ from parklab import (
     order_statistics,
 )
 from parklab.errors import (
+    InvalidParameters,
     LengthMismatch,
     NotAParkingFunction,
     TooLarge,
@@ -190,6 +191,22 @@ class TestEnumerate:
         assert len(enumerate_pf(diamond, max_set=size)) == size
         with pytest.raises(TooLarge):
             enumerate_pf(diamond, max_set=size - 1)
+
+    def test_negative_guard_is_rejected(self, diamond, monkeypatch):
+        with pytest.raises(InvalidParameters, match="max_set must be >= 0, got -1"):
+            enumerate_pf(diamond, max_set=-1)
+        monkeypatch.setenv("PARKLAB_MAX_SET", "-3")
+        with pytest.raises(
+            InvalidParameters, match="PARKLAB_MAX_SET must be >= 0, got -3"
+        ):
+            enumerate_pf(diamond)
+
+    def test_zero_guard_is_a_guard(self, diamond, monkeypatch):
+        with pytest.raises(TooLarge, match="guard of 0"):
+            enumerate_pf(diamond, max_set=0)
+        monkeypatch.setenv("PARKLAB_MAX_SET", "0")
+        with pytest.raises(TooLarge, match="guard of 0"):
+            enumerate_pf(diamond)
 
     def test_maximals_match_brute_force_orientations(self):
         rng = random.Random(2305)

@@ -189,7 +189,8 @@ def graph_from_affine_u(
     five bands (root to A: a, inside A: b, across: c, inside B: d, root to
     B: e; zero bands mean absent edges; a and e must not both vanish).
     c = cprime = 0 gives two banded complete graphs merged at the root, and
-    needs a, e >= 1. Distinct cross coefficients admit no graph at all.
+    needs a, e >= 1. Distinct cross coefficients are refused, although some
+    such grids do have a graph with the same parking set.
     """
     if min(p, q) < 1:
         raise InvalidParameters("both block sizes must be at least 1")
@@ -233,13 +234,11 @@ def _cycle_case_grid(p: int, q: int, a: int, b: int) -> WeightGrid:
         raise InvalidParameters(
             "cycles with more than two first-block vertices are uniform"
         )
-    bump_u = a + b if p <= 2 else 2 * a
-    bump_v = 2 * b if p <= 2 else 2 * a
     return _node_grid(
         p,
         q,
-        lambda i, j: bump_u if i >= p - 1 and j == q else a,
-        lambda i, j: bump_v if i == p and j >= q - 1 else b,
+        lambda i, j: a + b if i >= p - 1 and j == q else a,
+        lambda i, j: 2 * b if i == p and j >= q - 1 else b,
     )
 
 
@@ -274,34 +273,21 @@ class GridConstruction:
 
 
 def _grid_for_case(p: int, q: int, tag: FamilyTag) -> WeightGrid:
-    case = tag.case
-    if case == "i.a":
-        a = tag.param("a")
-        return _cycle_case_grid(p, q, a, a)
-    if case in ("i.b", "i.c"):
-        return _cycle_case_grid(p, q, tag.param("a"), tag.param("b"))
+    case, params = tag.case, dict(tag.params)
+    if case in ("i.a", "i.b", "i.c"):
+        return _cycle_case_grid(p, q, params["a"], params.get("b", params["a"]))
     if case == "ii":
-        return _chord_case_grid(
-            p, q, tag.param("a"), tag.param("b"), tag.param("c")
-        )
+        return _chord_case_grid(p, q, params["a"], params["b"], params["c"])
     if case == "iii":
-        bands = dict(tag.params)
-        return grid_from_affine(p, q, cprime=bands["c"], **bands)
+        return grid_from_affine(p, q, cprime=params["c"], **params)
     if case in ("iv.a", "iv.b", "v"):
-        u_vec = _side_vector(
-            tag.param("a_shape"), p, tag.param("a"), tag.param("b") if case != "v" else 0
-        )
-        if case == "iv.b":
-            v_vec = _side_vector("forest", q, tag.param("c"), 0)
-        else:
-            v_vec = _side_vector(
-                tag.param("b_shape"), q, tag.param("c"), tag.param("d")
-            )
-        return grid_from_vectors(u_vec, v_vec)
-    if case == "vi":
+        # v has no inner A band, iv.b no inner B band: both read as 0
         return grid_from_vectors(
-            (tag.param("a"),) * p, (tag.param("b"),) * q
+            _side_vector(params["a_shape"], p, params["a"], params.get("b", 0)),
+            _side_vector(params["b_shape"], q, params["c"], params.get("d", 0)),
         )
+    if case == "vi":
+        return grid_from_vectors((params["a"],) * p, (params["b"],) * q)
     raise NotClassified(f"no grid construction for case {case!r}")
 
 

@@ -40,7 +40,6 @@ from .lattice import (
     WeightGrid,
     affine_coefficients,
     increasing_maximal_pairs,
-    is_upf,
     load_grid,
     maximal_upf_sum_witness,
     witness_path,
@@ -199,11 +198,8 @@ def upf_cmd(grid_path, pair_text):
     """Test one pair against the grid; report the first bounding path."""
     grid = _load_grid_file(grid_path)
     pair = _parse_pair(pair_text)
-    member = is_upf(pair, grid)
-    return {
-        "upf": member,
-        "witness_path": witness_path(pair, grid) if member else None,
-    }
+    path = witness_path(pair, grid)
+    return {"upf": path is not None, "witness_path": path}
 
 
 def _orbit_size(pair) -> int:

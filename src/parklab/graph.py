@@ -554,7 +554,8 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
 
     The graph must carry a bipartition with both blocks non-empty. Matching is
     purely structural; the caller is responsible for block swapping when the
-    root touches only the second block. Results are ordered by case.
+    root touches only the second block. The cases are tried in CASE_ORDER, so
+    the results come ordered by case.
     """
     g.require_bipartition()
     tags: list[FamilyTag] = []
@@ -562,87 +563,55 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
         return tags
     A, B = g.block_a, g.block_b
 
-    # cases i.a / i.b / i.c: the whole graph is one cycle
+    def add(case: str, *groups: dict) -> None:
+        # keys sort within each group, not across: iv.a and iv.b list the
+        # first side's keys before the second side's
+        params = tuple(kv for group in groups for kv in sorted(group.items()))
+        tags.append(FamilyTag("invariant_case", case, params))
+
+    # the root's A-edges, and the edges meeting B (i < j, so j in B); with
+    # p <= 2 the two lists hold every edge but the chord {1, 2}
+    root_a = [w for i, j, w in g.edges if i == ROOT and j in A]
+    cross = [(i, j, w) for i, j, w in g.edges if j in B]
+    a = uniform_weight(root_a)
+    rest = uniform_weight(w for _, _, w in cross)
+
+    # cases i.a / i.b / i.c: the whole graph is one cycle; in i.b (p = 1) and
+    # i.c (p = 2) the root joins all of A with one weight, the rest another
     if is_cycle_graph(g):
         uniform = uniform_weight(w for _, _, w in g.edges)
         if uniform is not None:
-            tags.append(
-                FamilyTag("invariant_case", "i.a", _params(a=uniform))
-            )
-        if g.p == 1 and g.weight(ROOT, 1):
-            a = g.weight(ROOT, 1)
-            rest = uniform_weight(
-                w for i, j, w in g.edges if (i, j) != (ROOT, 1)
-            )
-            if rest is not None and rest != a:
-                tags.append(
-                    FamilyTag("invariant_case", "i.b", _params(a=a, b=rest))
-                )
-        if g.p == 2 and g.weight(ROOT, 1) and g.weight(ROOT, 2):
-            a = uniform_weight([g.weight(ROOT, 1), g.weight(ROOT, 2)])
-            rest = uniform_weight(
-                w for i, j, w in g.edges if i != ROOT
-            )
-            if a is not None and rest is not None and rest != a:
-                tags.append(
-                    FamilyTag("invariant_case", "i.c", _params(a=a, b=rest))
-                )
+            add("i.a", {"a": uniform})
+        one_each = None not in (a, rest) and a != rest
+        if g.p <= 2 and len(root_a) == g.p and one_each:
+            add("i.b" if g.p == 1 else "i.c", {"a": a, "b": rest})
 
     # case ii: two first-block vertices, a full cycle plus the chord {1, 2}
-    if g.p == 2 and g.weight(1, 2):
-        chordless = [(i, j, w) for i, j, w in g.edges if (i, j) != (1, 2)]
-        base = RootedWeightedGraph(g.n, tuple(chordless))
-        if is_cycle_graph(base):
-            root_a = [w for i, j, w in g.edges if i == ROOT and j in A]
-            a = uniform_weight(root_a) if root_a else None
-            b = g.weight(1, 2)
-            others = [
-                w
-                for i, j, w in g.edges
-                if not (i == ROOT and j in A) and (i, j) != (1, 2)
-            ]
-            c = uniform_weight(others) if others else None
-            if a is not None and c is not None:
-                tags.append(
-                    FamilyTag("invariant_case", "ii", _params(a=a, b=b, c=c))
-                )
+    if g.p == 2 and g.weight(1, 2) and None not in (a, rest):
+        chordless = tuple(e for e in g.edges if e[:2] != (1, 2))
+        if is_cycle_graph(RootedWeightedGraph(g.n, chordless)):
+            add("ii", {"a": a, "b": g.weight(1, 2), "c": rest})
 
     # case iii: complete up to absent bands, constant weight per band
     layout = _band_layout(g.p, g.q)
     bands = {name: _band(g, *groups) for name, groups in layout.items()}
     if None not in bands.values() and bands["a"] >= 1 and bands["c"] >= 1:
-        tags.append(FamilyTag("invariant_case", "iii", _params(**bands)))
+        add("iii", bands)
 
     # cases iv.a / iv.b: first side is a cycle or complete, second side hangs
     # off a limited attachment set
     ga = _side_family(g, ROOT, A, allow_tree=False)
     if ga is not None:
-        attach = sorted(
-            v
-            for v in itertools.chain([ROOT], sorted(A))
-            if any(u in B for u, _ in g.neighbors(v))
-        )
-        shape_a, band1, band2 = ga
-        base = _params(
-            a_shape=shape_a, a=band1, b=band2
-        )
+        side_a = dict(zip(("a_shape", "a", "b"), ga))
+        attach = [
+            v for v in range(g.p + 1) if any(u in B for u, _ in g.neighbors(v))
+        ]
         if len(attach) == 1:
-            i = attach[0]
-            side = _side_family(g, i, B, allow_tree=True)
+            side = _side_family(g, attach[0], B, allow_tree=True)
             if side is not None:
-                shape_b, c, d = side
-                tags.append(
-                    FamilyTag(
-                        "invariant_case",
-                        "iv.a",
-                        base
-                        + _params(attachment=i, b_shape=shape_b, c=c, d=d),
-                    )
-                )
-        elif len(attach) > 1:
-            cross = [
-                (i, j, w) for i, j, w in g.edges if i in B or j in B
-            ]
+                side_b = dict(zip(("b_shape", "c", "d"), side))
+                add("iv.a", side_a, {"attachment": attach[0], **side_b})
+        elif len(attach) > 1 and rest is not None:
             comps = _forest_components(g, B | set(attach), cross)
             # forest of trees hanging each from a single attachment vertex:
             # a second attachment in one component would put a second-block
@@ -650,20 +619,9 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
             if comps is not None and all(
                 len(comp.intersection(attach)) == 1 for comp in comps
             ):
-                c = uniform_weight(w for _, _, w in cross)
-                if c is not None:
-                    tags.append(
-                        FamilyTag(
-                            "invariant_case",
-                            "iv.b",
-                            base
-                            + _params(
-                                attachments=",".join(map(str, attach)),
-                                b_shape="forest",
-                                c=c,
-                            ),
-                        )
-                    )
+                joined = ",".join(map(str, attach))
+                side_b = {"attachments": joined, "b_shape": "forest", "c": rest}
+                add("iv.b", side_a, side_b)
 
     # case v: first side a uniform forest, one vertex of the root's component
     # carrying a cycle or complete second side, no cycle elsewhere
@@ -679,32 +637,15 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
                 continue
             if any(vertex_on_cycle(g, v) for v in sorted(ga_verts - {i})):
                 continue
-            shape_b, c, d = side
-            tags.append(
-                FamilyTag(
-                    "invariant_case",
-                    "v",
-                    _params(
-                        a_shape="forest",
-                        a=a_weight,
-                        attachment=i,
-                        b_shape=shape_b,
-                        c=c,
-                        d=d,
-                    ),
-                )
-            )
+            side_b = dict(zip(("b_shape", "c", "d"), side))
+            add("v", {"a_shape": "forest", "a": a_weight, "attachment": i, **side_b})
             break
 
     # case vi: a tree entering the first block with one weight, the second
     # block with another
     bands = two_weight_tree_bands(g)
     if bands is not None:
-        tags.append(
-            FamilyTag("invariant_case", "vi", _params(a=bands[0], b=bands[1]))
-        )
-
-    tags.sort(key=lambda t: CASE_ORDER.index(t.case))
+        add("vi", {"a": bands[0], "b": bands[1]})
     return tags
 
 

@@ -243,19 +243,19 @@ def validate_path(path: str, p: int, q: int) -> None:
 
 
 def paths(p: int, q: int) -> list[str]:
-    """All monotone paths as E/N words in lexicographic order (E < N)."""
+    """All monotone paths as E/N words in lexicographic order (E < N).
+
+    A path is the set of its east-step positions; combinations lists those
+    sets in lexicographic order, which is the words' order.
+    """
+    if p < 0 or q < 0:
+        raise ShapeMismatch("grid dimensions must be non-negative")
     out: list[str] = []
-
-    def grow(prefix: str, e: int, n: int) -> None:
-        if not e and not n:
-            out.append(prefix)
-            return
-        if e:
-            grow(prefix + "E", e - 1, n)
-        if n:
-            grow(prefix + "N", e, n - 1)
-
-    grow("", p, q)
+    for east in itertools.combinations(range(p + q), p):
+        word = ["N"] * (p + q)
+        for k in east:
+            word[k] = "E"
+        out.append("".join(word))
     return out
 
 
@@ -384,8 +384,11 @@ def maximal_upf_sum_witness(grid: WeightGrid) -> tuple[int, int]:
 
     First value: all east steps, then all north steps. Second value: all
     north steps first. Affine grids with symmetric cross coefficients give
-    equal sums; a difference certifies that no single graph can produce the
-    maximal set.
+    equal sums. Unequal sums rule out no graph by themselves: a corner
+    candidate may meet a zero weight or be dominated, and then it is no
+    maximal pair. The exact test is on the maximal pairs: every graph's
+    maximal parking functions share one entry sum, so no graph matches a
+    grid whose maximal sums are not all one value.
     """
     return tuple(
         sum(map(sum, step_weights(grid, path))) - (grid.p + grid.q)

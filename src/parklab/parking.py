@@ -164,9 +164,12 @@ def enumerate_mpf(g: RootedWeightedGraph) -> list[Vector]:
     whose neighbours are all placed could never be cleared, so once it has
     been tried no larger vertex is placed at that depth. Each complete order
     gives one vector: every edge's weight goes to its later endpoint, less
-    one per vertex.
+    one per vertex. The walk keeps its own stack of bitmask frames, so the
+    recursion limit does not bound n.
     """
     n = g.n
+    if n == 0:
+        return [()]
     edges = g.edges
     nbr = [0] * (n + 1)
     for i, j, _ in edges:
@@ -174,24 +177,30 @@ def enumerate_mpf(g: RootedWeightedGraph) -> list[Vector]:
         nbr[j] |= 1 << i
     pos = [0] * (n + 1)
     found: list[Vector] = []
-
-    def grow(depth: int, placed: int, owed: int) -> None:
-        if depth == n + 1:
+    # frames (depth, placed, owed, reached, candidates): reached holds every
+    # neighbour of a placed vertex; the candidates left at this depth are
+    # tried lowest first
+    first = nbr[ROOT]
+    stack = [(1, 1 << ROOT, 0, first, first)] if first else []
+    while stack:
+        depth, placed, owed, reached, cand = stack.pop()
+        bit = cand & -cand
+        v = bit.bit_length() - 1
+        pos[v] = depth
+        if cand != bit and nbr[v] & ~placed:
+            stack.append((depth, placed, owed, reached, cand ^ bit))
+        if depth == n:
             acc = [-1] * (n + 1)
             for i, j, w in edges:
                 acc[j if pos[i] < pos[j] else i] += w
             found.append(tuple(acc[1:]))
-            return
-        for v in range(1, n + 1):
-            bit = 1 << v
-            if (placed | owed) & bit or not nbr[v] & placed:
-                continue
-            pos[v] = depth
-            grow(depth + 1, placed | bit, (owed | (bit - 1) & ~placed) & ~nbr[v])
-            if not nbr[v] & ~placed:
-                break
-
-    grow(1, 1 << ROOT, 0)
+            continue
+        owed = (owed | (bit - 1) & ~placed) & ~nbr[v]
+        placed |= bit
+        reached |= nbr[v]
+        cand = reached & ~(placed | owed)
+        if cand:
+            stack.append((depth + 1, placed, owed, reached, cand))
     return sorted(found)
 
 

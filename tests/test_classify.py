@@ -41,7 +41,7 @@ from parklab.errors import (
 )
 from parklab import classify
 from parklab.classify import _cycle_case_grid
-from parklab.graph import is_connected
+from parklab.graph import is_connected, matching_invariant_cases
 
 FOUR_CYCLE = build_graph(3, ((0, 2, 1), (1, 2, 1), (1, 3, 1), (0, 3, 2)), p=2, q=1)
 
@@ -612,3 +612,32 @@ class TestRecognizerCounts:
         assert Counter(map(family, unblocked)) == self.WITHOUT_BLOCKS
         rows = [case_list(g) for g in graphs]
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.MATCH_DIGEST
+
+    # sha256 of repr() of every graph's full case tags, matches and grid (or
+    # the error type and message), empty blocks included
+    TAG_DIGEST = "9973700842c33ce226dd7a73858ffb6345f67ea6265711cd8bdae8856a2331ce"
+
+    def test_full_tags_and_grids_are_pinned(self) -> None:
+        def outcome(f, g):
+            try:
+                return f(g)
+            except DomainError as exc:
+                return type(exc).__name__, str(exc)
+
+        digest = hashlib.sha256()
+        graphs = 0
+        for n in range(1, 4):
+            for p in range(n + 1):
+                for g in connected_block_graphs(p, n - p, 2):
+                    graphs += 1
+                    record = [
+                        outcome(f, g)
+                        for f in (
+                            matching_invariant_cases,
+                            match_theorem61,
+                            construct_u_for_graph,
+                        )
+                    ]
+                    digest.update(repr(record).encode() + b"\n")
+        assert graphs == 1006
+        assert digest.hexdigest() == self.TAG_DIGEST

@@ -361,6 +361,17 @@ class TestMalformedInput:
         doc = self.error_of(runner, tmp_path, "grid", "--grid", text)
         assert doc == {"type": error[0], "message": error[1]}
 
+    def test_empty_vector_is_a_length_error(self, runner, graph_file) -> None:
+        doc = run_json(
+            runner, ["check", "--graph", graph_file, "--vector", ""], expect_exit=1
+        )
+        assert doc == {
+            "error": {
+                "type": "length-mismatch",
+                "message": "vector of length 0 against 3 non-root vertices",
+            }
+        }
+
     @pytest.mark.parametrize("text", ["", "# a comment only\n\n"])
     def test_empty_graph_file(self, runner, tmp_path, text) -> None:
         error = self.error_of(runner, tmp_path, "mpf", "--graph", text)
@@ -379,6 +390,30 @@ class TestMalformedInput:
             "type": "invalid-parameters",
             "message": "construct-graph needs p, q, and an affine block",
         }
+
+
+class TestLongInputs:
+    """Inputs deeper than the interpreter's recursion limit."""
+
+    N = 1200
+
+    @pytest.mark.parametrize("command", ["mpf", "pf", "orientations"])
+    def test_long_path_graph(self, runner, tmp_path, command) -> None:
+        path = tmp_path / "path.txt"
+        edges = "".join(f"{v - 1} {v} 1\n" for v in range(1, self.N + 1))
+        path.write_text(f"{self.N} 0 0\n" + edges)
+        data = run_json(runner, [command, "--graph", str(path)])
+        assert data["count"] == 1
+
+    def test_long_vector_grid(self, runner, tmp_path) -> None:
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"vectors": {"u": [1] * self.N, "v": []}}))
+        pair = ",".join(["0"] * self.N) + ";"
+        data = run_json(runner, ["upf", "--grid", str(path), "--pair", pair])
+        assert data == {"upf": True, "witness_path": "E" * self.N}
+        data = run_json(runner, ["grid", "--grid", str(path)])
+        assert data["maximal_increasing"] == [[[0] * self.N, []]]
+        assert data["maximal_count"] == 1
 
 
 class TestInputEdges:

@@ -70,6 +70,14 @@ class TestBuildGraph:
         with pytest.raises(ShapeMismatch):
             build_graph(3, [(0, 1, 1), (1, 2, 1), (2, 3, 1)], p=1, q=1)
 
+    def test_negative_vertex_count(self):
+        with pytest.raises(VertexOutOfRange, match="vertex count -1 is negative"):
+            build_graph(-1, [])
+
+    def test_blocks_come_together(self):
+        with pytest.raises(ShapeMismatch, match="must be given together"):
+            build_graph(2, [(0, 1, 1), (1, 2, 1)], p=1)
+
 
 class TestDU:
     def test_diamond_top_block(self, diamond):
@@ -86,6 +94,10 @@ class TestDU:
     def test_vertex_must_lie_in_subset(self, diamond):
         with pytest.raises(VertexNotInU):
             d_U(diamond, {1, 2}, 3)
+
+    def test_root_is_not_a_subset_member(self, diamond):
+        with pytest.raises(VertexOutOfRange, match="member 0 is not a non-root"):
+            d_U(diamond, {0}, 0)
 
     def test_singleton_gives_weighted_degree(self):
         rng = random.Random(7)
@@ -130,6 +142,10 @@ class TestInducedSubgraph:
         with pytest.raises(RootMissing):
             induced_subgraph(diamond, {1, 2})
 
+    def test_selection_must_be_vertices(self, diamond):
+        with pytest.raises(VertexOutOfRange, match="member 5 is not a vertex"):
+            induced_subgraph(diamond, {0, 5})
+
 
 class TestQuotientGraph:
     def test_clique_fan_collapse(self, clique_fan):
@@ -153,6 +169,10 @@ class TestQuotientGraph:
     def test_partition_must_cover(self, diamond):
         with pytest.raises(NotAPartition):
             quotient_graph(diamond, [{0, 1}, {2}])
+
+    def test_empty_block_rejected(self, diamond):
+        with pytest.raises(NotAPartition, match="empty block"):
+            quotient_graph(diamond, [{0, 1}, {2, 3}, set()])
 
     def test_weight_conservation(self):
         rng = random.Random(11)
@@ -252,6 +272,10 @@ class TestBlockRelabeling:
     def test_relabel_rejects_a_label_listed_twice(self, diamond):
         with pytest.raises(NotAPartition, match="vertex 2 is listed twice"):
             relabel_for_blocks(diamond, [1, 3], [2, 2])
+
+    def test_relabel_blocks_must_cover(self, diamond):
+        with pytest.raises(NotAPartition, match="must cover"):
+            relabel_for_blocks(diamond, [1], [2])
 
     def test_swap_blocks_round_trip(self, diamond_split):
         twice = swap_blocks(swap_blocks(diamond_split))

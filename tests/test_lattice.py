@@ -28,6 +28,7 @@ from parklab import (
     orientation_from_path,
     orientation_to_mpf,
     path_from_orientation,
+    verify_equality,
     witness_path,
 )
 from parklab.classify import _chord_case_grid, _cycle_case_grid
@@ -193,6 +194,10 @@ class TestBoundedBy:
         with pytest.raises(ShapeMismatch):
             is_bounded_by(((1, 2), (0, 0, 0)), "EEENNN", ladder_grid)
 
+    def test_negative_entry_is_never_bounded(self, ladder_grid) -> None:
+        pair = ((-1, 0, 0), (0, 0, 0))
+        assert not any(is_bounded_by(pair, w, ladder_grid) for w in paths(3, 3))
+
     @pytest.mark.parametrize("word", ["EENNE", "EENNEX", "EEEENN"])
     def test_rejects_malformed_words(self, word: str) -> None:
         with pytest.raises(ShapeMismatch):
@@ -201,6 +206,27 @@ class TestBoundedBy:
     def test_step_weights_walk_the_grid(self, ladder_grid) -> None:
         assert step_weights(ladder_grid, "EEENNN") == ([1, 2, 3], [1, 3, 5])
         assert step_weights(ladder_grid, "NNNEEE") == ([1, 2, 3], [1, 3, 5])
+
+
+class TestPaths:
+    @staticmethod
+    def reference(p: int, q: int) -> list[str]:
+        """Recursive listing: every E-first word, then every N-first word."""
+        if not p or not q:
+            return ["E" * p + "N" * q]
+        return ["E" + w for w in TestPaths.reference(p - 1, q)] + [
+            "N" + w for w in TestPaths.reference(p, q - 1)
+        ]
+
+    def test_matches_the_recursive_listing(self) -> None:
+        for p in range(11):
+            for q in range(11 - p):
+                assert paths(p, q) == self.reference(p, q)
+
+    @pytest.mark.parametrize("p, q", [(-1, 2), (2, -1)])
+    def test_negative_size_is_rejected(self, p, q) -> None:
+        with pytest.raises(ShapeMismatch, match="non-negative"):
+            paths(p, q)
 
 
 class TestWitness:
@@ -320,6 +346,15 @@ class TestSumWitness:
         grid = grid_from_affine(1, 1, a=1, b=0, c=1, cprime=2, d=0, e=1)
         assert maximal_upf_sum_witness(grid) == (2, 1)
 
+    def test_unequal_sums_do_not_rule_out_a_graph(self) -> None:
+        # the north-first candidate meets a zero weight, so it is no maximal
+        # pair; the one maximal pair (0, 1) is a graph's whole maximal set
+        grid = grid_from_affine(1, 1, a=1, b=0, c=0, cprime=1, d=0, e=1)
+        assert maximal_upf_sum_witness(grid) == (1, 0)
+        assert increasing_maximal_pairs(grid) == [((0,), (1,))]
+        g = build_graph(2, ((0, 2, 2), (1, 2, 1)), p=1, q=1)
+        assert verify_equality(g, grid)
+
 
 class TestDegenerateShapes:
     def test_empty_second_block_reduces_to_vectors(self) -> None:
@@ -391,6 +426,12 @@ class TestOrientationFromPath:
     def test_rejects_pair_that_does_not_bound(self, tripartite) -> None:
         with pytest.raises(PathDoesNotBound):
             orientation_from_path(tripartite, "ENENE", ((0, 0, 0), (0, 0)))
+
+    def test_rejects_path_that_leaves_a_second_source(self) -> None:
+        # north first claims vertex 2, which has no placed neighbour yet
+        g = build_graph(2, ((0, 1, 1), (1, 2, 1)), p=1, q=1)
+        with pytest.raises(PathDoesNotBound, match="does not orient"):
+            orientation_from_path(g, "NE", ((0,), (0,)))
 
 
 class TestFamilyInvariance:

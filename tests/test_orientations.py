@@ -23,7 +23,13 @@ from parklab.orientations import (
     indegree_vector,
     is_acyclic,
 )
-from parklab.errors import InconsistentIndegrees, NotInA, NotMaximal, TooLarge
+from parklab.errors import (
+    InconsistentIndegrees,
+    LengthMismatch,
+    NotInA,
+    NotMaximal,
+    TooLarge,
+)
 from conftest import DIAMOND_MPF, random_connected_graph_capped
 
 
@@ -139,6 +145,15 @@ class TestBijection:
         cyclic = Orientation(g, (1, 0, 2))
         with pytest.raises(NotInA):
             orientation_to_mpf(cyclic)
+
+    @pytest.mark.parametrize(
+        "heads, message",
+        [((1, 2), "one head per edge"), ((1, 2, 0), "head 0 not an endpoint")],
+    )
+    def test_heads_must_fit_the_edges(self, heads, message):
+        g = build_graph(2, [(0, 1, 1), (0, 2, 1), (1, 2, 1)])
+        with pytest.raises(LengthMismatch, match=message):
+            Orientation(g, heads)
 
     def test_round_trip_identity(self):
         rng = random.Random(43)

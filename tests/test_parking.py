@@ -102,6 +102,10 @@ class TestGraphMembership:
         with pytest.raises(LengthMismatch):
             is_g_pf(diamond, (0, 0))
 
+    def test_negative_entry_never_parks(self, diamond):
+        assert not is_g_pf(diamond, (0, -1, 0))
+        assert not is_g_pf_by_subsets(diamond, (0, -1, 0))
+
     def test_burning_agrees_with_subset_scan(self):
         rng = random.Random(17)
         for _ in range(60):
@@ -177,6 +181,11 @@ class TestEnumerate:
     def test_tree_single_maximal(self):
         g = build_graph(3, [(0, 1, 2), (1, 2, 3), (1, 3, 4)])
         assert enumerate_mpf(g) == [(1, 2, 3)]
+
+    def test_long_path_walks_without_recursion(self):
+        # deeper than the interpreter's recursion limit
+        g = build_graph(1200, [(v - 1, v, 1) for v in range(1, 1201)])
+        assert enumerate_mpf(g) == [(0,) * 1200]
 
     def test_triangle_maximals(self):
         g = build_graph(2, [(0, 1, 1), (0, 2, 1), (1, 2, 1)])

@@ -198,7 +198,7 @@ def graph_from_affine_u(
         raise InvalidParameters("band weights must be non-negative")
     if c != cprime:
         raise InvalidParameters(
-            "asymmetric cross coefficients admit no single graph"
+            f"only equal cross coefficients are built, got c={c}, cprime={cprime}"
         )
     if c == 0:
         if a < 1 or e < 1:

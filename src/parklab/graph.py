@@ -12,19 +12,23 @@ queries the classification needs: weighted out-degrees into a subset, cut
 vertices, induced subgraphs, quotients by vertex partitions, and
 recognizers for the named families (uniform trees, cycles, banded complete
 graphs, two-weight trees, and each case of the invariance classification).
-Each structure (tree, forest, cycle, rooted complete graph) has exactly
-one recognizer, which looks at part of the graph; whole-graph checks pass
-every vertex. The five bands of a complete band graph (root to A, inside A,
-A to B, inside B, root to B) are laid out once, in _band_layout, and _band
-is the one band reader, for case iii and for rooted complete sides alike;
-classify.graph_from_affine_u builds its edges from the same layout.
-Connectivity has one routine too: a reachability search restricted to a
-vertex subset. It is the one search over built graphs: it
-decides is_connected (which build_graph calls), cut_vertices,
-vertex_on_cycle and the tree, cycle and forest recognizers, and gives
-two-weight trees their parent edges. The block-graph generator in classify
-decides connectivity on its own slot bitmasks before it builds a graph;
-is_connected is that generator's test oracle.
+Each structure has exactly one recognizer: a cycle or a rooted complete
+graph is read off an induced subgraph (whole-graph checks pass every
+vertex), and a tree or forest hanging off a vertex set is recognized by
+counting, in _hanging_tree: merging the set into one vertex keeps a
+connected graph connected, so the edges left form a tree exactly when
+there is one per vertex outside the set. The five bands of a complete band
+graph (root to A, inside A, A to B, inside B, root to B) are laid out once,
+in _band_layout, and _band is the one band reader, for case iii and for
+rooted complete sides alike; classify.graph_from_affine_u builds its edges
+from the same layout. Connectivity has one routine too: a reachability
+search restricted to a vertex subset. It is the one search over built
+graphs: it decides is_connected (which build_graph, is_tree and the case
+matcher call), cut_vertices and the cycle recognizer, finds the root's
+part of the first side for case v, and gives two-weight trees their parent
+edges. The block-graph generator in classify decides connectivity on its
+own slot bitmasks before it builds a graph; is_connected is that
+generator's test oracle.
 """
 
 from __future__ import annotations
@@ -240,16 +244,6 @@ def cut_vertices(g: RootedWeightedGraph) -> frozenset[int]:
     return frozenset(cuts)
 
 
-def vertex_on_cycle(g: RootedWeightedGraph, v: int) -> bool:
-    """Whether some cycle of the graph passes through v."""
-    nbrs = [u for u, _ in g.neighbors(v)]
-    rest = frozenset(g.vertices) - {v}
-    # a and b connected while avoiding v closes a cycle through v
-    return any(
-        b in _reach(g, a, rest) for a, b in itertools.combinations(nbrs, 2)
-    )
-
-
 def induced_subgraph(
     g: RootedWeightedGraph, S: Iterable[int]
 ) -> tuple[RootedWeightedGraph, dict[int, int]]:
@@ -408,7 +402,7 @@ def uniform_weight(weights: Iterable[int]) -> int | None:
 
 
 def is_tree(g: RootedWeightedGraph) -> bool:
-    return _is_tree_on(g, frozenset(g.vertices))
+    return len(g.edges) == g.n and is_connected(g)
 
 
 def is_cycle_graph(g: RootedWeightedGraph) -> bool:
@@ -453,22 +447,17 @@ def _induced_edges(g: RootedWeightedGraph, verts: frozenset[int]):
     return [(i, j, w) for i, j, w in g.edges if i in verts and j in verts]
 
 
-def _is_tree_on(g: RootedWeightedGraph, verts: frozenset[int]) -> bool:
-    """Whether the subgraph induced on verts is a tree."""
-    edges = _induced_edges(g, verts)
-    return len(edges) == len(verts) - 1 and _connected_within(g, verts)
+def _hanging_tree(g: RootedWeightedGraph, core: frozenset[int]) -> int | None:
+    """Uniform weight of the edges not inside core, when they hang a tree off it.
 
-
-def _forest_components(
-    g: RootedWeightedGraph, members: frozenset[int], edges: Sequence[Edge]
-) -> list[frozenset[int]] | None:
-    """Components of the forest edges form on members, or None on a cycle."""
-    forest = RootedWeightedGraph(g.n, tuple(edges))
-    comps: list[frozenset[int]] = []
-    for v in sorted(members):
-        if not any(v in comp for comp in comps):
-            comps.append(frozenset(_reach(forest, v, members)))
-    return comps if len(edges) == len(members) - len(comps) else None
+    Merging core into one vertex keeps a connected graph connected, so those
+    edges form a tree exactly when there are g.n + 1 - len(core) of them.
+    Returns None when they do not, or when their weights differ.
+    """
+    hanging = [w for i, j, w in g.edges if i not in core or j not in core]
+    if len(hanging) != g.n + 1 - len(core):
+        return None
+    return uniform_weight(hanging)
 
 
 def _is_cycle_on(g: RootedWeightedGraph, verts: frozenset[int]) -> bool:
@@ -529,20 +518,19 @@ def _rooted_complete_on(
 
 
 def _side_family(
-    g: RootedWeightedGraph, root: int, others: frozenset[int], allow_tree: bool
+    g: RootedWeightedGraph, root: int, others: frozenset[int]
 ) -> tuple[str, int, int] | None:
     """Family of the induced subgraph on {root} | others.
 
-    Returns (shape, first_band, second_band) where shape is "tree", "cycle",
-    or "complete"; trees and cycles report their uniform weight as first_band
-    and 0 as second_band.
+    Returns (shape, first_band, second_band) where shape is "cycle" or
+    "complete"; a cycle reports its uniform weight as first_band and 0 as
+    second_band.
     """
     verts = others | {root}
-    tree = allow_tree and _is_tree_on(g, verts)
-    if tree or _is_cycle_on(g, verts):
+    if _is_cycle_on(g, verts):
         weight = uniform_weight(w for _, _, w in _induced_edges(g, verts))
         if weight is not None:
-            return ("tree" if tree else "cycle"), weight, 0
+            return "cycle", weight, 0
     bands = _rooted_complete_on(g, root, others)
     if bands is not None:
         return "complete", bands[0], bands[1]
@@ -552,14 +540,15 @@ def _side_family(
 def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
     """All cases of the invariance classification matching the graph as labeled.
 
-    The graph must carry a bipartition with both blocks non-empty. Matching is
-    purely structural; the caller is responsible for block swapping when the
-    root touches only the second block. The cases are tried in CASE_ORDER, so
-    the results come ordered by case.
+    The graph must carry a bipartition; an empty block or a disconnected
+    graph matches no case. Matching is purely structural; the caller is
+    responsible for block swapping when the root touches only the second
+    block. The cases are tried in CASE_ORDER, so the results come ordered by
+    case.
     """
     g.require_bipartition()
     tags: list[FamilyTag] = []
-    if g.p == 0 or g.q == 0:
+    if g.p == 0 or g.q == 0 or not is_connected(g):
         return tags
     A, B = g.block_a, g.block_b
 
@@ -572,9 +561,8 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
     # the root's A-edges, and the edges meeting B (i < j, so j in B); with
     # p <= 2 the two lists hold every edge but the chord {1, 2}
     root_a = [w for i, j, w in g.edges if i == ROOT and j in A]
-    cross = [(i, j, w) for i, j, w in g.edges if j in B]
     a = uniform_weight(root_a)
-    rest = uniform_weight(w for _, _, w in cross)
+    rest = uniform_weight(w for _, j, w in g.edges if j in B)
 
     # cases i.a / i.b / i.c: the whole graph is one cycle; in i.b (p = 1) and
     # i.c (p = 2) the root joins all of A with one weight, the rest another
@@ -586,8 +574,9 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
         if g.p <= 2 and len(root_a) == g.p and one_each:
             add("i.b" if g.p == 1 else "i.c", {"a": a, "b": rest})
 
-    # case ii: two first-block vertices, a full cycle plus the chord {1, 2}
-    if g.p == 2 and g.weight(1, 2) and None not in (a, rest):
+    # case ii: two first-block vertices, both joined to the root, and a full
+    # cycle plus the chord {1, 2}
+    if g.p == 2 and len(root_a) == 2 and g.weight(1, 2) and None not in (a, rest):
         chordless = tuple(e for e in g.edges if e[:2] != (1, 2))
         if is_cycle_graph(RootedWeightedGraph(g.n, chordless)):
             add("ii", {"a": a, "b": g.weight(1, 2), "c": rest})
@@ -599,47 +588,36 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
         add("iii", bands)
 
     # cases iv.a / iv.b: first side is a cycle or complete, second side hangs
-    # off a limited attachment set
-    ga = _side_family(g, ROOT, A, allow_tree=False)
+    # off a limited attachment set: one vertex carrying a tree, cycle or
+    # complete side (iv.a), or several carrying a uniform forest (iv.b)
+    ga = _side_family(g, ROOT, A)
     if ga is not None:
         side_a = dict(zip(("a_shape", "a", "b"), ga))
         attach = [
             v for v in range(g.p + 1) if any(u in B for u, _ in g.neighbors(v))
         ]
+        tree = _hanging_tree(g, A | {ROOT})
         if len(attach) == 1:
-            side = _side_family(g, attach[0], B, allow_tree=True)
+            side = ("tree", tree, 0) if tree else _side_family(g, attach[0], B)
             if side is not None:
                 side_b = dict(zip(("b_shape", "c", "d"), side))
                 add("iv.a", side_a, {"attachment": attach[0], **side_b})
-        elif len(attach) > 1 and rest is not None:
-            comps = _forest_components(g, B | set(attach), cross)
-            # forest of trees hanging each from a single attachment vertex:
-            # a second attachment in one component would put a second-block
-            # vertex on a cycle of the whole graph
-            if comps is not None and all(
-                len(comp.intersection(attach)) == 1 for comp in comps
-            ):
-                joined = ",".join(map(str, attach))
-                side_b = {"attachments": joined, "b_shape": "forest", "c": rest}
-                add("iv.b", side_a, side_b)
+        elif tree:
+            joined = ",".join(map(str, attach))
+            side_b = {"attachments": joined, "b_shape": "forest", "c": tree}
+            add("iv.b", side_a, side_b)
 
-    # case v: first side a uniform forest, one vertex of the root's component
-    # carrying a cycle or complete second side, no cycle elsewhere
-    ga_verts = A | {ROOT}
-    forest_edges = _induced_edges(g, ga_verts)
-    comps = _forest_components(g, ga_verts, forest_edges)
-    a_weight = uniform_weight(w for _, _, w in forest_edges)
-    if comps is not None and a_weight is not None:
-        zero_comp = next(c for c in comps if ROOT in c)
-        for i in sorted(zero_comp):
-            side = _side_family(g, i, B, allow_tree=False)
-            if side is None:
-                continue
-            if any(vertex_on_cycle(g, v) for v in sorted(ga_verts - {i})):
-                continue
-            side_b = dict(zip(("b_shape", "c", "d"), side))
-            add("v", {"a_shape": "forest", "a": a_weight, "attachment": i, **side_b})
-            break
+    # case v: a cycle or complete second side on one vertex i that the root
+    # reaches inside {0} | A; every other edge, at least one of them inside
+    # {0} | A, hangs a uniform tree off {i} | B
+    if any(j in A for _, j, _ in g.edges):
+        for i in sorted(_reach(g, ROOT, A | {ROOT})):
+            side = _side_family(g, i, B)
+            a_weight = _hanging_tree(g, B | {i})
+            if side is not None and a_weight is not None:
+                side_a = {"a_shape": "forest", "a": a_weight, "attachment": i}
+                add("v", {**side_a, **dict(zip(("b_shape", "c", "d"), side))})
+                break
 
     # case vi: a tree entering the first block with one weight, the second
     # block with another

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import orientations as _ori
 from .errors import (
@@ -250,18 +250,26 @@ def paths(p: int, q: int) -> list[str]:
     """
     if p < 0 or q < 0:
         raise ShapeMismatch("grid dimensions must be non-negative")
-    out: list[str] = []
+    return list(_words(p, q))
+
+
+def _words(p: int, q: int) -> Iterator[str]:
+    """The words of paths(p, q), one at a time."""
     for east in itertools.combinations(range(p + q), p):
         word = ["N"] * (p + q)
         for k in east:
             word[k] = "E"
-        out.append("".join(word))
-    return out
+        yield "".join(word)
 
 
 def step_weights(grid: WeightGrid, path: str) -> tuple[list[int], list[int]]:
     """East and north step weights along a path, in step order."""
     validate_path(path, grid.p, grid.q)
+    return _step_weights(grid, path)
+
+
+def _step_weights(grid: WeightGrid, path: str) -> tuple[list[int], list[int]]:
+    """step_weights on a path already validated."""
     east: list[int] = []
     north: list[int] = []
     x = y = 0
@@ -291,21 +299,28 @@ def block_sorted(pair: Pair) -> Pair:
 def is_bounded_by(pair: Pair, path: str, grid: WeightGrid) -> bool:
     """Whether the path prices every order statistic of the pair above it."""
     _validate_pair(pair, grid.p, grid.q)
-    east, north = step_weights(grid, path)
-    a_sorted, b_sorted = block_sorted(pair)
-    if any(x < 0 for x in a_sorted) or any(x < 0 for x in b_sorted):
-        return False
-    return all(x < w for x, w in zip(a_sorted, east)) and all(
-        x < w for x, w in zip(b_sorted, north)
+    return _bounds(block_sorted(pair), step_weights(grid, path))
+
+
+def _bounds(ranked: Pair, weights: tuple[list[int], list[int]]) -> bool:
+    """Whether step weights (east, north) price a block-sorted pair above it."""
+    entries = ranked[0] + ranked[1]
+    steps = weights[0] + weights[1]
+    return min(entries, default=0) >= 0 and all(
+        x < w for x, w in zip(entries, steps)
     )
 
 
 def witness_path(pair: Pair, grid: WeightGrid) -> str | None:
-    """First bounding path in lexicographic order, or None."""
+    """First bounding path in lexicographic order, or None.
+
+    The words are walked lazily, so the search stops at the first bound.
+    """
     _validate_pair(pair, grid.p, grid.q)
-    for path in paths(grid.p, grid.q):
-        if is_bounded_by(pair, path, grid):
-            return path
+    ranked = block_sorted(pair)
+    for word in _words(grid.p, grid.q):
+        if _bounds(ranked, _step_weights(grid, word)):
+            return word
     return None
 
 

@@ -146,6 +146,51 @@ class TestCaseMatching:
         with pytest.raises(BipartitionMissing):
             match_theorem61(lopsided)
 
+    @pytest.mark.parametrize(
+        "edges, p, q, cases",
+        [
+            # case v needs the A-B edge away from the carrying vertex 2 to
+            # weigh the forest weight
+            (((0, 2, 1), (1, 3, 2), (2, 3, 1)), 2, 1, []),
+            (((0, 2, 1), (1, 3, 1), (2, 3, 1)), 2, 1, [("v", False), ("vi", False)]),
+            # case ii needs the root on both chord endpoints; here it meets 2
+            (
+                ((0, 2, 1), (0, 4, 1), (1, 2, 1), (1, 3, 1), (1, 4, 1), (2, 3, 1)),
+                2,
+                2,
+                [],
+            ),
+        ],
+    )
+    def test_matched_exactly_when_invariant(self, edges, p, q, cases) -> None:
+        g = build_graph(p + q, edges, p=p, q=q)
+        assert case_list(g) == cases
+        assert is_invariant(g).invariant == bool(cases)
+
+    def test_disconnected_graph_matches_nothing(self) -> None:
+        # vertex 4 is isolated; the rest would read as iv.b by edge counts
+        g = build_graph(
+            4,
+            ((0, 1, 1), (0, 2, 1), (1, 2, 1), (1, 3, 1), (2, 3, 1)),
+            p=2,
+            q=2,
+            require_connected=False,
+        )
+        assert matching_invariant_cases(g) == []
+        assert match_theorem61(g) == []
+
+    def test_small_graphs_match_exactly_when_invariant(self) -> None:
+        # every block graph with n <= 3 and w <= 2, and with n = 4 and w = 1
+        budgets = [(2, 2), (3, 2), (4, 1)]
+        tested = 0
+        for n, max_w in budgets:
+            for p in range(1, n):
+                for g in connected_block_graphs(p, n - p, max_w):
+                    tested += 1
+                    closed = classify._orbit_closed(set(enumerate_mpf(g)), p)
+                    assert bool(match_theorem61(g)) == (closed is None), g
+        assert tested == 704 + 554
+
 
 class TestWedge:
     def test_two_edges_make_a_star(self) -> None:
@@ -208,7 +253,7 @@ class TestGraphFromAffine:
 
     # sha256 over every block size 0..3 and band weight -1..2: the graph's
     # JSON, family and case list, or the error type and message
-    BAND_DIGEST = "fb458d2c8b200397221fea69f04cb0580a040486008716eda8211efe4085339c"
+    BAND_DIGEST = "95ee3d8b988883e25bcaa980a46092229c94b032a0178211eb7dcd2304dc2492"
 
     def test_band_graphs_are_pinned(self) -> None:
         digest = hashlib.sha256()
@@ -583,16 +628,16 @@ class TestRecognizerCounts:
 
     WITH_BLOCKS = {
         "banded_complete": 10, "i.b": 4, "i.c": 2, "ii": 8, "iii": 50,
-        "iv.a": 24, "two_weight_tree": 42, "unclassified": 500,
+        "iv.a": 24, "two_weight_tree": 42, "unclassified": 512,
         "uniform_cycle": 10, "uniform_path": 28, "uniform_star": 6,
-        "uniform_tree": 8, "v": 12,
+        "uniform_tree": 8,
     }
     WITHOUT_BLOCKS = {
         "banded_complete": 10, "unclassified": 642, "uniform_cycle": 10,
         "uniform_path": 28, "uniform_star": 6, "uniform_tree": 8,
     }
     # sha256 of repr() of every graph's [(case, swapped), ...] match list
-    MATCH_DIGEST = "56ccf1decef21fd91b91530c222a68d8089e38b6e12105f178bec22e9a4bc6a1"
+    MATCH_DIGEST = "f6cf70b47cf32b8b8351bf45d32c6c27e72bccc216c86710e7776da48f9fde2f"
 
     def test_counts_and_case_lists_are_pinned(self) -> None:
         graphs = [
@@ -615,7 +660,7 @@ class TestRecognizerCounts:
 
     # sha256 of repr() of every graph's full case tags, matches and grid (or
     # the error type and message), empty blocks included
-    TAG_DIGEST = "9973700842c33ce226dd7a73858ffb6345f67ea6265711cd8bdae8856a2331ce"
+    TAG_DIGEST = "534ecaf6525b98f2541c7b09c7fcfbb6897a8285db02b093227c429c3ceec571"
 
     def test_full_tags_and_grids_are_pinned(self) -> None:
         def outcome(f, g):

@@ -391,6 +391,19 @@ class TestMalformedInput:
             "message": "construct-graph needs p, q, and an affine block",
         }
 
+    def test_construct_graph_names_unequal_cross_coefficients(
+        self, runner, tmp_path
+    ) -> None:
+        # the graph (0,2,2), (1,2,1) has this grid's parking set; the builder
+        # covers equal cross coefficients only
+        affine = '{"a":1,"b":0,"c":0,"cprime":1,"d":0,"e":1}'
+        text = '{"p":1,"q":1,"affine":' + affine + "}"
+        error = self.error_of(runner, tmp_path, "construct-graph", "--grid", text)
+        assert error == {
+            "type": "invalid-parameters",
+            "message": "only equal cross coefficients are built, got c=0, cprime=1",
+        }
+
 
 class TestLongInputs:
     """Inputs deeper than the interpreter's recursion limit."""

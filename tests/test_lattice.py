@@ -244,6 +244,28 @@ class TestWitness:
             word = witness_path(pair, ladder_grid)
             assert word is not None and is_bounded_by(pair, word, ladder_grid)
 
+    def test_witness_is_the_first_bounding_word(self, ladder_grid) -> None:
+        def bounds(pair, word) -> bool:
+            east, north = step_weights(ladder_grid, word)
+            a, b = sorted(pair[0]), sorted(pair[1])
+            return min(a + b) >= 0 and all(
+                x < w for x, w in zip(a + b, east + north)
+            )
+
+        rng = random.Random(12)
+        pairs = [
+            tuple(tuple(rng.randrange(-1, 6) for _ in range(3)) for _ in "AB")
+            for _ in range(300)
+        ]
+        pairs += enumerate_mupf(ladder_grid)
+        words = paths(3, 3)
+        members = 0
+        for pair in pairs:
+            first = next((w for w in words if bounds(pair, w)), None)
+            members += first is not None
+            assert witness_path(pair, ladder_grid) == first
+        assert 0 < members < len(pairs)
+
 
 class TestEnumerate:
     def test_unit_grid_is_a_product(self) -> None:

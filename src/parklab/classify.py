@@ -2,9 +2,10 @@
 
 A bipartitioned graph is invariant when permuting entries within each block
 maps parking functions to parking functions. Invariance of the full parking
-set is equivalent to invariance of its maximal elements, so the test here
+set is equivalent to invariance of its maximal elements. is_invariant
 closes the maximal set under block permutations and reports the first hole
-as a witness.
+as a witness; the sweep instead burns the adjacent swaps inside each block
+as the walk emits the maximal vectors, and stops at the first that stalls.
 
 Invariant graphs are matched against the structural case list (cycles with
 up to two marked vertices, a cycle with a chord, banded complete graphs,
@@ -46,8 +47,15 @@ from .lattice import (
     grid_from_affine,
     grid_from_vectors,
     grid_transpose,
+    increasing_maximal_pairs,
 )
-from .parking import enumerate_mpf, enumerate_pf
+from .parking import (
+    _burn_order,
+    _mpf_walk,
+    enumerate_mpf,
+    enumerate_pf,
+    order_statistics,
+)
 
 Vector = tuple[int, ...]
 
@@ -98,6 +106,30 @@ def _orbit_closed(vectors: set[Vector], p: int) -> tuple[Vector, Vector] | None:
     return None
 
 
+def _closed_maximal_set(g: RootedWeightedGraph) -> set[Vector] | None:
+    """The maximal set when block permutations preserve it, else None.
+
+    The adjacent swaps inside a block generate the block permutations, and
+    every maximal vector sums to W - n, so a swapped maximal vector is
+    maximal exactly when it parks. Each vector the walk emits has its moving
+    swaps looked up among the vectors known to be maximal, and burned only
+    when absent; the walk stops at the first swap that does not burn.
+    """
+    p = g.p
+    swaps = [i for i in range(g.n - 1) if i != p - 1]
+    known: set[Vector] = set()
+    for vec in _mpf_walk(g):
+        known.add(vec)
+        for i in swaps:
+            if vec[i] != vec[i + 1]:
+                swapped = vec[:i] + (vec[i + 1], vec[i]) + vec[i + 2 :]
+                if swapped not in known:
+                    if _burn_order(g, swapped) is None:
+                        return None
+                    known.add(swapped)
+    return known
+
+
 def is_invariant(g: RootedWeightedGraph) -> InvarianceReport:
     """Test block-permutation invariance on the maximal parking set.
 
@@ -117,12 +149,14 @@ def check_lemma61(
 ) -> bool:
     """Compare invariance of the full parking set against the maximal set.
 
-    Returns True when the two verdicts agree (they must, for every graph).
+    The full set is closed under block permutations orbit by orbit; the
+    maximal set's verdict is the sweep's adjacent-swap check. Returns True
+    when the two verdicts agree (they must, for every graph).
     """
     g.require_bipartition()
     full = set(map(tuple, enumerate_pf(g, max_set=max_set)))
     full_verdict = _orbit_closed(full, g.p) is None
-    return full_verdict == is_invariant(g).invariant
+    return full_verdict == (_closed_maximal_set(g) is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +351,18 @@ def _grid_maximal_set(grid: WeightGrid) -> set[Vector]:
     return {a + b for a, b in enumerate_mupf(grid)}
 
 
+def _closed_set_matches_grid(
+    maximal: set[Vector], p: int, grid: WeightGrid
+) -> bool:
+    """Whether a block-permutation-closed maximal set equals the grid's.
+
+    Both sets are unions of block orbits, so they are equal exactly when
+    their block-sorted members are; the grid's are its increasing pairs.
+    """
+    ranked = {order_statistics(v[:p]) + order_statistics(v[p:]) for v in maximal}
+    return ranked == {a + b for a, b in increasing_maximal_pairs(grid)}
+
+
 def verify_equality(g: RootedWeightedGraph, grid: WeightGrid) -> bool:
     """Whether the graph's maximal parking set equals the grid's.
 
@@ -481,8 +527,8 @@ def _sweep_block(args: tuple[int, int, int, int, int]) -> dict:
         if idx % shards != shard:
             continue
         tested += 1
-        maximal = set(enumerate_mpf(g))
-        if _orbit_closed(maximal, p) is not None:
+        maximal = _closed_maximal_set(g)
+        if maximal is None:
             continue
         invariant += 1
         tags = match_theorem61(g)
@@ -493,7 +539,7 @@ def _sweep_block(args: tuple[int, int, int, int, int]) -> dict:
             continue
         case = tags[0].case
         counts[case] = counts.get(case, 0) + 1
-        if maximal != _grid_maximal_set(_grid_for_tag(g, tags[0])):
+        if not _closed_set_matches_grid(maximal, p, _grid_for_tag(g, tags[0])):
             bad.append(
                 {
                     "graph": g.to_json(),
@@ -515,12 +561,13 @@ def sweep_classification(
     """Check the classification on every graph within the budget.
 
     Every connected bipartitioned graph with both blocks non-empty, at most
-    max_n non-root vertices, and weights up to max_w has its maximal parking
-    set enumerated once and tested for closure under block permutations.
-    Only invariant graphs are matched against the case list; each must match
-    a case whose grid has that same maximal set. Failures are reported as
-    counterexamples. jobs shards the work, run on at most os.cpu_count()
-    processes.
+    max_n non-root vertices, and weights up to max_w is tested for closure
+    under block permutations while its maximal parking set is walked; the
+    walk stops at the first adjacent in-block swap that does not park. Only
+    invariant graphs are matched against the case list; each must match a
+    case whose grid has the same block-sorted maximal vectors. Failures are
+    reported as counterexamples. jobs shards the work, run on at most
+    os.cpu_count() processes.
     """
     for name, value, least in (
         ("max_n", max_n, 0),

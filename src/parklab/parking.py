@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import os
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     InvalidParameters,
@@ -155,7 +155,12 @@ def is_g_pf_by_subsets(g: RootedWeightedGraph, b: Sequence[int]) -> bool:
 
 
 def enumerate_mpf(g: RootedWeightedGraph) -> list[Vector]:
-    """All maximal parking functions, one per orientation, in sorted order.
+    """All maximal parking functions, one per orientation, in sorted order."""
+    return sorted(_mpf_walk(g))
+
+
+def _mpf_walk(g: RootedWeightedGraph) -> Iterator[Vector]:
+    """The maximal parking functions, one per orientation, in walk order.
 
     Grows only burning orders from the root. A vertex may come next if it
     has a placed neighbour and is not owed. Placing v makes every unplaced
@@ -169,14 +174,14 @@ def enumerate_mpf(g: RootedWeightedGraph) -> list[Vector]:
     """
     n = g.n
     if n == 0:
-        return [()]
+        yield ()
+        return
     edges = g.edges
     nbr = [0] * (n + 1)
     for i, j, _ in edges:
         nbr[i] |= 1 << j
         nbr[j] |= 1 << i
     pos = [0] * (n + 1)
-    found: list[Vector] = []
     # frames (depth, placed, owed, reached, candidates): reached holds every
     # neighbour of a placed vertex; the candidates left at this depth are
     # tried lowest first
@@ -193,7 +198,7 @@ def enumerate_mpf(g: RootedWeightedGraph) -> list[Vector]:
             acc = [-1] * (n + 1)
             for i, j, w in edges:
                 acc[j if pos[i] < pos[j] else i] += w
-            found.append(tuple(acc[1:]))
+            yield tuple(acc[1:])
             continue
         owed = (owed | (bit - 1) & ~placed) & ~nbr[v]
         placed |= bit
@@ -201,7 +206,6 @@ def enumerate_mpf(g: RootedWeightedGraph) -> list[Vector]:
         cand = reached & ~(placed | owed)
         if cand:
             stack.append((depth + 1, placed, owed, reached, cand))
-    return sorted(found)
 
 
 def _down_set(maximal: Iterable[Vector], limit: int) -> list[Vector]:

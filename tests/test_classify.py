@@ -50,6 +50,13 @@ def case_list(g) -> list[tuple[str, bool]]:
     return [(t.case, t.swapped) for t in match_theorem61(g)]
 
 
+def small_block_graphs():
+    """Every block graph with n <= 3 and w <= 2, and with n = 4 and w = 1."""
+    for n, max_w in [(2, 2), (3, 2), (4, 1)]:
+        for p in range(1, n):
+            yield from connected_block_graphs(p, n - p, max_w)
+
+
 class TestIsInvariant:
     def test_diamond_with_twin_blocks(self, diamond_split) -> None:
         report = is_invariant(diamond_split)
@@ -180,16 +187,52 @@ class TestCaseMatching:
         assert match_theorem61(g) == []
 
     def test_small_graphs_match_exactly_when_invariant(self) -> None:
-        # every block graph with n <= 3 and w <= 2, and with n = 4 and w = 1
-        budgets = [(2, 2), (3, 2), (4, 1)]
         tested = 0
-        for n, max_w in budgets:
-            for p in range(1, n):
-                for g in connected_block_graphs(p, n - p, max_w):
-                    tested += 1
-                    closed = classify._orbit_closed(set(enumerate_mpf(g)), p)
-                    assert bool(match_theorem61(g)) == (closed is None), g
+        for g in small_block_graphs():
+            tested += 1
+            closed = classify._orbit_closed(set(enumerate_mpf(g)), g.p)
+            assert bool(match_theorem61(g)) == (closed is None), g
         assert tested == 704 + 554
+
+
+class TestLazyInvariance:
+    def test_lazy_verdict_matches_the_orbit_oracle(self) -> None:
+        # each invariant graph is also compared with the grid of the previous
+        # invariant graph of its shape, so the block-sorted comparison meets
+        # grids that differ as well
+        tested = 0
+        outcomes = Counter()
+        previous = {}
+        for g in small_block_graphs():
+            tested += 1
+            full = set(enumerate_mpf(g))
+            lazy = classify._closed_maximal_set(g)
+            closed = classify._orbit_closed(full, g.p) is None
+            assert (lazy is not None) == closed, g
+            if lazy is None:
+                continue
+            assert lazy == full, g
+            grid = classify._grid_for_tag(g, match_theorem61(g)[0])
+            for other in (grid, previous.get((g.p, g.q), grid)):
+                agrees = classify._closed_set_matches_grid(lazy, g.p, other)
+                assert agrees == (full == classify._grid_maximal_set(other)), g
+                outcomes[agrees] += 1
+            previous[g.p, g.q] = grid
+        assert tested == 704 + 554
+        assert outcomes[True] > 0 and outcomes[False] > 0
+
+    def test_swap_burn_gates_the_verdict(self, monkeypatch) -> None:
+        # a burn that accepts every swap lets every graph through; the
+        # non-invariant ones then match no case (n = 2 has no in-block swap)
+        monkeypatch.setattr(classify, "_burn_order", lambda g, b: [0])
+        report = sweep_classification(3, 2)
+        assert report.invariant_count == report.graphs_tested == 704
+        bad = report.counterexamples
+        assert [d["reason"] for d in bad] == ["no-case-matches"] * (704 - 220)
+        assert report.per_family_counts == {
+            "i.a": 10, "i.b": 8, "i.c": 4, "ii": 16, "iii": 82,
+            "iv.a": 60, "iv.b": 8, "v": 32,
+        }
 
 
 class TestWedge:

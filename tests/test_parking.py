@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parklab import (
+    RootedWeightedGraph,
     build_graph,
     enumerate_mpf,
     enumerate_pf,
@@ -190,6 +191,14 @@ class TestEnumerate:
     def test_triangle_maximals(self):
         g = build_graph(2, [(0, 1, 1), (0, 2, 1), (1, 2, 1)])
         assert set(enumerate_mpf(g)) == {(0, 1), (1, 0)}
+
+    def test_root_alone_has_the_empty_vector(self):
+        assert enumerate_mpf(RootedWeightedGraph(0, (), 0, 0)) == [()]
+
+    def test_root_without_edges_has_no_maximal_vector(self):
+        g = build_graph(2, [(1, 2, 1)], require_connected=False)
+        assert enumerate_mpf(g) == []
+        assert enumerate_pf(g) == []
 
     def test_guard_respected(self, diamond):
         with pytest.raises(TooLarge):

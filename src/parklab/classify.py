@@ -40,10 +40,11 @@ from .graph import (
     swap_blocks,
 )
 from .lattice import (
+    Pair,
     WeightGrid,
     _block_orbit,
     _node_grid,
-    enumerate_mupf,
+    _orbit_size,
     grid_from_affine,
     grid_from_vectors,
     grid_transpose,
@@ -346,21 +347,17 @@ def _grid_for_tag(g: RootedWeightedGraph, tag: FamilyTag) -> WeightGrid:
     return grid_transpose(_grid_for_case(g.q, g.p, tag))
 
 
-def _grid_maximal_set(grid: WeightGrid) -> set[Vector]:
-    """Maximal parking pairs of the grid, each joined into one vector."""
-    return {a + b for a, b in enumerate_mupf(grid)}
+def _matches_grid(maximal: set[Vector], p: int, increasing: list[Pair]) -> bool:
+    """Whether a graph's maximal set equals the grid with these increasing pairs.
 
-
-def _closed_set_matches_grid(
-    maximal: set[Vector], p: int, grid: WeightGrid
-) -> bool:
-    """Whether a block-permutation-closed maximal set equals the grid's.
-
-    Both sets are unions of block orbits, so they are equal exactly when
-    their block-sorted members are; the grid's are its increasing pairs.
+    The grid's maximal set is the disjoint union of the block orbits of its
+    increasing pairs. Block-sorted members that are exactly those pairs put
+    the graph's set inside the grid's, and equal sizes make the sets equal.
     """
+    if len(maximal) != sum(map(_orbit_size, increasing)):
+        return False
     ranked = {order_statistics(v[:p]) + order_statistics(v[p:]) for v in maximal}
-    return ranked == {a + b for a, b in increasing_maximal_pairs(grid)}
+    return ranked == {a + b for a, b in increasing}
 
 
 def verify_equality(g: RootedWeightedGraph, grid: WeightGrid) -> bool:
@@ -374,7 +371,7 @@ def verify_equality(g: RootedWeightedGraph, grid: WeightGrid) -> bool:
         raise ShapeMismatch(
             f"graph blocks ({g.p}, {g.q}) against grid ({grid.p}, {grid.q})"
         )
-    return set(enumerate_mpf(g)) == _grid_maximal_set(grid)
+    return _matches_grid(set(enumerate_mpf(g)), g.p, increasing_maximal_pairs(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -516,16 +513,14 @@ class SweepReport:
         }
 
 
-def _sweep_block(args: tuple[int, int, int, int, int]) -> dict:
-    """Worker for one shard of one block split; returns a partial report."""
-    p, q, max_w, shard, shards = args
+def _sweep_block(args: tuple[int, int, int]) -> dict:
+    """Worker for one block split: tests every graph of the split once."""
+    p, q, max_w = args
     tested = 0
     invariant = 0
     counts: dict[str, int] = {}
     bad: list[dict] = []
-    for idx, g in enumerate(connected_block_graphs(p, q, max_w)):
-        if idx % shards != shard:
-            continue
+    for g in connected_block_graphs(p, q, max_w):
         tested += 1
         maximal = _closed_maximal_set(g)
         if maximal is None:
@@ -539,7 +534,8 @@ def _sweep_block(args: tuple[int, int, int, int, int]) -> dict:
             continue
         case = tags[0].case
         counts[case] = counts.get(case, 0) + 1
-        if not _closed_set_matches_grid(maximal, p, _grid_for_tag(g, tags[0])):
+        grid = _grid_for_tag(g, tags[0])
+        if not _matches_grid(maximal, p, increasing_maximal_pairs(grid)):
             bad.append(
                 {
                     "graph": g.to_json(),
@@ -565,9 +561,11 @@ def sweep_classification(
     under block permutations while its maximal parking set is walked; the
     walk stops at the first adjacent in-block swap that does not park. Only
     invariant graphs are matched against the case list; each must match a
-    case whose grid has the same block-sorted maximal vectors. Failures are
-    reported as counterexamples. jobs shards the work, run on at most
-    os.cpu_count() processes.
+    case whose grid has the same maximal set. Failures are reported as
+    counterexamples. Each block split (p, q) is one task whose graphs are
+    generated once; jobs worker processes, at most os.cpu_count(), take the
+    tasks in turn. The max_n - 1 splits of the largest n hold most graphs,
+    so more workers than that gain nothing.
     """
     for name, value, least in (
         ("max_n", max_n, 0),
@@ -576,12 +574,7 @@ def sweep_classification(
     ):
         if value < least:
             raise InvalidParameters(f"{name} must be >= {least}, got {value}")
-    tasks = []
-    shards = jobs
-    for n in range(2, max_n + 1):
-        for p in range(1, n):
-            for shard in range(shards):
-                tasks.append((p, n - p, max_w, shard, shards))
+    tasks = [(p, n - p, max_w) for n in range(2, max_n + 1) for p in range(1, n)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -612,14 +605,14 @@ def search_graph_matching_grid(
     one value can never agree; survivors get the full comparison. Returns
     the first match (None if none) and the number of graphs scanned.
     """
-    target = _grid_maximal_set(grid)
-    target_sums = {sum(vec) for vec in target}
+    increasing = increasing_maximal_pairs(grid)
+    sums = {sum(a + b) for a, b in increasing}
     n = grid.p + grid.q
     tested = 0
     for g in connected_block_graphs(grid.p, grid.q, max_w):
         tested += 1
-        if len(target_sums) != 1 or g.total_weight - n not in target_sums:
+        if len(sums) != 1 or g.total_weight - n not in sums:
             continue
-        if set(enumerate_mpf(g)) == target:
+        if _matches_grid(set(enumerate_mpf(g)), grid.p, increasing):
             return g, tested
     return None, tested

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import sys
-from collections import Counter
 from pathlib import Path
 
 import click
@@ -38,6 +36,7 @@ from .graph import (
 )
 from .lattice import (
     WeightGrid,
+    _orbit_size,
     affine_coefficients,
     increasing_maximal_pairs,
     load_grid,
@@ -200,16 +199,6 @@ def upf_cmd(grid_path, pair_text):
     pair = _parse_pair(pair_text)
     path = witness_path(pair, grid)
     return {"upf": path is not None, "witness_path": path}
-
-
-def _orbit_size(pair) -> int:
-    size = 1
-    for block in pair:
-        perms = math.factorial(len(block))
-        for mult in Counter(block).values():
-            perms //= math.factorial(mult)
-        size *= perms
-    return size
 
 
 @command("grid", grid_option)

@@ -77,12 +77,14 @@ class RootedWeightedGraph:
         return {(i, j): w for i, j, w in self.edges}
 
     @cached_property
-    def adjacency(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        nbrs: dict[int, list[tuple[int, int]]] = {v: [] for v in self.vertices}
+    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        # edges are sorted with i < j, so each vertex meets its smaller
+        # neighbours in order and then its larger ones: no list needs sorting
+        nbrs: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
         for i, j, w in self.edges:
             nbrs[i].append((j, w))
             nbrs[j].append((i, w))
-        return {v: tuple(sorted(lst)) for v, lst in nbrs.items()}
+        return tuple(map(tuple, nbrs))
 
     @property
     def vertices(self) -> range:

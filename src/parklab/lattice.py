@@ -24,6 +24,8 @@ parking sets use) is the full parking set.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -368,6 +370,17 @@ def _block_orbit(vec: tuple[int, ...], p: int):
     for a in set(itertools.permutations(vec[:p])):
         for b in set(itertools.permutations(vec[p:])):
             yield a + b
+
+
+def _orbit_size(pair: Pair) -> int:
+    """Number of distinct vectors in the block orbit of a pair."""
+    size = 1
+    for block in pair:
+        perms = math.factorial(len(block))
+        for mult in Counter(block).values():
+            perms //= math.factorial(mult)
+        size *= perms
+    return size
 
 
 def enumerate_mupf(grid: WeightGrid) -> list[Pair]:

@@ -18,6 +18,7 @@ from parklab import (
     cut_vertices,
     d_U,
     enumerate_mpf,
+    enumerate_mupf,
     graph_from_affine_u,
     grid_from_affine,
     grid_from_vectors,
@@ -42,6 +43,7 @@ from parklab.errors import (
 from parklab import classify
 from parklab.classify import _cycle_case_grid
 from parklab.graph import is_connected, matching_invariant_cases
+from parklab.lattice import block_sorted, increasing_maximal_pairs
 
 FOUR_CYCLE = build_graph(3, ((0, 2, 1), (1, 2, 1), (1, 3, 1), (0, 3, 2)), p=2, q=1)
 
@@ -197,9 +199,9 @@ class TestCaseMatching:
 
 class TestLazyInvariance:
     def test_lazy_verdict_matches_the_orbit_oracle(self) -> None:
-        # each invariant graph is also compared with the grid of the previous
-        # invariant graph of its shape, so the block-sorted comparison meets
-        # grids that differ as well
+        # every graph is also compared with the case grid of the previous
+        # invariant graph of its shape, so the grid comparison meets grids
+        # that differ and maximal sets that are not closed under block swaps
         tested = 0
         outcomes = Counter()
         previous = {}
@@ -209,17 +211,29 @@ class TestLazyInvariance:
             lazy = classify._closed_maximal_set(g)
             closed = classify._orbit_closed(full, g.p) is None
             assert (lazy is not None) == closed, g
-            if lazy is None:
-                continue
-            assert lazy == full, g
-            grid = classify._grid_for_tag(g, match_theorem61(g)[0])
-            for other in (grid, previous.get((g.p, g.q), grid)):
-                agrees = classify._closed_set_matches_grid(lazy, g.p, other)
-                assert agrees == (full == classify._grid_maximal_set(other)), g
-                outcomes[agrees] += 1
-            previous[g.p, g.q] = grid
+            grids = [previous[g.p, g.q]] if (g.p, g.q) in previous else []
+            if lazy is not None:
+                assert lazy == full, g
+                grids.append(classify._grid_for_tag(g, match_theorem61(g)[0]))
+                previous[g.p, g.q] = grids[-1]
+            for grid in grids:
+                increasing = increasing_maximal_pairs(grid)
+                agrees = classify._matches_grid(full, g.p, increasing)
+                oracle = {a + b for a, b in enumerate_mupf(grid)}
+                assert agrees == (full == oracle), g
+                ranked = {block_sorted((v[: g.p], v[g.p :])) for v in full}
+                outcomes[agrees, ranked == set(increasing)] += 1
         assert tested == 704 + 554
-        assert outcomes[True] > 0 and outcomes[False] > 0
+        # the 13 (False, True) comparisons are decided by the count alone
+        assert outcomes == {(True, True): 448, (False, True): 13, (False, False): 1167}
+
+    def test_equal_block_sorted_sets_of_different_sizes_differ(self) -> None:
+        # both sets block-sort to {(0, 0, 1)}; only their sizes differ
+        g = build_graph(3, ((0, 3, 1), (1, 3, 1), (2, 3, 2)), p=1, q=2)
+        grid = grid_from_vectors((1,), (1, 2))
+        assert set(enumerate_mpf(g)) == {(0, 1, 0)}
+        assert {a + b for a, b in enumerate_mupf(grid)} == {(0, 0, 1), (0, 1, 0)}
+        assert not verify_equality(g, grid)
 
     def test_swap_burn_gates_the_verdict(self, monkeypatch) -> None:
         # a burn that accepts every swap lets every graph through; the
@@ -538,14 +552,20 @@ class TestSweep:
                 return False
 
             def map(self, fn, tasks):
+                tasks = list(tasks)
+                mapped.append(tasks)
                 return map(fn, tasks)
 
+        mapped = []
         monkeypatch.setattr(
             concurrent.futures, "ProcessPoolExecutor", InProcessPool
         )
-        report = sweep_classification(2, 1, jobs=64)
+        report = sweep_classification(3, 1, jobs=64)
         assert len(asked) == 1 and asked[0] <= (os.cpu_count() or 1)
-        assert report == sweep_classification(2, 1)
+        # one task per block split, each generated once
+        assert mapped == [[(1, 1, 1), (1, 2, 1), (2, 1, 1)]]
+        assert len(set(mapped[0])) == len(mapped[0])
+        assert report == sweep_classification(3, 1)
 
     def test_unmatched_invariant_graphs_are_reported(self, monkeypatch) -> None:
         monkeypatch.setattr(classify, "match_theorem61", lambda g: [])

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 from .errors import (
     BipartitionMissing,
@@ -42,7 +43,6 @@ from .graph import (
 from .lattice import (
     Pair,
     WeightGrid,
-    _block_orbit,
     _node_grid,
     _orbit_size,
     grid_from_affine,
@@ -91,6 +91,16 @@ class InvarianceReport:
             "family_matches": [t.to_json() for t in self.family_matches],
             "swapped": self.swapped,
         }
+
+
+def _block_orbit(vec: Vector, p: int) -> Iterator[Vector]:
+    """All distinct vectors obtained by permuting within the two blocks.
+
+    They come in set order, which fixes the hole that is_invariant reports.
+    """
+    for a in set(itertools.permutations(vec[:p])):
+        for b in set(itertools.permutations(vec[p:])):
+            yield a + b
 
 
 def _orbit_closed(vectors: set[Vector], p: int) -> tuple[Vector, Vector] | None:
@@ -155,7 +165,7 @@ def check_lemma61(
     when the two verdicts agree (they must, for every graph).
     """
     g.require_bipartition()
-    full = set(map(tuple, enumerate_pf(g, max_set=max_set)))
+    full = set(enumerate_pf(g, max_set=max_set))
     full_verdict = _orbit_closed(full, g.p) is None
     return full_verdict == (_closed_maximal_set(g) is not None)
 

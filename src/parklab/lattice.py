@@ -365,11 +365,26 @@ def increasing_maximal_pairs(grid: WeightGrid) -> list[Pair]:
     )
 
 
-def _block_orbit(vec: tuple[int, ...], p: int):
-    """All distinct vectors obtained by permuting within the two blocks."""
-    for a in set(itertools.permutations(vec[:p])):
-        for b in set(itertools.permutations(vec[p:])):
-            yield a + b
+def _arrangements(block: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The distinct rearrangements of block, in lexicographic order.
+
+    Each is stepped to from the last in place (the next permutation), so the
+    cost follows the number of distinct rearrangements, not len(block)!.
+    """
+    perm = sorted(block)
+    last = len(perm) - 1
+    while True:
+        yield tuple(perm)
+        i = last - 1
+        while i >= 0 and perm[i] >= perm[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = last
+        while perm[j] <= perm[i]:
+            j -= 1
+        perm[i], perm[j] = perm[j], perm[i]
+        perm[i + 1 :] = perm[:i:-1]
 
 
 def _orbit_size(pair: Pair) -> int:
@@ -384,14 +399,15 @@ def _orbit_size(pair: Pair) -> int:
 
 
 def enumerate_mupf(grid: WeightGrid) -> list[Pair]:
-    """All maximal parking pairs: block permutations of the increasing ones."""
-    p = grid.p
+    """All maximal parking pairs: block rearrangements of the increasing ones.
+
+    Distinct increasing pairs have disjoint orbits, so each pair is built once.
+    """
     return sorted(
-        {
-            (vec[:p], vec[p:])
-            for a, b in increasing_maximal_pairs(grid)
-            for vec in _block_orbit(a + b, p)
-        }
+        (a2, b2)
+        for a, b in increasing_maximal_pairs(grid)
+        for a2 in _arrangements(a)
+        for b2 in _arrangements(b)
     )
 
 

@@ -10,10 +10,12 @@ Graph parking rests on Dhar's burning order, and this module owns it:
 membership burns the vector, and the maximal parking functions, the
 weighted indegrees minus one of the acyclic orientations with the root as
 unique source, are read off one walk over the burning orders. The full
-parking set of a graph is the downward closure of its maximal elements.
-The same closure serves the parking pairs of a weight grid. Closures count
-the elements they produce against a size guard; the PARKLAB_MAX_SET
-environment variable or a keyword argument lifts it.
+parking set of a graph is the downward closure of its maximal elements,
+generated in lexicographic order with each element built once; the same
+closure serves the parking pairs of a weight grid. A closure counts the
+distinct maximal elements as they arrive and the elements it will produce
+against a size guard, and raises as soon as either exceeds it; the
+PARKLAB_MAX_SET environment variable or a keyword argument sets the guard.
 """
 
 from __future__ import annotations
@@ -208,38 +210,89 @@ def _mpf_walk(g: RootedWeightedGraph) -> Iterator[Vector]:
             stack.append((depth + 1, placed, owed, reached, cand))
 
 
-def _down_set(maximal: Iterable[Vector], limit: int) -> list[Vector]:
+def _down_set(tops: Iterable[Vector], limit: int) -> list[Vector]:
     """Sorted downward closure of non-negative vectors in the entrywise order.
 
-    Raises TooLarge as soon as the closure holds more than limit vectors.
+    The tops are deduplicated as they arrive, so a generator is read only
+    until it has yielded more than limit distinct tops. The closure is then
+    generated in lexicographic order, a coordinate at a time. A node holds a
+    prefix and the distinct suffixes of the tops that cover it; its entry runs
+    from 0 to the largest first entry among them, and the child for value v
+    keeps the tails of the suffixes whose first entry is at least v. Those
+    tail lists nest, so every child reads a prefix of one list that grows as
+    v falls. The last entry is emitted as a run, and the last two as a
+    staircase of running maxima, so each element is built once, already in
+    order, with no membership test and no sort.
+
+    Raises TooLarge exactly when the closure holds more than limit vectors:
+    at the first distinct top past limit, or before emitting a subtree that
+    would take the count past limit.
     """
-    seen: set[Vector] = set(maximal)
-    if len(seen) > limit:
-        raise TooLarge(f"parking set exceeds the guard of {limit}")
-    stack: list[Vector] = list(seen)
+    exceeded = f"parking set exceeds the guard of {limit}"
+    distinct: set[Vector] = set()
+    for top in tops:
+        if top not in distinct:
+            distinct.add(top)
+            if len(distinct) > limit:
+                raise TooLarge(exceeded)
+    if not distinct:
+        return []
+    if distinct == {()}:
+        return [()]
+    out: list[Vector] = []
+    # frames (prefix, tails, count): the first count tails are the distinct
+    # suffixes of the tops that cover prefix
+    stack = [((), list(distinct), len(distinct))]
     while stack:
-        vec = stack.pop()
-        for idx in range(len(vec)):
-            if vec[idx] == 0:
-                continue
-            smaller = vec[:idx] + (vec[idx] - 1,) + vec[idx + 1 :]
-            if smaller not in seen:
-                seen.add(smaller)
-                if len(seen) > limit:
-                    raise TooLarge(f"parking set exceeds the guard of {limit}")
-                stack.append(smaller)
-    return sorted(seen)
+        prefix, tails, count = stack.pop()
+        tails = tails[:count]
+        top = max(t[0] for t in tails)
+        # each entry 0..top extends prefix to at least one element
+        if len(out) + top >= limit:
+            raise TooLarge(exceeded)
+        if len(tails[0]) == 1:
+            out.extend([prefix + (v,) for v in range(top + 1)])
+        elif len(tails[0]) == 2:
+            # reach[v]: the largest last entry of a tail whose first is >= v
+            reach = [-1] * (top + 1)
+            for a, b in tails:
+                if b > reach[a]:
+                    reach[a] = b
+            for v in range(top - 1, -1, -1):
+                if reach[v + 1] > reach[v]:
+                    reach[v] = reach[v + 1]
+            if len(out) + top + 1 + sum(reach) > limit:
+                raise TooLarge(exceeded)
+            for v, last in enumerate(reach):
+                head = prefix + (v,)
+                out.extend([head + (w,) for w in range(last + 1)])
+        else:
+            by_first: list[list[Vector]] = [[] for _ in range(top + 1)]
+            for t in tails:
+                by_first[t[0]].append(t[1:])
+            grown: list[Vector] = []
+            seen: set[Vector] = set()
+            # pushed largest value first, so the smallest is expanded first
+            for v in range(top, -1, -1):
+                for t in by_first[v]:
+                    if t not in seen:
+                        seen.add(t)
+                        grown.append(t)
+                stack.append((prefix + (v,), grown, len(grown)))
+    return out
 
 
 def enumerate_pf(
     g: RootedWeightedGraph, *, max_set: int | None = None
 ) -> list[Vector]:
-    """The full parking set: downward closure of the maximal elements.
+    """The full parking set in sorted order: the down-set of the maximal ones.
 
-    Raises TooLarge when the closure exceeds the size guard.
+    The walk's maximal vectors feed the closure as they are found, so more
+    than max_set distinct maximal vectors raise TooLarge without finishing
+    the walk; a larger closure raises TooLarge before it is built past
+    max_set.
     """
-    limit = _size_guard(max_set)
-    return _down_set(enumerate_mpf(g), limit)
+    return _down_set(_mpf_walk(g), _size_guard(max_set))
 
 
 def is_maximal(g: RootedWeightedGraph, b: Sequence[int]) -> bool:

@@ -4,7 +4,7 @@ import hashlib
 import json
 import random
 from functools import partial
-from itertools import product
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -43,6 +43,7 @@ from parklab.errors import (
     UNotMonotone,
 )
 from parklab.lattice import (
+    _arrangements,
     block_sorted,
     grids_agree_on_steps,
     increasing_maximal_pairs,
@@ -325,6 +326,18 @@ class TestEnumerate:
     def test_members_are_upf(self, tripartite_grid) -> None:
         members = enumerate_upf(tripartite_grid)
         assert members and all(is_upf(pair, tripartite_grid) for pair in members)
+
+    def test_long_vector_grid_closes_without_recursion(self) -> None:
+        # deeper than the interpreter's recursion limit, one orbit of 1200 zeros
+        grid = grid_from_vectors((1,) * 1200, ())
+        assert enumerate_upf(grid) == [((0,) * 1200, ())]
+
+    def test_arrangements_are_the_sorted_distinct_permutations(self) -> None:
+        rng = random.Random(73)
+        for _ in range(300):
+            block = tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 6)))
+            want = sorted(set(permutations(block)))
+            assert list(_arrangements(block)) == want
 
 
 class TestMaximalPairs:

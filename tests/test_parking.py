@@ -28,14 +28,60 @@ from parklab.errors import (
     TooLarge,
     UNotMonotone,
 )
+from parklab import parking
 from parklab.orientations import enumerate_A_bruteforce, orientation_to_mpf
-from parklab.parking import _burn_order
+from parklab.parking import _burn_order, _down_set
 from conftest import DIAMOND_MPF, random_connected_graph, random_connected_graph_capped
 
 
 def classical_pf_oracle(v: tuple[int, ...]) -> bool:
     ordered = sorted(v)
     return all(ordered[i] < i + 1 for i in range(len(v)))
+
+
+def predecessor_down_set(tops, limit: int) -> list[tuple[int, ...]]:
+    """Reference closure: lower one entry at a time, probing a seen set."""
+    seen = set(tops)
+    if len(seen) > limit:
+        raise TooLarge(f"parking set exceeds the guard of {limit}")
+    stack = list(seen)
+    while stack:
+        vec = stack.pop()
+        for idx, entry in enumerate(vec):
+            if entry:
+                smaller = vec[:idx] + (entry - 1,) + vec[idx + 1 :]
+                if smaller not in seen:
+                    seen.add(smaller)
+                    if len(seen) > limit:
+                        raise TooLarge(f"parking set exceeds the guard of {limit}")
+                    stack.append(smaller)
+    return sorted(seen)
+
+
+def matrix_tree_count(g: RootedWeightedGraph) -> int:
+    """|PF(g)|: the determinant of the reduced weighted Laplacian (Bareiss)."""
+    n = g.n
+    lap = [[0] * n for _ in range(n)]
+    for i, j, w in g.edges:
+        for v in (i, j):
+            if v != 0:
+                lap[v - 1][v - 1] += w
+        if i and j:
+            lap[i - 1][j - 1] -= w
+            lap[j - 1][i - 1] -= w
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if lap[k][k] == 0:
+            rows = [r for r in range(k + 1, n) if lap[r][k]]
+            if not rows:
+                return 0
+            lap[k], lap[rows[0]] = lap[rows[0]], lap[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                lap[i][j] = (lap[i][j] * lap[k][k] - lap[i][k] * lap[k][j]) // prev
+        prev = lap[k][k]
+    return sign * lap[n - 1][n - 1] if n else 1
 
 
 class TestOrderStatistics:
@@ -187,6 +233,7 @@ class TestEnumerate:
         # deeper than the interpreter's recursion limit
         g = build_graph(1200, [(v - 1, v, 1) for v in range(1, 1201)])
         assert enumerate_mpf(g) == [(0,) * 1200]
+        assert enumerate_pf(g) == [(0,) * 1200]
 
     def test_triangle_maximals(self):
         g = build_graph(2, [(0, 1, 1), (0, 2, 1), (1, 2, 1)])
@@ -209,6 +256,29 @@ class TestEnumerate:
         assert len(enumerate_pf(diamond, max_set=size)) == size
         with pytest.raises(TooLarge):
             enumerate_pf(diamond, max_set=size - 1)
+
+    def test_guard_trips_before_the_walk_ends(self, monkeypatch):
+        walk = parking._mpf_walk
+        yielded = 0
+
+        def counted(g):
+            nonlocal yielded
+            for vec in walk(g):
+                yielded += 1
+                yield vec
+
+        monkeypatch.setattr(parking, "_mpf_walk", counted)
+        # K_9 has 8! = 40,320 maximal vectors
+        k9 = build_graph(8, [(i, j, 1) for i in range(9) for j in range(i + 1, 9)])
+        with pytest.raises(TooLarge, match="guard of 10"):
+            enumerate_pf(k9, max_set=10)
+        assert 0 < yielded <= 11
+
+    def test_size_is_the_matrix_tree_count(self):
+        rng = random.Random(4003)
+        for _ in range(50):
+            g = random_connected_graph(rng, 6, 3)
+            assert len(enumerate_pf(g)) == matrix_tree_count(g)
 
     def test_negative_guard_is_rejected(self, diamond, monkeypatch):
         with pytest.raises(InvalidParameters, match="max_set must be >= 0, got -1"):
@@ -251,6 +321,45 @@ class TestEnumerate:
             }
             assert got == oracle
             assert len(got) == (n + 1) ** (n - 1)
+
+
+class TestDownSet:
+    @staticmethod
+    def outcome(closure, tops, limit):
+        try:
+            return closure(tops, limit)
+        except TooLarge as exc:
+            return str(exc)
+
+    def test_matches_the_predecessor_search(self):
+        rng = random.Random(1511)
+        families = [[], [()], [(), ()]]
+        for _ in range(1500):
+            n = rng.randint(0, 5)
+            tops = [
+                tuple(rng.randint(0, 3) for _ in range(n))
+                for _ in range(rng.randint(0, 6))
+            ]
+            if tops and rng.random() < 0.5:
+                tops.append(rng.choice(tops))
+            if tops and rng.random() < 0.5:
+                above = rng.choice(tops)
+                tops.append(tuple(rng.randint(0, x) for x in above))
+            rng.shuffle(tops)
+            families.append(tops)
+        for tops in families:
+            want = predecessor_down_set(tops, len(tops) * 4**5)
+            assert _down_set(iter(tops), len(want)) == want
+            for limit in {0, max(len(want) - 1, 0), len(want)}:
+                assert self.outcome(_down_set, iter(tops), limit) == self.outcome(
+                    predecessor_down_set, tops, limit
+                )
+
+    def test_entry_past_the_guard_is_refused_before_it_is_built(self):
+        with pytest.raises(TooLarge, match="guard of 100"):
+            _down_set([(10**12,)], 100)
+        with pytest.raises(TooLarge, match="guard of 100"):
+            _down_set([(1, 10**12)], 100)
 
 
 class TestMaximality:

@@ -2,10 +2,10 @@
 
 A bipartitioned graph is invariant when permuting entries within each block
 maps parking functions to parking functions. Invariance of the full parking
-set is equivalent to invariance of its maximal elements. is_invariant
-closes the maximal set under block permutations and reports the first hole
-as a witness; the sweep instead burns the adjacent swaps inside each block
-as the walk emits the maximal vectors, and stops at the first that stalls.
+set is equivalent to invariance of its maximal elements. is_invariant counts
+the maximal vectors of each block orbit and reports a hole of the first open
+orbit as a witness; the sweep instead burns the adjacent swaps inside each
+block as the walk emits the maximal vectors, and stops at the first that stalls.
 
 Invariant graphs are matched against the structural case list (cycles with
 up to two marked vertices, a cycle with a chord, banded complete graphs,
@@ -98,22 +98,26 @@ def _block_orbit(vec: Vector, p: int) -> Iterator[Vector]:
 
     They come in set order, which fixes the hole that is_invariant reports.
     """
+    second_perms = set(itertools.permutations(vec[p:]))
     for a in set(itertools.permutations(vec[:p])):
-        for b in set(itertools.permutations(vec[p:])):
+        for b in second_perms:
             yield a + b
 
 
 def _orbit_closed(vectors: set[Vector], p: int) -> tuple[Vector, Vector] | None:
-    """First (element, missing permutation) hole, or None when closed."""
-    checked: set[tuple[Vector, Vector]] = set()
+    """First (element, missing permutation) hole, or None when closed.
+
+    An orbit is open when the set holds fewer of its vectors than it has.
+    Only the least vector of the open orbit with the least one is expanded.
+    """
+    orbits: dict[Pair, list[Vector]] = {}
     for vec in sorted(vectors):
         key = (tuple(sorted(vec[:p])), tuple(sorted(vec[p:])))
-        if key in checked:
-            continue
-        checked.add(key)
-        for cand in _block_orbit(vec, p):
-            if cand not in vectors:
-                return vec, cand
+        orbits.setdefault(key, []).append(vec)
+    for key, held in orbits.items():
+        if len(held) < _orbit_size(key):
+            vec = held[0]
+            return vec, next(c for c in _block_orbit(vec, p) if c not in vectors)
     return None
 
 

@@ -27,6 +27,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import le
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import orientations as _ori
@@ -160,21 +161,6 @@ def grid_transpose(grid: WeightGrid) -> WeightGrid:
     return _node_grid(
         grid.q, grid.p, lambda i, j: grid.v[j][i], lambda i, j: grid.u[j][i]
     )
-
-
-def grids_agree_on_steps(g1: WeightGrid, g2: WeightGrid) -> bool:
-    """Equality on every entry a path can consume."""
-    if (g1.p, g1.q) != (g2.p, g2.q):
-        return False
-    for i in range(g1.p):
-        for j in range(g1.q + 1):
-            if g1.u[i][j] != g2.u[i][j]:
-                return False
-    for i in range(g1.p + 1):
-        for j in range(g1.q):
-            if g1.v[i][j] != g2.v[i][j]:
-                return False
-    return True
 
 
 def _json_ints(value, what: str, depth: int = 0):
@@ -331,38 +317,24 @@ def is_upf(pair: Pair, grid: WeightGrid) -> bool:
     return witness_path(pair, grid) is not None
 
 
-def path_pair(grid: WeightGrid, path: str) -> Pair:
-    """The increasing pair sitting directly under a path's step weights."""
-    east, north = step_weights(grid, path)
-    return tuple(w - 1 for w in east), tuple(w - 1 for w in north)
-
-
-def _concat(pair: Pair) -> tuple[int, ...]:
-    return pair[0] + pair[1]
-
-
-def _dominated(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
-    return x != y and all(a <= b for a, b in zip(x, y))
-
-
 def increasing_maximal_pairs(grid: WeightGrid) -> list[Pair]:
     """Maximal parking pairs with non-decreasing blocks, sorted.
 
-    Candidates are the path pairs; a path pair with a negative entry means
-    the path meets a zero weight and bounds nothing.
+    Each path prices one candidate, its step weights less one; a path that
+    meets a zero weight bounds nothing. The maximal pairs are the candidates
+    no other candidate dominates entrywise.
     """
     candidates = set()
-    for path in paths(grid.p, grid.q):
-        cand = path_pair(grid, path)
-        if all(x >= 0 for x in _concat(cand)):
-            candidates.add(cand)
-    return sorted(
-        c
-        for c in candidates
-        if not any(
-            _dominated(_concat(c), _concat(other)) for other in candidates
-        )
-    )
+    for word in _words(grid.p, grid.q):
+        east, north = _step_weights(grid, word)
+        weights = east + north
+        if 0 not in weights:
+            candidates.add(tuple(w - 1 for w in weights))
+    return [
+        (c[: grid.p], c[grid.p :])
+        for c in sorted(candidates)
+        if not any(o != c and all(map(le, c, o)) for o in candidates)
+    ]
 
 
 def _arrangements(block: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -398,17 +370,20 @@ def _orbit_size(pair: Pair) -> int:
     return size
 
 
-def enumerate_mupf(grid: WeightGrid) -> list[Pair]:
+def _maximal_pairs(grid: WeightGrid) -> Iterator[Pair]:
     """All maximal parking pairs: block rearrangements of the increasing ones.
 
-    Distinct increasing pairs have disjoint orbits, so each pair is built once.
+    Distinct increasing pairs have disjoint orbits, so each pair comes once.
     """
-    return sorted(
-        (a2, b2)
-        for a, b in increasing_maximal_pairs(grid)
-        for a2 in _arrangements(a)
-        for b2 in _arrangements(b)
-    )
+    for a, b in increasing_maximal_pairs(grid):
+        for a2 in _arrangements(a):
+            for b2 in _arrangements(b):
+                yield a2, b2
+
+
+def enumerate_mupf(grid: WeightGrid) -> list[Pair]:
+    """All maximal parking pairs, sorted."""
+    return sorted(_maximal_pairs(grid))
 
 
 def enumerate_upf(
@@ -416,10 +391,11 @@ def enumerate_upf(
 ) -> list[Pair]:
     """Full parking set: downward closure of the maximal pairs, sorted.
 
-    Raises TooLarge when the set holds more pairs than the size guard.
+    Raises TooLarge as soon as more than max_set maximal pairs are built,
+    or before a larger closure is built past max_set.
     """
     limit = _size_guard(max_set)
-    closure = _down_set((a + b for a, b in enumerate_mupf(grid)), limit)
+    closure = _down_set((a + b for a, b in _maximal_pairs(grid)), limit)
     return [(v[: grid.p], v[grid.p :]) for v in closure]
 
 

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import os
+import time
 from collections import Counter
 from math import comb
 
@@ -19,6 +20,7 @@ from parklab import (
     d_U,
     enumerate_mpf,
     enumerate_mupf,
+    enumerate_pf,
     graph_from_affine_u,
     grid_from_affine,
     grid_from_vectors,
@@ -96,6 +98,62 @@ class TestIsInvariant:
         assert data["invariant"] is True and data["witness"] is None
         assert all("case" in t for t in data["family_matches"])
         json.dumps(data)
+
+
+def orbit_closed_by_expansion(vectors, p):
+    """Reference orbit check: expand every orbit, report the first hole.
+
+    Orbits are visited from their least vectors in sorted order, and each
+    orbit's permutations come in set order, first block outermost.
+    """
+    checked = set()
+    for vec in sorted(vectors):
+        key = (tuple(sorted(vec[:p])), tuple(sorted(vec[p:])))
+        if key in checked:
+            continue
+        checked.add(key)
+        for a in set(itertools.permutations(vec[:p])):
+            for b in set(itertools.permutations(vec[p:])):
+                if a + b not in vectors:
+                    return vec, a + b
+    return None
+
+
+class TestOrbitCount:
+    def test_witnesses_match_the_expansion_on_maximal_sets(self) -> None:
+        holes = 0
+        for g in small_block_graphs():
+            want = orbit_closed_by_expansion(set(enumerate_mpf(g)), g.p)
+            assert is_invariant(g).witness == want, g
+            holes += want is not None
+        assert 0 < holes < 704 + 554
+
+    def test_holes_match_the_expansion_on_full_sets(self) -> None:
+        holes = graphs = 0
+        for n in range(1, 4):
+            for p in range(n + 1):
+                for g in connected_block_graphs(p, n - p, 2):
+                    full = set(enumerate_pf(g))
+                    want = orbit_closed_by_expansion(full, g.p)
+                    assert classify._orbit_closed(full, g.p) == want, g
+                    holes += want is not None
+                    graphs += 1
+        assert graphs == 1006 and 0 < holes < graphs
+
+
+class TestLongBlocks:
+    # twelve first-block vertices in a row: one orbit of 12! arrangements
+    # if it were expanded, but the maximal set is the single zero vector
+    PATH = build_graph(13, [(i, i + 1, 1) for i in range(13)], p=12, q=1)
+
+    def test_invariance_is_decided_without_expanding(self) -> None:
+        start = time.perf_counter()
+        report = is_invariant(self.PATH)
+        assert time.perf_counter() - start < 1.0
+        assert report.invariant and report.witness is None
+
+    def test_lemma61_holds(self) -> None:
+        assert check_lemma61(self.PATH)
 
 
 class TestMaximalSetSuffices:

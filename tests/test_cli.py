@@ -149,6 +149,12 @@ class TestClassifyCommands:
         assert data["invariant"] is False
         assert data["witness"] is not None
 
+    def test_classify_long_block(self, runner, tmp_path) -> None:
+        path = tmp_path / "path.txt"
+        path.write_text("13 12 1\n" + "".join(f"{i} {i + 1} 1\n" for i in range(13)))
+        data = run_json(runner, ["classify", "--graph", str(path)])
+        assert data["invariant"] is True and data["witness"] is None
+
     def test_construct_u_emits_the_grid(self, runner, graph_file, tmp_path) -> None:
         data = run_json(runner, ["construct-u", "--graph", graph_file])
         assert data["case_used"]["case"] == "ii"

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from functools import partial
 from itertools import permutations, product
 from math import comb
@@ -43,9 +44,9 @@ from parklab.errors import (
     UNotMonotone,
 )
 from parklab.lattice import (
+    WeightGrid,
     _arrangements,
     block_sorted,
-    grids_agree_on_steps,
     increasing_maximal_pairs,
     maximal_upf_sum_witness,
     paths,
@@ -63,6 +64,21 @@ def small_vectors(max_len: int = 3, max_entry: int = 3) -> st.SearchStrategy:
     return st.lists(entry, min_size=1, max_size=max_len).map(
         lambda xs: tuple(sorted(xs))
     )
+
+
+def grids_agree_on_steps(g1, g2) -> bool:
+    """Equality on every entry a path can consume."""
+    if (g1.p, g1.q) != (g2.p, g2.q):
+        return False
+    for i in range(g1.p):
+        for j in range(g1.q + 1):
+            if g1.u[i][j] != g2.u[i][j]:
+                return False
+    for i in range(g1.p + 1):
+        for j in range(g1.q):
+            if g1.v[i][j] != g2.v[i][j]:
+                return False
+    return True
 
 
 class TestGridConstruction:
@@ -295,6 +311,12 @@ class TestEnumerate:
         with pytest.raises(TooLarge):
             enumerate_upf(grid, max_set=2)
 
+    def test_guard_trips_before_the_maximal_pairs_are_built(self) -> None:
+        # one increasing pair whose orbit holds 12! maximal pairs
+        grid = grid_from_vectors(tuple(range(1, 13)), ())
+        with pytest.raises(TooLarge):
+            enumerate_upf(grid, max_set=10)
+
     def test_negative_guard_is_rejected(self, monkeypatch) -> None:
         grid = grid_from_vectors((1, 2), (1,))
         with pytest.raises(InvalidParameters, match="max_set must be >= 0, got -1"):
@@ -340,7 +362,59 @@ class TestEnumerate:
             assert list(_arrangements(block)) == want
 
 
+def reference_increasing_maximal_pairs(grid):
+    """Path scan: each path's pair under its weights, then a dominance scan."""
+
+    def path_pair(path):
+        east, north = step_weights(grid, path)
+        return tuple(w - 1 for w in east), tuple(w - 1 for w in north)
+
+    def dominated(x, y):
+        return x != y and all(a <= b for a, b in zip(x, y))
+
+    candidates = set()
+    for path in paths(grid.p, grid.q):
+        cand = path_pair(path)
+        if all(x >= 0 for x in cand[0] + cand[1]):
+            candidates.add(cand)
+    return sorted(
+        c
+        for c in candidates
+        if not any(dominated(c[0] + c[1], o[0] + o[1]) for o in candidates)
+    )
+
+
+def random_monotone_grid(rng, p, q):
+    """A grid whose entries grow by 0..2 from a start of 0..1 along each axis."""
+
+    def array():
+        rows = [[0] * (q + 1) for _ in range(p + 1)]
+        for i, j in product(range(p + 1), range(q + 1)):
+            below = max(rows[i - 1][j] if i else 0, rows[i][j - 1] if j else 0)
+            rows[i][j] = below + rng.randint(0, 2 if i or j else 1)
+        return tuple(map(tuple, rows))
+
+    return WeightGrid(p, q, array(), array())
+
+
 class TestMaximalPairs:
+    def test_matches_the_path_scan(self) -> None:
+        grids = []
+        for build in _pinned_constructions():
+            try:
+                grids.append(build())
+            except DomainError:
+                pass
+        rng = random.Random(16)
+        for _ in range(500):
+            grids.append(random_monotone_grid(rng, rng.randint(0, 4), rng.randint(0, 4)))
+        sizes = Counter()
+        for grid in grids:
+            got = increasing_maximal_pairs(grid)
+            assert got == reference_increasing_maximal_pairs(grid), grid
+            sizes[min(len(got), 2)] += 1
+        assert sizes[0] and sizes[1] and sizes[2]
+
     def test_symmetric_grid_count_is_binomial(self) -> None:
         for p, q in ((2, 2), (1, 3), (3, 2)):
             grid = grid_from_affine(p, q, a=1, b=1, c=1, cprime=1, d=1, e=1)

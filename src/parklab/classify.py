@@ -6,6 +6,9 @@ set is equivalent to invariance of its maximal elements. is_invariant counts
 the maximal vectors of each block orbit and reports a hole of the first open
 orbit as a witness; the sweep instead burns the adjacent swaps inside each
 block as the walk emits the maximal vectors, and stops at the first that stalls.
+Before that walk the sweep rejects, from neighbour bitmasks alone, each graph
+whose block vertices do not share their largest parking entry (w(v, R) - 1,
+for R the root's component of G - v), which no invariant graph does.
 
 Invariant graphs are matched against the structural case list (cycles with
 up to two marked vertices, a cycle with a chord, banded complete graphs,
@@ -417,9 +420,14 @@ def _block_relabelings(p: int, q: int, slots: list[tuple[int, int]]):
     return maps
 
 
-def _reaches_all(nbrs: list[int]) -> bool:
-    """Whether vertex 0 reaches every vertex; nbrs[v] is v's neighbour bitmask."""
-    reach = frontier = 1
+def _reach(nbrs: list[int], seen: int = 1) -> int:
+    """Bitmask of the vertices that a search from vertex 0 reaches.
+
+    nbrs[v] is v's neighbour bitmask. The bitmask seen, which holds vertex 0,
+    counts as reached before the search starts, so the search never passes
+    through its other vertices.
+    """
+    reach, frontier = seen, 1
     while frontier:
         step = 0
         while frontier:
@@ -428,7 +436,7 @@ def _reaches_all(nbrs: list[int]) -> bool:
             frontier ^= low
         frontier = step & ~reach
         reach |= step
-    return reach == (1 << len(nbrs)) - 1
+    return reach
 
 
 def connected_block_graphs(p: int, q: int, max_w: int):
@@ -465,6 +473,7 @@ def connected_block_graphs(p: int, q: int, max_w: int):
     weights = [-1] * len(slots)  # -1: slot not assigned yet
     undecided = [relabelings] + [None] * last  # input states per depth
     nbrs = [0] * (n + 1)
+    full = (1 << (n + 1)) - 1
     edges = []
     d = 0
     while d >= 0:
@@ -503,7 +512,7 @@ def connected_block_graphs(p: int, q: int, max_w: int):
                 undecided[d + 1] = kept
                 d += 1
                 continue
-            if _reaches_all(nbrs):
+            if _reach(nbrs) == full:
                 leaf = (*edges, (i, j, w)) if w else tuple(edges)
                 yield RootedWeightedGraph(n, leaf, p, q)
 
@@ -527,6 +536,61 @@ class SweepReport:
         }
 
 
+def _neighbour_masks(g: RootedWeightedGraph) -> tuple[list[int], list[int]]:
+    """Each vertex's neighbour bitmask and weighted degree, read from g.edges."""
+    nbrs = [0] * (g.n + 1)
+    degree = [0] * (g.n + 1)
+    for i, j, w in g.edges:
+        nbrs[i] |= 1 << j
+        nbrs[j] |= 1 << i
+        degree[i] += w
+        degree[j] += w
+    return nbrs, degree
+
+
+def _largest_entry(
+    g: RootedWeightedGraph, nbrs: list[int], degree: list[int], v: int
+) -> int:
+    """The largest entry that vertex v takes over the parking functions of g.
+
+    By Dhar's burning it is w(v, R) - 1, for R the root's component of g - v.
+    Of the set of vertices outside R, only v has edges leaving the set, so
+    nothing in it burns first when v's entry is w(v, R) or more. With v at
+    w(v, R) - 1 and every other entry 0, R burns, then v, then the rest.
+    When v is no cut vertex, R is every other vertex and w(v, R) is v's
+    weighted degree. v is no cut vertex when each of its neighbours is the
+    root or adjacent to it, and then R is not searched.
+    """
+    if (nbrs[v] & ~nbrs[0]) > 1:
+        side = _reach(nbrs, 1 | 1 << v)
+        if side != (1 << (g.n + 1)) - 1:
+            return sum(
+                w
+                for i, j, w in g.edges
+                if (i == v and side >> j & 1) or (j == v and side >> i & 1)
+            ) - 1
+    return degree[v] - 1
+
+
+def _blocks_level(g: RootedWeightedGraph) -> bool:
+    """Whether the vertices of each block share their largest parking entry.
+
+    Every invariant graph passes: a block permutation carries a parking
+    function with its largest entry at one vertex to one with that entry at
+    any other vertex of the block. Many graphs that pass are not invariant,
+    so this only spares _closed_maximal_set graphs it would reject. It stops
+    at the first vertex whose entry differs from its block's first.
+    """
+    nbrs, degree = _neighbour_masks(g)
+    for first, last in ((1, g.p), (g.p + 1, g.n)):
+        if first < last:
+            top = _largest_entry(g, nbrs, degree, first)
+            for v in range(first + 1, last + 1):
+                if _largest_entry(g, nbrs, degree, v) != top:
+                    return False
+    return True
+
+
 def _sweep_block(args: tuple[int, int, int]) -> dict:
     """Worker for one block split: tests every graph of the split once."""
     p, q, max_w = args
@@ -536,6 +600,8 @@ def _sweep_block(args: tuple[int, int, int]) -> dict:
     bad: list[dict] = []
     for g in connected_block_graphs(p, q, max_w):
         tested += 1
+        if not _blocks_level(g):
+            continue
         maximal = _closed_maximal_set(g)
         if maximal is None:
             continue
@@ -572,8 +638,11 @@ def sweep_classification(
 
     Every connected bipartitioned graph with both blocks non-empty, at most
     max_n non-root vertices, and weights up to max_w is tested for closure
-    under block permutations while its maximal parking set is walked; the
-    walk stops at the first adjacent in-block swap that does not park. Only
+    under block permutations. An exact prefilter first rejects each graph
+    whose vertices in one block differ in their largest parking entry; the
+    rest are tested while their maximal parking set is walked, and the walk
+    stops at the first adjacent in-block swap that does not park. Rejected
+    graphs count in graphs_tested like any other non-invariant graph. Only
     invariant graphs are matched against the case list; each must match a
     case whose grid has the same maximal set. Failures are reported as
     counterexamples. Each block split (p, q) is one task whose graphs are

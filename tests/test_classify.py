@@ -294,8 +294,10 @@ class TestLazyInvariance:
         assert not verify_equality(g, grid)
 
     def test_swap_burn_gates_the_verdict(self, monkeypatch) -> None:
-        # a burn that accepts every swap lets every graph through; the
-        # non-invariant ones then match no case (n = 2 has no in-block swap)
+        # with the largest-entry prefilter off, a burn that accepts every
+        # swap lets every graph through; the non-invariant ones then match
+        # no case (n = 2 has no in-block swap)
+        monkeypatch.setattr(classify, "_blocks_level", lambda g: True)
         monkeypatch.setattr(classify, "_burn_order", lambda g, b: [0])
         report = sweep_classification(3, 2)
         assert report.invariant_count == report.graphs_tested == 704
@@ -305,6 +307,58 @@ class TestLazyInvariance:
             "i.a": 10, "i.b": 8, "i.c": 4, "ii": 16, "iii": 82,
             "iv.a": 60, "iv.b": 8, "v": 32,
         }
+
+
+def block_graphs(max_n: int, max_w: int):
+    """Every block graph with both blocks non-empty and n <= max_n."""
+    for n in range(2, max_n + 1):
+        for p in range(1, n):
+            yield from connected_block_graphs(p, n - p, max_w)
+
+
+def largest_entries(g) -> list[int]:
+    nbrs, degree = classify._neighbour_masks(g)
+    return [classify._largest_entry(g, nbrs, degree, v) for v in g.vertices[1:]]
+
+
+class TestLargestEntryFilter:
+    def test_formula_is_each_vertex_largest_parking_entry(self) -> None:
+        tested = 0
+        for g in block_graphs(4, 2):
+            tested += 1
+            tops = [max(column) for column in zip(*enumerate_mpf(g))]
+            assert largest_entries(g) == tops, g
+        assert tested == 35_933
+
+    def test_filter_passes_every_invariant_graph(self) -> None:
+        passed = invariant = 0
+        for g in block_graphs(4, 2):
+            level = classify._blocks_level(g)
+            closed = classify._closed_maximal_set(g) is not None
+            assert level or not closed, g
+            passed += level
+            invariant += closed
+        assert (passed, invariant) == (2_878, 1_120)
+
+    def test_a_cut_vertex_takes_less_than_its_degree(self) -> None:
+        # vertex 3 carries the root edge of both others: its weighted degree
+        # is 3 against its block twin's 1, yet both take at most 0, so a
+        # filter on the plain degree would reject this invariant graph
+        g = build_graph(3, ((0, 3, 1), (1, 3, 1), (2, 3, 1)), p=1, q=2)
+        assert classify._neighbour_masks(g)[1][2:] == [1, 3]
+        assert largest_entries(g) == [0, 0, 0]
+        assert classify._blocks_level(g)
+        assert classify._closed_maximal_set(g) == {(0, 0, 0)}
+        assert match_theorem61(g)[0].case == "v"
+
+    def test_rejected_graphs_count_as_tested(self, monkeypatch) -> None:
+        # the burn accepts every swap, so only the prefilter rejects: 278 of
+        # the 704 graphs pass it, and the 58 non-invariant ones match no case
+        monkeypatch.setattr(classify, "_burn_order", lambda g, b: [0])
+        report = sweep_classification(3, 2)
+        assert (report.graphs_tested, report.invariant_count) == (704, 278)
+        bad = report.counterexamples
+        assert [d["reason"] for d in bad] == ["no-case-matches"] * (278 - 220)
 
 
 class TestWedge:
@@ -595,6 +649,16 @@ class TestSweep:
             "iv.a": 60, "iv.b": 8, "v": 32,
         }
         assert sweep_classification(3, 2, jobs=2) == report
+
+    def test_five_vertex_unit_budget(self) -> None:
+        report = sweep_classification(5, 1)
+        assert (report.graphs_tested, report.invariant_count) == (9_326, 802)
+        assert report.per_family_counts == {
+            "i.a": 31, "ii": 6, "iii": 70, "iv.a": 144, "iv.b": 64,
+            "v": 182, "vi": 305,
+        }
+        assert report.counterexamples == []
+        assert sweep_classification(5, 1, jobs=2) == report
 
     def test_jobs_beyond_the_cpu_count_share_the_cpus(self, monkeypatch) -> None:
         asked = []

@@ -39,6 +39,9 @@ from .graph import (
     RootedWeightedGraph,
     _band_layout,
     _band_pairs,
+    _masks,
+    _reach,
+    _root_side_weight,
     build_graph,
     matching_invariant_cases,
     swap_blocks,
@@ -420,25 +423,6 @@ def _block_relabelings(p: int, q: int, slots: list[tuple[int, int]]):
     return maps
 
 
-def _reach(nbrs: list[int], seen: int = 1) -> int:
-    """Bitmask of the vertices that a search from vertex 0 reaches.
-
-    nbrs[v] is v's neighbour bitmask. The bitmask seen, which holds vertex 0,
-    counts as reached before the search starts, so the search never passes
-    through its other vertices.
-    """
-    reach, frontier = seen, 1
-    while frontier:
-        step = 0
-        while frontier:
-            low = frontier & -frontier
-            step |= nbrs[low.bit_length() - 1]
-            frontier ^= low
-        frontier = step & ~reach
-        reach |= step
-    return reach
-
-
 def connected_block_graphs(p: int, q: int, max_w: int):
     """All connected bipartitioned graphs up to relabeling within blocks.
 
@@ -536,57 +520,23 @@ class SweepReport:
         }
 
 
-def _neighbour_masks(g: RootedWeightedGraph) -> tuple[list[int], list[int]]:
-    """Each vertex's neighbour bitmask and weighted degree, read from g.edges."""
-    nbrs = [0] * (g.n + 1)
-    degree = [0] * (g.n + 1)
-    for i, j, w in g.edges:
-        nbrs[i] |= 1 << j
-        nbrs[j] |= 1 << i
-        degree[i] += w
-        degree[j] += w
-    return nbrs, degree
-
-
-def _largest_entry(
-    g: RootedWeightedGraph, nbrs: list[int], degree: list[int], v: int
-) -> int:
-    """The largest entry that vertex v takes over the parking functions of g.
-
-    By Dhar's burning it is w(v, R) - 1, for R the root's component of g - v.
-    Of the set of vertices outside R, only v has edges leaving the set, so
-    nothing in it burns first when v's entry is w(v, R) or more. With v at
-    w(v, R) - 1 and every other entry 0, R burns, then v, then the rest.
-    When v is no cut vertex, R is every other vertex and w(v, R) is v's
-    weighted degree. v is no cut vertex when each of its neighbours is the
-    root or adjacent to it, and then R is not searched.
-    """
-    if (nbrs[v] & ~nbrs[0]) > 1:
-        side = _reach(nbrs, 1 | 1 << v)
-        if side != (1 << (g.n + 1)) - 1:
-            return sum(
-                w
-                for i, j, w in g.edges
-                if (i == v and side >> j & 1) or (j == v and side >> i & 1)
-            ) - 1
-    return degree[v] - 1
-
-
 def _blocks_level(g: RootedWeightedGraph) -> bool:
     """Whether the vertices of each block share their largest parking entry.
 
-    Every invariant graph passes: a block permutation carries a parking
-    function with its largest entry at one vertex to one with that entry at
-    any other vertex of the block. Many graphs that pass are not invariant,
-    so this only spares _closed_maximal_set graphs it would reject. It stops
-    at the first vertex whose entry differs from its block's first.
+    By Dhar's burning, v's largest entry is w(v, R) - 1, for R the root's
+    component of g - v: the vertices outside R have edges out only at v, and
+    with v at w(v, R) - 1 and zeros elsewhere, R burns, then v, then the
+    rest. A block permutation moves a largest entry to any vertex of its
+    block, so every invariant graph passes; many others pass too, so this
+    only spares _closed_maximal_set graphs it would reject. It stops at the
+    first vertex whose entry differs from its block's first.
     """
-    nbrs, degree = _neighbour_masks(g)
+    masks = _masks(g)
     for first, last in ((1, g.p), (g.p + 1, g.n)):
         if first < last:
-            top = _largest_entry(g, nbrs, degree, first)
+            top = _root_side_weight(g, first, masks)
             for v in range(first + 1, last + 1):
-                if _largest_entry(g, nbrs, degree, v) != top:
+                if _root_side_weight(g, v, masks) != top:
                     return False
     return True
 

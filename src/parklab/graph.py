@@ -21,14 +21,13 @@ there is one per vertex outside the set. The five bands of a complete band
 graph (root to A, inside A, A to B, inside B, root to B) are laid out once,
 in _band_layout, and _band is the one band reader, for case iii and for
 rooted complete sides alike; classify.graph_from_affine_u builds its edges
-from the same layout. Connectivity has one routine too: a reachability
-search restricted to a vertex subset. It is the one search over built
-graphs: it decides is_connected (which build_graph, is_tree and the case
-matcher call), cut_vertices and the cycle recognizer, finds the root's
-part of the first side for case v, and gives two-weight trees their parent
-edges. The block-graph generator in classify decides connectivity on its
-own slot bitmasks before it builds a graph; is_connected is that
-generator's test oracle.
+from the same layout. Connectivity is one bitmask search, _reach, over the
+neighbour masks that _masks reads from the edges once per call path. It
+decides is_connected, cut_vertices and the cycle recognizer, finds the
+root's side of A for case v, and gives _root_side_weight w(v, R) for R the
+root's component of G - v: a tree's parent edge, and one more than v's
+largest parking entry. classify's block-graph generator runs it on masks
+that it updates slot by slot.
 """
 
 from __future__ import annotations
@@ -154,7 +153,8 @@ def build_graph(
 
     Args:
         n: number of non-root vertices.
-        edges: triples (i, j, w); order of endpoints does not matter.
+        edges: tuples or lists of three ints (i, j, w), bool excluded; order
+            of endpoints does not matter.
         p, q: optional block sizes; both or neither must be given.
         require_connected: reject graphs not connected to the root.
 
@@ -166,7 +166,9 @@ def build_graph(
         raise VertexOutOfRange(f"vertex count {n} is negative")
     normalized: dict[tuple[int, int], int] = {}
     for entry in edges:
-        i, j, w = int(entry[0]), int(entry[1]), int(entry[2])
+        if not isinstance(entry, (tuple, list)) or list(map(type, entry)) != [int] * 3:
+            raise ShapeMismatch(f"edge {entry!r} is not three integers (i, j, w)")
+        i, j, w = entry
         if not (0 <= i <= n) or not (0 <= j <= n):
             raise VertexOutOfRange(f"edge ({i}, {j}) leaves the range 0..{n}")
         if i == j:
@@ -193,27 +195,58 @@ def build_graph(
     return g
 
 
-def _reach(
-    g: RootedWeightedGraph, start: int, allowed: frozenset[int] | None = None
-) -> dict[int, int]:
-    """Vertices reachable from start through allowed vertices (all when None).
+def _masks(g: RootedWeightedGraph) -> tuple[list[int], list[int]]:
+    """Each vertex's neighbour bitmask and weighted degree, read from g.edges."""
+    nbrs = [0] * (g.n + 1)
+    degree = [0] * (g.n + 1)
+    for i, j, w in g.edges:
+        nbrs[i] |= 1 << j
+        nbrs[j] |= 1 << i
+        degree[i] += w
+        degree[j] += w
+    return nbrs, degree
 
-    Each maps to the weight of the edge the search first reached it by (0 for
-    start); on a tree that is the edge toward start.
+
+def _reach(nbrs: Sequence[int], seen: int = 1, start: int = 1) -> int:
+    """Bitmask of the vertices that a search from the bitmask start reaches.
+
+    nbrs[v] is v's neighbour bitmask. The bitmask seen, which holds start,
+    counts as reached before the search starts, so the search never passes
+    through its other vertices. By default the search runs from the root.
     """
-    seen = {start: 0}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u, w in g.neighbors(v):
-            if u not in seen and (allowed is None or u in allowed):
-                seen[u] = w
-                stack.append(u)
-    return seen
+    reach, frontier = seen, start
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= nbrs[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~reach
+        reach |= step
+    return reach
+
+
+def _root_side_weight(
+    g: RootedWeightedGraph, v: int, masks: tuple[list[int], list[int]]
+) -> int:
+    """w(v, R): the weight joining non-root v to R, the root's component of g - v.
+
+    masks is _masks(g). When v is no cut vertex, R is every other vertex and
+    w(v, R) is v's weighted degree. v is no cut vertex when each of its
+    neighbours is the root or adjacent to it, and then R is not searched.
+    """
+    nbrs, degree = masks
+    if (nbrs[v] & ~nbrs[ROOT]) > 1:
+        side = _reach(nbrs, 1 | 1 << v)
+        if side != (1 << (g.n + 1)) - 1:
+            return sum(
+                w for i, j, w in g.edges if v in (i, j) and side >> i + j - v & 1
+            )
+    return degree[v]
 
 
 def is_connected(g: RootedWeightedGraph) -> bool:
-    return len(_reach(g, ROOT)) == g.n + 1
+    return _reach(_masks(g)[0]) == (1 << (g.n + 1)) - 1
 
 
 def d_U(g: RootedWeightedGraph, U: Iterable[int], i: int) -> int:
@@ -230,20 +263,11 @@ def d_U(g: RootedWeightedGraph, U: Iterable[int], i: int) -> int:
     return sum(w for u, w in g.neighbors(i) if u not in subset)
 
 
-def _connected_within(g: RootedWeightedGraph, verts: frozenset[int]) -> bool:
-    """Whether the induced subgraph on verts is connected (verts non-empty)."""
-    return len(_reach(g, next(iter(verts)), verts)) == len(verts)
-
-
 def cut_vertices(g: RootedWeightedGraph) -> frozenset[int]:
     """Non-root vertices whose removal disconnects the rest of the graph."""
-    cuts = set()
-    all_verts = frozenset(g.vertices)
-    for v in range(1, g.n + 1):
-        rest = all_verts - {v}
-        if rest and not _connected_within(g, rest):
-            cuts.add(v)
-    return frozenset(cuts)
+    nbrs = _masks(g)[0]
+    full = (1 << len(nbrs)) - 1
+    return frozenset(v for v in range(1, g.n + 1) if _reach(nbrs, 1 | 1 << v) != full)
 
 
 def induced_subgraph(
@@ -409,7 +433,7 @@ def is_tree(g: RootedWeightedGraph) -> bool:
 
 def is_cycle_graph(g: RootedWeightedGraph) -> bool:
     """One cycle through every vertex."""
-    return _is_cycle_on(g, frozenset(g.vertices))
+    return _is_cycle_on(_masks(g)[0], (1 << (g.n + 1)) - 1)
 
 
 def is_star_graph(g: RootedWeightedGraph) -> bool:
@@ -427,26 +451,21 @@ def is_path_graph(g: RootedWeightedGraph) -> bool:
 def two_weight_tree_bands(g: RootedWeightedGraph) -> tuple[int, int] | None:
     """Bands (a, b) of a tree whose root-away edges enter A with weight a, B with b.
 
-    Every non-root vertex has one parent edge on the path toward the root; the
-    A-entering weights must agree, as must the B-entering weights. A block with
-    no vertices reports band 0.
+    Every non-root vertex v has one parent edge on the path toward the root,
+    the only edge joining v to the root's component of g - v. The A-entering
+    weights must agree, as must the B-entering weights. A block with no
+    vertices reports band 0.
     """
     g.require_bipartition()
     if not is_tree(g):
         return None
-    parent_weight = _reach(g, ROOT)
-    a = uniform_weight(parent_weight[v] for v in g.block_a) if g.p else 0
-    b = uniform_weight(parent_weight[v] for v in g.block_b) if g.q else 0
+    masks = _masks(g)
+    parent = [_root_side_weight(g, v, masks) for v in range(1, g.n + 1)]
+    a = uniform_weight(parent[: g.p]) if g.p else 0
+    b = uniform_weight(parent[g.p :]) if g.q else 0
     if a is None or b is None:
         return None
     return a, b
-
-
-def _induced_edges(g: RootedWeightedGraph, verts: frozenset[int]):
-    # verts is a vertex subset, so at full size it is every vertex
-    if len(verts) == g.n + 1:
-        return g.edges
-    return [(i, j, w) for i, j, w in g.edges if i in verts and j in verts]
 
 
 def _hanging_tree(g: RootedWeightedGraph, core: frozenset[int]) -> int | None:
@@ -462,18 +481,15 @@ def _hanging_tree(g: RootedWeightedGraph, core: frozenset[int]) -> int | None:
     return uniform_weight(hanging)
 
 
-def _is_cycle_on(g: RootedWeightedGraph, verts: frozenset[int]) -> bool:
-    """Whether the subgraph induced on verts is one cycle through all of them."""
-    if len(verts) < 3:
+def _is_cycle_on(nbrs: list[int], verts: int) -> bool:
+    """Whether the subgraph induced on the vertex bitmask verts is one cycle:
+    three or more vertices, two neighbours each inside verts, and connected.
+    """
+    inner = [(nbrs[v] & verts).bit_count() for v in range(len(nbrs)) if verts >> v & 1]
+    if len(inner) < 3 or set(inner) != {2}:
         return False
-    edges = _induced_edges(g, verts)
-    if len(edges) != len(verts):
-        return False
-    degree = dict.fromkeys(verts, 0)
-    for i, j, _ in edges:
-        degree[i] += 1
-        degree[j] += 1
-    return all(d == 2 for d in degree.values()) and _connected_within(g, verts)
+    start, full = verts & -verts, (1 << len(nbrs)) - 1
+    return _reach(nbrs, full ^ verts | start, start) == full
 
 
 def _band_layout(
@@ -520,17 +536,17 @@ def _rooted_complete_on(
 
 
 def _side_family(
-    g: RootedWeightedGraph, root: int, others: frozenset[int]
+    g: RootedWeightedGraph, nbrs: list[int], root: int, others: frozenset[int]
 ) -> tuple[str, int, int] | None:
     """Family of the induced subgraph on {root} | others.
 
     Returns (shape, first_band, second_band) where shape is "cycle" or
     "complete"; a cycle reports its uniform weight as first_band and 0 as
-    second_band.
+    second_band. nbrs holds g's neighbour bitmasks.
     """
-    verts = others | {root}
-    if _is_cycle_on(g, verts):
-        weight = uniform_weight(w for _, _, w in _induced_edges(g, verts))
+    verts = 1 << root | sum(1 << v for v in others)
+    if _is_cycle_on(nbrs, verts):
+        weight = uniform_weight(w for i, j, w in g.edges if verts >> i & verts >> j & 1)
         if weight is not None:
             return "cycle", weight, 0
     bands = _rooted_complete_on(g, root, others)
@@ -550,9 +566,12 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
     """
     g.require_bipartition()
     tags: list[FamilyTag] = []
-    if g.p == 0 or g.q == 0 or not is_connected(g):
+    nbrs = _masks(g)[0]
+    full = (1 << (g.n + 1)) - 1
+    if g.p == 0 or g.q == 0 or _reach(nbrs) != full:
         return tags
     A, B = g.block_a, g.block_b
+    b_bits = full ^ ((1 << (g.p + 1)) - 1)
 
     def add(case: str, *groups: dict) -> None:
         # keys sort within each group, not across: iv.a and iv.b list the
@@ -568,7 +587,7 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
 
     # cases i.a / i.b / i.c: the whole graph is one cycle; in i.b (p = 1) and
     # i.c (p = 2) the root joins all of A with one weight, the rest another
-    if is_cycle_graph(g):
+    if _is_cycle_on(nbrs, full):
         uniform = uniform_weight(w for _, _, w in g.edges)
         if uniform is not None:
             add("i.a", {"a": uniform})
@@ -579,8 +598,8 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
     # case ii: two first-block vertices, both joined to the root, and a full
     # cycle plus the chord {1, 2}
     if g.p == 2 and len(root_a) == 2 and g.weight(1, 2) and None not in (a, rest):
-        chordless = tuple(e for e in g.edges if e[:2] != (1, 2))
-        if is_cycle_graph(RootedWeightedGraph(g.n, chordless)):
+        chordless = [nbrs[0], nbrs[1] ^ 1 << 2, nbrs[2] ^ 1 << 1, *nbrs[3:]]
+        if _is_cycle_on(chordless, full):
             add("ii", {"a": a, "b": g.weight(1, 2), "c": rest})
 
     # case iii: complete up to absent bands, constant weight per band
@@ -592,15 +611,13 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
     # cases iv.a / iv.b: first side is a cycle or complete, second side hangs
     # off a limited attachment set: one vertex carrying a tree, cycle or
     # complete side (iv.a), or several carrying a uniform forest (iv.b)
-    ga = _side_family(g, ROOT, A)
+    ga = _side_family(g, nbrs, ROOT, A)
     if ga is not None:
         side_a = dict(zip(("a_shape", "a", "b"), ga))
-        attach = [
-            v for v in range(g.p + 1) if any(u in B for u, _ in g.neighbors(v))
-        ]
+        attach = [v for v in range(g.p + 1) if nbrs[v] & b_bits]
         tree = _hanging_tree(g, A | {ROOT})
         if len(attach) == 1:
-            side = ("tree", tree, 0) if tree else _side_family(g, attach[0], B)
+            side = ("tree", tree, 0) if tree else _side_family(g, nbrs, attach[0], B)
             if side is not None:
                 side_b = dict(zip(("b_shape", "c", "d"), side))
                 add("iv.a", side_a, {"attachment": attach[0], **side_b})
@@ -613,8 +630,9 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
     # reaches inside {0} | A; every other edge, at least one of them inside
     # {0} | A, hangs a uniform tree off {i} | B
     if any(j in A for _, j, _ in g.edges):
-        for i in sorted(_reach(g, ROOT, A | {ROOT})):
-            side = _side_family(g, i, B)
+        reached = _reach(nbrs, b_bits | 1)
+        for i in (i for i in range(g.p + 1) if reached >> i & 1):
+            side = _side_family(g, nbrs, i, B)
             a_weight = _hanging_tree(g, B | {i})
             if side is not None and a_weight is not None:
                 side_a = {"a_shape": "forest", "a": a_weight, "attachment": i}

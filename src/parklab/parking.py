@@ -32,7 +32,7 @@ from .errors import (
     TooLarge,
     UNotMonotone,
 )
-from .graph import ROOT, RootedWeightedGraph
+from .graph import ROOT, RootedWeightedGraph, _masks
 
 Vector = tuple[int, ...]
 
@@ -179,10 +179,7 @@ def _mpf_walk(g: RootedWeightedGraph) -> Iterator[Vector]:
         yield ()
         return
     edges = g.edges
-    nbr = [0] * (n + 1)
-    for i, j, _ in edges:
-        nbr[i] |= 1 << j
-        nbr[j] |= 1 << i
+    nbr = _masks(g)[0]
     pos = [0] * (n + 1)
     # frames (depth, placed, owed, reached, candidates): reached holds every
     # neighbour of a placed vertex; the candidates left at this depth are

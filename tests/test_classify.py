@@ -42,9 +42,14 @@ from parklab.errors import (
     NotClassified,
     ShapeMismatch,
 )
-from parklab import classify
+from parklab import classify, graph
 from parklab.classify import _cycle_case_grid
-from parklab.graph import is_connected, matching_invariant_cases
+from parklab.graph import (
+    RootedWeightedGraph,
+    is_connected,
+    matching_invariant_cases,
+    two_weight_tree_bands,
+)
 from parklab.lattice import block_sorted, increasing_maximal_pairs
 
 FOUR_CYCLE = build_graph(3, ((0, 2, 1), (1, 2, 1), (1, 3, 1), (0, 3, 2)), p=2, q=1)
@@ -317,8 +322,8 @@ def block_graphs(max_n: int, max_w: int):
 
 
 def largest_entries(g) -> list[int]:
-    nbrs, degree = classify._neighbour_masks(g)
-    return [classify._largest_entry(g, nbrs, degree, v) for v in g.vertices[1:]]
+    masks = graph._masks(g)
+    return [graph._root_side_weight(g, v, masks) - 1 for v in g.vertices[1:]]
 
 
 class TestLargestEntryFilter:
@@ -345,7 +350,7 @@ class TestLargestEntryFilter:
         # is 3 against its block twin's 1, yet both take at most 0, so a
         # filter on the plain degree would reject this invariant graph
         g = build_graph(3, ((0, 3, 1), (1, 3, 1), (2, 3, 1)), p=1, q=2)
-        assert classify._neighbour_masks(g)[1][2:] == [1, 3]
+        assert graph._masks(g)[1][2:] == [1, 3]
         assert largest_entries(g) == [0, 0, 0]
         assert classify._blocks_level(g)
         assert classify._closed_maximal_set(g) == {(0, 0, 0)}
@@ -514,6 +519,28 @@ def block_relabelings(p: int, q: int):
             yield (0, *a, *b)
 
 
+def search_tree(g, avoid: int | None = None) -> dict[int, int]:
+    """A depth-first search from the root over a dict of edge lists.
+
+    The library's searches run on neighbour bitmasks; this one reads only
+    g.edges and is their independent oracle. Each vertex the search reaches,
+    never passing through avoid, maps to the weight of the edge it was first
+    reached by (0 for the root); on a tree that is its parent edge.
+    """
+    adjacent: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
+    for i, j, w in g.edges:
+        adjacent[i].append((j, w))
+        adjacent[j].append((i, w))
+    seen = {0: 0}
+    stack = [0]
+    while stack:
+        for u, w in adjacent[stack.pop()]:
+            if u not in seen and u != avoid:
+                seen[u] = w
+                stack.append(u)
+    return seen
+
+
 def reference_block_graphs(p: int, q: int, max_w: int):
     """The product-and-filter generator that the orderly walk replaced.
 
@@ -532,7 +559,7 @@ def reference_block_graphs(p: int, q: int, max_w: int):
             continue
         edges = [(i, j, w) for (i, j), w in zip(slots, weights) if w]
         g = build_graph(n, edges, p=p, q=q, require_connected=False)
-        if is_connected(g):
+        if len(search_tree(g)) == n + 1:
             yield g
 
 
@@ -572,7 +599,8 @@ def count_block_graphs(p: int, q: int, max_w: int) -> int:
                 cycles.append(cycle)
         for ws in itertools.product(range(values), repeat=len(cycles)):
             edges = [(i, j, w) for cycle, w in zip(cycles, ws) if w for i, j in cycle]
-            fixed += is_connected(build_graph(n, edges, require_connected=False))
+            g = build_graph(n, edges, require_connected=False)
+            fixed += len(search_tree(g)) == n + 1
     count, rest = divmod(fixed, len(relabelings))
     assert rest == 0
     return count
@@ -630,6 +658,33 @@ class TestBlockGraphGeneration:
             next(connected_block_graphs(-1, 3, 1))
 
 
+class TestSearchOracle:
+    def test_structure_queries_agree_with_the_dict_search(self) -> None:
+        tested = bridges = cuts = trees = 0
+        for g in block_graphs(4, 2):
+            tested += 1
+            for k in range(len(g.edges)):
+                rest = RootedWeightedGraph(g.n, g.edges[:k] + g.edges[k + 1 :])
+                connected = len(search_tree(rest)) == g.n + 1
+                assert is_connected(rest) == connected, (g, k)
+                bridges += not connected
+            expected = {
+                v for v in range(1, g.n + 1) if len(search_tree(g, avoid=v)) < g.n
+            }
+            assert cut_vertices(g) == expected, g
+            cuts += len(expected)
+            bands = None
+            if len(g.edges) == g.n:
+                trees += 1
+                parent = search_tree(g)
+                a = {parent[v] for v in range(1, g.p + 1)}
+                b = {parent[v] for v in range(g.p + 1, g.n + 1)}
+                if len(a) == len(b) == 1:
+                    bands = (a.pop(), b.pop())
+            assert two_weight_tree_bands(g) == bands, g
+        assert (tested, bridges, cuts, trees) == (35_933, 19_732, 13_732, 1_433)
+
+
 class TestSweep:
     def test_two_vertex_budget(self) -> None:
         report = sweep_classification(2, 2)
@@ -659,6 +714,15 @@ class TestSweep:
         }
         assert report.counterexamples == []
         assert sweep_classification(5, 1, jobs=2) == report
+
+    def test_six_vertex_unit_budget(self) -> None:
+        report = sweep_classification(6, 1, jobs=2)
+        assert (report.graphs_tested, report.invariant_count) == (210_698, 3_288)
+        assert report.per_family_counts == {
+            "i.a": 65, "ii": 8, "iii": 118, "iv.a": 362, "iv.b": 244,
+            "v": 652, "vi": 1_839,
+        }
+        assert report.counterexamples == []
 
     def test_jobs_beyond_the_cpu_count_share_the_cpus(self, monkeypatch) -> None:
         asked = []

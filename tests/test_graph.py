@@ -78,6 +78,12 @@ class TestBuildGraph:
         with pytest.raises(ShapeMismatch, match="must be given together"):
             build_graph(2, [(0, 1, 1), (1, 2, 1)], p=1)
 
+    # a float weight was truncated, a bool read as 1, a pair raised IndexError
+    @pytest.mark.parametrize("entry", [(0, 1, 1.5), (0, 1, True), (0, 1)])
+    def test_entry_must_be_three_ints(self, entry):
+        with pytest.raises(ShapeMismatch, match="not three integers"):
+            build_graph(1, [entry])
+
 
 class TestDU:
     def test_diamond_top_block(self, diamond):

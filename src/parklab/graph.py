@@ -12,6 +12,8 @@ queries the classification needs: weighted out-degrees into a subset, cut
 vertices, induced subgraphs, quotients by vertex partitions, and
 recognizers for the named families (uniform trees, cycles, banded complete
 graphs, two-weight trees, and each case of the invariance classification).
+Induced subgraphs, quotients, block relabelings and the block swap are all
+images under a vertex map, built by the one constructor _relabeled.
 Each structure has exactly one recognizer: a cycle or a rooted complete
 graph is read off an induced subgraph (whole-graph checks pass every
 vertex), and a tree or forest hanging off a vertex set is recognized by
@@ -102,9 +104,6 @@ class RootedWeightedGraph:
     def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
         return self.adjacency[v]
 
-    def simple_degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     @property
     def has_bipartition(self) -> bool:
         return self.p is not None
@@ -190,7 +189,9 @@ def build_graph(
     g = RootedWeightedGraph(n, edge_tuple)
     if p is not None:
         g = g.with_bipartition(p, q)
-    if require_connected and not is_connected(g):
+    # a connected graph on n + 1 vertices has at least n edges; counting them
+    # first spares is_connected's per-vertex lists on a huge empty header
+    if require_connected and (len(edge_tuple) < n or not is_connected(g)):
         raise Disconnected("graph does not connect all vertices to the root")
     return g
 
@@ -270,6 +271,26 @@ def cut_vertices(g: RootedWeightedGraph) -> frozenset[int]:
     return frozenset(v for v in range(1, g.n + 1) if _reach(nbrs, 1 | 1 << v) != full)
 
 
+def _relabeled(
+    g: RootedWeightedGraph, label: dict[int, int], n: int, p=None, q=None
+) -> RootedWeightedGraph:
+    """The image of g under the vertex map label: vertices 0..n, blocks p, q.
+
+    An edge with an end outside label, or with both ends on one label, is
+    dropped; edges landing on one pair add their weights. g is valid, so its
+    image is too: build_graph's checks are not run again.
+    """
+    merged: dict[tuple[int, int], int] = {}
+    for i, j, w in g.edges:
+        a, b = label.get(i), label.get(j)
+        if a is None or b is None or a == b:
+            continue
+        pair = (a, b) if a < b else (b, a)
+        merged[pair] = merged.get(pair, 0) + w
+    edges = sorted((a, b, w) for (a, b), w in merged.items())
+    return RootedWeightedGraph(n, tuple(edges), p, q)
+
+
 def induced_subgraph(
     g: RootedWeightedGraph, S: Iterable[int]
 ) -> tuple[RootedWeightedGraph, dict[int, int]]:
@@ -294,18 +315,8 @@ def induced_subgraph(
         first = sorted(sel - {ROOT})
         second = []
         new_p = new_q = None
-    mapping = {ROOT: ROOT}
-    for idx, v in enumerate(first + second, start=1):
-        mapping[v] = idx
-    new_edges = [
-        (mapping[i], mapping[j], w)
-        for i, j, w in g.edges
-        if i in sel and j in sel
-    ]
-    sub = build_graph(
-        len(sel) - 1, new_edges, p=new_p, q=new_q, require_connected=False
-    )
-    return sub, mapping
+    mapping = {v: idx for idx, v in enumerate([ROOT, *first, *second])}
+    return _relabeled(g, mapping, len(sel) - 1, new_p, new_q), mapping
 
 
 def quotient_graph(
@@ -325,30 +336,15 @@ def quotient_graph(
         raise NotAPartition("blocks must cover every vertex exactly once")
     root_block = next(b for b in block_list if ROOT in b)
     others = sorted((b for b in block_list if b is not root_block), key=min)
-    label: dict[int, int] = {}
-    for v in root_block:
-        label[v] = ROOT
-    for idx, b in enumerate(others, start=1):
-        for v in b:
-            label[v] = idx
-    merged: dict[tuple[int, int], int] = {}
-    for i, j, w in g.edges:
-        a, b = label[i], label[j]
-        if a == b:
-            continue
-        if a > b:
-            a, b = b, a
-        merged[(a, b)] = merged.get((a, b), 0) + w
-    return build_graph(
-        len(others),
-        [(i, j, w) for (i, j), w in merged.items()],
-        require_connected=False,
-    )
+    label = {v: idx for idx, b in enumerate([root_block, *others]) for v in b}
+    return _relabeled(g, label, len(others))
 
 
 def swap_blocks(g: RootedWeightedGraph) -> RootedWeightedGraph:
     """Exchange the two blocks, relabeling so the old B becomes 1..q."""
-    return relabel_for_blocks(g, g.block_b, g.block_a)[0]
+    g.require_bipartition()
+    order = [ROOT, *range(g.p + 1, g.n + 1), *range(1, g.p + 1)]
+    return _relabeled(g, {v: idx for idx, v in enumerate(order)}, g.n, g.q, g.p)
 
 
 def relabel_for_blocks(
@@ -368,14 +364,8 @@ def relabel_for_blocks(
         raise NotAPartition("blocks overlap")
     if set(a_sorted) | set(b_sorted) != set(range(1, g.n + 1)):
         raise NotAPartition("blocks must cover the non-root vertices")
-    mapping = {ROOT: ROOT}
-    for idx, v in enumerate(a_sorted + b_sorted, start=1):
-        mapping[v] = idx
-    edges = [(mapping[i], mapping[j], w) for i, j, w in g.edges]
-    out = build_graph(
-        g.n, edges, p=len(a_sorted), q=len(b_sorted), require_connected=False
-    )
-    return out, mapping
+    mapping = {v: idx for idx, v in enumerate([ROOT, *a_sorted, *b_sorted])}
+    return _relabeled(g, mapping, g.n, len(a_sorted), len(b_sorted)), mapping
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +434,7 @@ def is_star_graph(g: RootedWeightedGraph) -> bool:
 def is_path_graph(g: RootedWeightedGraph) -> bool:
     if not is_tree(g) or g.n == 0:
         return False
-    degs = sorted(g.simple_degree(v) for v in g.vertices)
-    return degs[-1] <= 2
+    return max(map(len, g.adjacency)) <= 2
 
 
 def two_weight_tree_bands(g: RootedWeightedGraph) -> tuple[int, int] | None:

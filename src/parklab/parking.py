@@ -67,15 +67,15 @@ def order_statistics(values: Sequence[int]) -> Vector:
 
 
 def is_classical_pf(a: Sequence[int]) -> bool:
-    """Whether the i-th order statistic stays below i for every i."""
-    return all(v < i for i, v in enumerate(order_statistics(a), start=1))
+    """Whether a is non-negative and its i-th order statistic stays below i."""
+    return all(0 <= v < i for i, v in enumerate(order_statistics(a), start=1))
 
 
 def is_vector_pf(a: Sequence[int], u: Sequence[int]) -> bool:
     """Whether a parks against the threshold vector u.
 
-    u must be positive and non-decreasing; a parks when its i-th order
-    statistic is strictly below u[i-1] for every i.
+    u must be positive and non-decreasing; a parks when it is non-negative
+    and its i-th order statistic is strictly below u[i-1] for every i.
     """
     if len(a) != len(u):
         raise LengthMismatch(
@@ -83,7 +83,7 @@ def is_vector_pf(a: Sequence[int], u: Sequence[int]) -> bool:
         )
     if any(x <= 0 for x in u) or any(u[i] > u[i + 1] for i in range(len(u) - 1)):
         raise UNotMonotone("thresholds must be positive and non-decreasing")
-    return all(v < bound for v, bound in zip(order_statistics(a), u))
+    return all(0 <= v < bound for v, bound in zip(order_statistics(a), u))
 
 
 def _check_length(g: RootedWeightedGraph, b: Sequence[int]) -> None:

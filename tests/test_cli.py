@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -288,6 +289,15 @@ class TestMalformedInput:
         path = tmp_path / "input"
         path.write_text(text)
         return run_json(runner, [command, flag, str(path)], expect_exit=1)["error"]
+
+    def test_huge_vertex_count_without_edges(self, runner, tmp_path) -> None:
+        start = time.perf_counter()
+        error = self.error_of(runner, tmp_path, "pf", "--graph", "1000000000000 0 0\n")
+        assert time.perf_counter() - start < 1.0
+        assert error == {
+            "type": "disconnected",
+            "message": "graph does not connect all vertices to the root",
+        }
 
     def test_non_integer_edge_token(self, runner, tmp_path) -> None:
         error = self.error_of(runner, tmp_path, "mpf", "--graph", "1 0 0\n0 1 x\n")

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+import time
 
 import pytest
 
 from parklab import (
     build_graph,
+    connected_block_graphs,
     cut_vertices,
     d_U,
     format_graph_text,
@@ -19,6 +22,7 @@ from parklab import (
     swap_blocks,
 )
 from parklab.errors import (
+    BipartitionMissing,
     Disconnected,
     DuplicateEdge,
     LoopEdge,
@@ -83,6 +87,24 @@ class TestBuildGraph:
     def test_entry_must_be_three_ints(self, entry):
         with pytest.raises(ShapeMismatch, match="not three integers"):
             build_graph(1, [entry])
+
+    # fewer edges than non-root vertices cannot connect them: the header's
+    # vertex count must not size any per-vertex list before that is seen
+    @pytest.mark.parametrize(
+        "edges, blocks",
+        [([], {}), ([(0, 1, 1)], {}), ([], {"p": 1, "q": 10**12 - 1})],
+    )
+    def test_huge_header_with_few_edges_is_disconnected(self, edges, blocks):
+        start = time.perf_counter()
+        with pytest.raises(Disconnected, match="does not connect all vertices"):
+            build_graph(10**12, edges, **blocks)
+        assert time.perf_counter() - start < 1.0
+
+    def test_few_edges_precede_no_other_error(self):
+        with pytest.raises(VertexOutOfRange):
+            build_graph(10**12, [(0, 10**12 + 1, 1)])
+        with pytest.raises(ShapeMismatch, match="do not cover"):
+            build_graph(10**12, [], p=1, q=1)
 
 
 class TestDU:
@@ -287,6 +309,118 @@ class TestBlockRelabeling:
         twice = swap_blocks(swap_blocks(diamond_split))
         assert twice.edges == diamond_split.edges
         assert (twice.p, twice.q) == (diamond_split.p, diamond_split.q)
+
+
+def set_partitions(items: list[int]):
+    """Every partition of items into non-empty blocks, as lists of lists."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in set_partitions(rest):
+        yield [[first], *partition]
+        for k in range(len(partition)):
+            yield [*partition[:k], [first, *partition[k]], *partition[k + 1 :]]
+
+
+def reference_induced_subgraph(g, S):
+    """Remap the edges inside S by hand and revalidate through build_graph."""
+    sel = frozenset(S)
+    if g.has_bipartition:
+        first, second = sorted(sel & g.block_a), sorted(sel & g.block_b)
+        new_p, new_q = len(first), len(second)
+    else:
+        first, second, new_p, new_q = sorted(sel - {0}), [], None, None
+    mapping = {0: 0}
+    for idx, v in enumerate(first + second, start=1):
+        mapping[v] = idx
+    edges = [(mapping[i], mapping[j], w) for i, j, w in g.edges if {i, j} <= sel]
+    sub = build_graph(len(sel) - 1, edges, p=new_p, q=new_q, require_connected=False)
+    return sub, mapping
+
+
+def reference_quotient_graph(g, blocks):
+    """Merge parallel images by hand and revalidate through build_graph."""
+    block_list = [frozenset(b) for b in blocks]
+    root_block = next(b for b in block_list if 0 in b)
+    others = sorted((b for b in block_list if b is not root_block), key=min)
+    label = {v: 0 for v in root_block}
+    for idx, b in enumerate(others, start=1):
+        for v in b:
+            label[v] = idx
+    merged = {}
+    for i, j, w in g.edges:
+        a, b = sorted((label[i], label[j]))
+        if a != b:
+            merged[(a, b)] = merged.get((a, b), 0) + w
+    edges = [(i, j, w) for (i, j), w in merged.items()]
+    return build_graph(len(others), edges, require_connected=False)
+
+
+def reference_relabel_for_blocks(g, block_a, block_b):
+    """Rename every vertex by hand and revalidate through build_graph."""
+    a_sorted, b_sorted = sorted(block_a), sorted(block_b)
+    mapping = {0: 0}
+    for idx, v in enumerate(a_sorted + b_sorted, start=1):
+        mapping[v] = idx
+    edges = [(mapping[i], mapping[j], w) for i, j, w in g.edges]
+    out = build_graph(
+        g.n, edges, p=len(a_sorted), q=len(b_sorted), require_connected=False
+    )
+    return out, mapping
+
+
+def subsets(items):
+    return itertools.chain.from_iterable(
+        itertools.combinations(items, k) for k in range(len(items) + 1)
+    )
+
+
+@pytest.fixture(scope="module")
+def small_graphs():
+    """Every block graph with n <= 3 and weights <= 2, then each without blocks."""
+    block_graphs = [
+        g
+        for n in range(4)
+        for p in range(n + 1)
+        for g in connected_block_graphs(p, n - p, 2)
+    ]
+    assert len(block_graphs) == 1007  # 1,006 with n >= 1, and the root alone
+    return block_graphs + [build_graph(g.n, g.edges) for g in block_graphs]
+
+
+class TestVertexMapsAgainstReference:
+    """The four vertex maps against hand remapping revalidated by build_graph."""
+
+    def test_induced_subgraph(self, small_graphs):
+        for g in small_graphs:
+            for chosen in subsets(range(1, g.n + 1)):
+                sel = {0, *chosen}
+                assert induced_subgraph(g, sel) == reference_induced_subgraph(g, sel)
+
+    def test_quotient_graph(self, small_graphs):
+        for g in small_graphs:
+            for blocks in set_partitions(list(g.vertices)):
+                assert quotient_graph(g, blocks) == reference_quotient_graph(g, blocks)
+
+    def test_relabel_for_blocks(self, small_graphs):
+        for g in small_graphs:
+            for chosen in subsets(range(1, g.n + 1)):
+                # lists in decreasing order, so the maps must sort them
+                first = sorted(chosen, reverse=True)
+                second = sorted(set(range(1, g.n + 1)) - set(chosen), reverse=True)
+                got = relabel_for_blocks(g, first, second)
+                assert got == reference_relabel_for_blocks(g, first, second)
+
+    def test_swap_blocks(self, small_graphs):
+        for g in small_graphs:
+            if g.has_bipartition:
+                want = reference_relabel_for_blocks(g, g.block_b, g.block_a)[0]
+                assert swap_blocks(g) == want
+
+    def test_swap_blocks_needs_blocks(self, diamond):
+        with pytest.raises(BipartitionMissing):
+            swap_blocks(diamond)
 
 
 class TestTextFormat:

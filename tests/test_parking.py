@@ -135,6 +135,26 @@ class TestVectorMembership:
         assert is_vector_pf(values, u) == is_classical_pf(values)
 
 
+class TestNegativeEntries:
+    """A negative entry never parks, by any of the membership tests."""
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_classical_vector_and_complete_graph_agree(self, n):
+        complete = build_graph(
+            n, [(i, j, 1) for i, j in itertools.combinations(range(n + 1), 2)]
+        )
+        u = tuple(range(1, n + 1))
+        for b in itertools.product(range(-1, n + 1), repeat=n):
+            assert is_classical_pf(b) == is_g_pf(complete, b)
+            assert is_vector_pf(b, u) == is_classical_pf(b)
+
+    def test_threshold_errors_come_first(self):
+        with pytest.raises(LengthMismatch):
+            is_vector_pf((-1, 0), (1, 2, 3))
+        with pytest.raises(UNotMonotone):
+            is_vector_pf((-1, 0), (2, 1))
+
+
 class TestGraphMembership:
     def test_diamond_member(self, diamond):
         assert is_g_pf(diamond, (5, 1, 2))

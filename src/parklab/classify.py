@@ -16,13 +16,16 @@ a cycle or complete first side with restricted attachments, uniform forests
 carrying one cycle or complete second side, and two-weight trees). Each
 matched case prescribes a weight grid whose parking pairs reproduce the
 graph's parking functions; verify_equality checks that claim exactly, and
-sweep_classification does so for every invariant graph within a budget.
+sweep_classification checks each invariant graph within a budget through
+construct_u_for_graph, the route the construct-u command prints.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -31,6 +34,7 @@ from .errors import (
     InvalidParameters,
     NotClassified,
     ShapeMismatch,
+    TooLarge,
 )
 from .graph import (
     CASE_ORDER,
@@ -65,6 +69,8 @@ from .parking import (
 )
 
 Vector = tuple[int, ...]
+
+_MAX_AFFINE_EDGES = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +213,7 @@ def match_theorem61(g: RootedWeightedGraph) -> list[FamilyTag]:
         tags.extend(
             replace(t, swapped=True) for t in matching_invariant_cases(flipped)
         )
-    order = {case: k for k, case in enumerate(CASE_ORDER)}
-    tags.sort(key=lambda t: (order[t.case], t.swapped))
+    tags.sort(key=lambda t: (CASE_ORDER.index(t.case), t.swapped))
     return tags
 
 
@@ -245,7 +250,8 @@ def graph_from_affine_u(
     B: e; zero bands mean absent edges; a and e must not both vanish).
     c = cprime = 0 gives two banded complete graphs merged at the root, and
     needs a, e >= 1. Distinct cross coefficients are refused, although some
-    such grids do have a graph with the same parking set.
+    such grids do have a graph with the same parking set. A graph of more
+    than _MAX_AFFINE_EDGES edges raises TooLarge before any edge is built.
     """
     if min(p, q) < 1:
         raise InvalidParameters("both block sizes must be at least 1")
@@ -263,6 +269,13 @@ def graph_from_affine_u(
     elif a == 0 and e == 0:
         raise InvalidParameters("the root needs at least one positive band")
     weights = {"a": a, "b": b, "c": c, "d": d, "e": e}
+    pairs = {"a": p, "b": math.comb(p, 2), "c": p * q, "d": math.comb(q, 2), "e": q}
+    size = sum(pairs[name] for name in weights if weights[name])
+    if size > _MAX_AFFINE_EDGES:
+        raise TooLarge(
+            f"affine graph on blocks ({p}, {q}) has {size} edges; "
+            f"guarded at {_MAX_AFFINE_EDGES}"
+        )
     edges = [
         (u, v, weights[name])
         for name, groups in _band_layout(p, q).items()
@@ -357,14 +370,11 @@ def construct_u_for_graph(g: RootedWeightedGraph) -> GridConstruction:
     if not tags:
         raise NotClassified("graph matches no case of the classification")
     tag = tags[0]
-    return GridConstruction(_grid_for_tag(g, tag), tag, tuple(tags), tag.swapped)
-
-
-def _grid_for_tag(g: RootedWeightedGraph, tag: FamilyTag) -> WeightGrid:
-    """Grid of a matched case, transposed back when it matched swapped."""
-    if not tag.swapped:
-        return _grid_for_case(g.p, g.q, tag)
-    return grid_transpose(_grid_for_case(g.q, g.p, tag))
+    if tag.swapped:
+        grid = grid_transpose(_grid_for_case(g.q, g.p, tag))
+    else:
+        grid = _grid_for_case(g.p, g.q, tag)
+    return GridConstruction(grid, tag, tuple(tags), tag.swapped)
 
 
 def _matches_grid(maximal: set[Vector], p: int, increasing: list[Pair]) -> bool:
@@ -405,21 +415,16 @@ def _slots(n: int) -> list[tuple[int, int]]:
 def _block_relabelings(p: int, q: int, slots: list[tuple[int, int]]):
     """Slot permutations induced by relabeling inside each block."""
     index = {pair: k for k, pair in enumerate(slots)}
+    identity = tuple(range(len(slots)))
     maps = []
     for sigma in itertools.permutations(range(1, p + 1)):
         for tau in itertools.permutations(range(p + 1, p + q + 1)):
-            relabel = {0: 0}
-            relabel.update({v: sigma[v - 1] for v in range(1, p + 1)})
-            relabel.update({v: tau[v - p - 1] for v in range(p + 1, p + q + 1)})
-            if all(relabel[v] == v for v in relabel):
-                continue
-            perm = []
-            for i, j in slots:
-                a, b = relabel[i], relabel[j]
-                if a > b:
-                    a, b = b, a
-                perm.append(index[(a, b)])
-            maps.append(tuple(perm))
+            to = (0, *sigma, *tau)
+            perm = tuple(
+                index[min(to[i], to[j]), max(to[i], to[j])] for i, j in slots
+            )
+            if perm != identity:
+                maps.append(perm)
     return maps
 
 
@@ -541,12 +546,11 @@ def _blocks_level(g: RootedWeightedGraph) -> bool:
     return True
 
 
-def _sweep_block(args: tuple[int, int, int]) -> dict:
-    """Worker for one block split: tests every graph of the split once."""
+def _sweep_block(args: tuple[int, int, int]) -> tuple:
+    """Test each graph of one split once: (tested, invariant, counts, bad)."""
     p, q, max_w = args
-    tested = 0
-    invariant = 0
-    counts: dict[str, int] = {}
+    tested = invariant = 0
+    counts: Counter[str] = Counter()
     bad: list[dict] = []
     for g in connected_block_graphs(p, q, max_w):
         tested += 1
@@ -556,29 +560,16 @@ def _sweep_block(args: tuple[int, int, int]) -> dict:
         if maximal is None:
             continue
         invariant += 1
-        tags = match_theorem61(g)
-        if not tags:
-            bad.append(
-                {"graph": g.to_json(), "reason": "no-case-matches"}
-            )
+        try:
+            built = construct_u_for_graph(g)
+        except NotClassified:
+            bad.append({"graph": g.to_json(), "reason": "no-case-matches"})
             continue
-        case = tags[0].case
-        counts[case] = counts.get(case, 0) + 1
-        grid = _grid_for_tag(g, tags[0])
-        if not _matches_grid(maximal, p, increasing_maximal_pairs(grid)):
-            bad.append(
-                {
-                    "graph": g.to_json(),
-                    "reason": "grid-mismatch",
-                    "case": case,
-                }
-            )
-    return {
-        "tested": tested,
-        "invariant": invariant,
-        "counts": counts,
-        "bad": bad,
-    }
+        case = built.case.case
+        counts[case] += 1
+        if not _matches_grid(maximal, p, increasing_maximal_pairs(built.grid)):
+            bad.append({"graph": g.to_json(), "reason": "grid-mismatch", "case": case})
+    return tested, invariant, counts, bad
 
 
 def sweep_classification(
@@ -615,15 +606,12 @@ def sweep_classification(
             partials = list(pool.map(_sweep_block, tasks))
     else:
         partials = [_sweep_block(t) for t in tasks]
-    report = SweepReport(max_n, max_w, 0, 0, {}, [])
-    for part in partials:
-        report.graphs_tested += part["tested"]
-        report.invariant_count += part["invariant"]
-        for case, count in part["counts"].items():
-            report.per_family_counts[case] = (
-                report.per_family_counts.get(case, 0) + count
-            )
-        report.counterexamples.extend(part["bad"])
+    report = SweepReport(max_n, max_w, 0, 0, Counter(), [])
+    for tested, invariant, counts, bad in partials:
+        report.graphs_tested += tested
+        report.invariant_count += invariant
+        report.per_family_counts.update(counts)
+        report.counterexamples.extend(bad)
     report.counterexamples.sort(key=lambda d: sorted(d["graph"]["edges"]))
     return report
 

@@ -426,17 +426,6 @@ def is_cycle_graph(g: RootedWeightedGraph) -> bool:
     return _is_cycle_on(_masks(g)[0], (1 << (g.n + 1)) - 1)
 
 
-def is_star_graph(g: RootedWeightedGraph) -> bool:
-    """Tree with the root as the internal vertex."""
-    return is_tree(g) and all(i == ROOT for i, _, _ in g.edges) and g.n >= 1
-
-
-def is_path_graph(g: RootedWeightedGraph) -> bool:
-    if not is_tree(g) or g.n == 0:
-        return False
-    return max(map(len, g.adjacency)) <= 2
-
-
 def two_weight_tree_bands(g: RootedWeightedGraph) -> tuple[int, int] | None:
     """Bands (a, b) of a tree whose root-away edges enter A with weight a, B with b.
 
@@ -639,19 +628,22 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
 def recognize_family(g: RootedWeightedGraph) -> FamilyTag:
     """Most specific structural family of the graph.
 
-    Uniform trees refine to stars and paths; non-uniform trees on a
+    Uniform trees refine to stars (every edge at the root) and paths (no
+    vertex of degree above two); non-uniform trees on a
     bipartition may be two-weight trees; cycles and banded complete graphs
     come next, then the lowest matching case of the invariance
     classification, and "unclassified" as the fallback.
     """
     if is_tree(g):
         a = uniform_weight(w for _, _, w in g.edges)
-        if a is not None:
-            if is_star_graph(g):
-                return FamilyTag("uniform_star", params=_params(a=a))
-            if is_path_graph(g):
-                return FamilyTag("uniform_path", params=_params(a=a))
-            return FamilyTag("uniform_tree", params=_params(a=a))
+        if a is not None:  # a uniform tree has an edge, so n >= 1
+            if all(i == ROOT for i, _, _ in g.edges):
+                family = "uniform_star"
+            elif max(map(len, g.adjacency)) <= 2:
+                family = "uniform_path"
+            else:
+                family = "uniform_tree"
+            return FamilyTag(family, params=_params(a=a))
         if g.has_bipartition:
             bands = two_weight_tree_bands(g)
             if bands is not None:

@@ -12,7 +12,8 @@ v[i][j] with j < q (a path east of column p cannot step east again). The
 full arrays are stored for uniformity. Every constructor fills every node
 through one builder, _node_grid, from a formula in (i, j): vector and case
 grids repeat their last read entry into the unread row u[p][.] and column
-v[.][q], and affine grids extend their formula there.
+v[.][q], and affine grids extend their formula there. No builder takes a
+grid of more than _MAX_GRID_NODES (one million) nodes.
 
 Maximal pairs come from paths directly: along any path the east weights
 (and the north weights) are non-decreasing, so subtracting one from them
@@ -38,12 +39,15 @@ from .errors import (
     NotMonotone,
     PathDoesNotBound,
     ShapeMismatch,
+    TooLarge,
     UNotMonotone,
 )
 from .graph import ROOT, RootedWeightedGraph
 from .parking import _burn_order, _down_set, _size_guard, order_statistics
 
 Pair = tuple[tuple[int, ...], tuple[int, ...]]
+
+_MAX_GRID_NODES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -94,10 +98,23 @@ class WeightGrid:
         }
 
 
+def _node_guard(p: int, q: int) -> None:
+    """Raise TooLarge for a p x q grid of more than _MAX_GRID_NODES nodes.
+
+    Negative sizes pass, so that WeightGrid reports them as a shape mismatch.
+    """
+    nodes = (p + 1) * (q + 1)
+    if min(p, q) >= 0 and nodes > _MAX_GRID_NODES:
+        raise TooLarge(
+            f"{p} x {q} grid has {nodes} nodes; guarded at {_MAX_GRID_NODES}"
+        )
+
+
 def _node_grid(
     p: int, q: int, u_at: Callable[[int, int], int], v_at: Callable[[int, int], int]
 ) -> WeightGrid:
     """The grid whose node (i, j) holds u_at(i, j) and v_at(i, j)."""
+    _node_guard(p, q)
     rows, cols = range(p + 1), range(q + 1)
     return WeightGrid(
         p,
@@ -143,6 +160,7 @@ def grid_from_affine(
     e: int,
 ) -> WeightGrid:
     """Affine grid u[i][j] = b*i + c*j + a, v[i][j] = cprime*i + d*j + e."""
+    _node_guard(p, q)
 
     def u_at(i: int, j: int) -> int:
         return b * i + c * j + a

@@ -41,6 +41,7 @@ from parklab.errors import (
     InvalidParameters,
     NotClassified,
     ShapeMismatch,
+    TooLarge,
 )
 from parklab import classify, graph
 from parklab.classify import _cycle_case_grid
@@ -277,7 +278,7 @@ class TestLazyInvariance:
             grids = [previous[g.p, g.q]] if (g.p, g.q) in previous else []
             if lazy is not None:
                 assert lazy == full, g
-                grids.append(classify._grid_for_tag(g, match_theorem61(g)[0]))
+                grids.append(construct_u_for_graph(g).grid)
                 previous[g.p, g.q] = grids[-1]
             for grid in grids:
                 increasing = increasing_maximal_pairs(grid)
@@ -424,6 +425,30 @@ class TestGraphFromAffine:
         grid = grid_from_affine(2, 3, a=1, b=1, c=2, cprime=2, d=1, e=2)
         g = graph_from_affine_u(2, 3, a=1, b=1, c=2, cprime=2, d=1, e=2)
         assert verify_equality(g, grid)
+
+    def test_edge_guard_is_exact(self, monkeypatch) -> None:
+        # every band subset the construction accepts, on blocks up to 3 x 3
+        for p, q in itertools.product(range(1, 4), repeat=2):
+            for a, b, c, d, e in itertools.product((0, 1), repeat=5):
+                bands = dict(a=a, b=b, c=c, cprime=c, d=d, e=e)
+                try:
+                    size = len(graph_from_affine_u(p, q, **bands).edges)
+                except InvalidParameters:
+                    continue
+                monkeypatch.setattr(classify, "_MAX_AFFINE_EDGES", size)
+                graph_from_affine_u(p, q, **bands)
+                monkeypatch.setattr(classify, "_MAX_AFFINE_EDGES", size - 1)
+                with pytest.raises(TooLarge, match=f" has {size} edges; "):
+                    graph_from_affine_u(p, q, **bands)
+                monkeypatch.undo()
+
+    def test_huge_graph_is_refused_before_it_is_built(self) -> None:
+        with pytest.raises(
+            TooLarge,
+            match=r"^affine graph on blocks \(1000, 1000\) has 2001000 edges; "
+            "guarded at 1000000$",
+        ):
+            graph_from_affine_u(1000, 1000, a=1, b=1, c=1, cprime=1, d=1, e=1)
 
     # sha256 over every block size 0..3 and band weight -1..2: the graph's
     # JSON, family and case list, or the error type and message

@@ -1,5 +1,6 @@
 """End-to-end tests for the batch command line."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -177,6 +178,22 @@ class TestClassifyCommands:
         assert data["graphs_tested"] == 20
         assert data["counterexamples"] == []
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_output_is_pinned(self, runner, jobs) -> None:
+        result = runner.invoke(
+            main, ["sweep", "--max-n", "4", "--max-w", "2", "--jobs", jobs]
+        )
+        assert result.exit_code == 0
+        assert result.output == (
+            '{"budget":{"max_n":4,"max_w":2},"counterexamples":[],'
+            '"graphs_tested":35933,"invariant_count":1120,"per_family_counts":'
+            '{"i.a":26,"i.b":12,"i.c":8,"ii":32,"iii":322,"iv.a":292,'
+            '"iv.b":72,"v":208,"vi":148}}\n'
+        )
+        assert hashlib.sha256(result.output.encode()).hexdigest() == (
+            "8b842020229609f47ae18960d2c8116934827ac8cce5189e10f934c4165787db"
+        )
+
     @pytest.mark.parametrize(
         "budget, value",
         [
@@ -289,6 +306,38 @@ class TestMalformedInput:
         path = tmp_path / "input"
         path.write_text(text)
         return run_json(runner, [command, flag, str(path)], expect_exit=1)["error"]
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("grid", "100000 x 100000 grid has 10000200001 nodes"),
+            (
+                "construct-graph",
+                "affine graph on blocks (100000, 100000) has 20000100000 edges",
+            ),
+        ],
+    )
+    def test_huge_affine_sizes_fail_at_once(
+        self, runner, tmp_path, command, message
+    ) -> None:
+        affine = {"a": 1, "b": 1, "c": 1, "cprime": 1, "d": 1, "e": 1}
+        text = json.dumps({"p": 100000, "q": 100000, "affine": affine})
+        start = time.perf_counter()
+        error = self.error_of(runner, tmp_path, command, "--grid", text)
+        assert time.perf_counter() - start < 1.0
+        assert error == {
+            "type": "too-large",
+            "message": f"{message}; guarded at 1000000",
+        }
+
+    def test_decreasing_grid_is_not_monotone(self, runner, tmp_path) -> None:
+        path = tmp_path / "grid.json"
+        path.write_text('{"p": 1, "q": 0, "u": [[2], [1]], "v": [[0], [0]]}')
+        result = runner.invoke(main, ["grid", "--grid", str(path)])
+        assert result.exit_code == 1
+        assert result.output == (
+            '{"error":{"message":"u[0][0] > u[1][0]","type":"grid-not-monotone"}}\n'
+        )
 
     def test_huge_vertex_count_without_edges(self, runner, tmp_path) -> None:
         start = time.perf_counter()

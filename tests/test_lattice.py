@@ -38,11 +38,13 @@ from parklab.errors import (
     InvalidParameters,
     NegativeEntry,
     NotInA,
+    NotMonotone,
     PathDoesNotBound,
     ShapeMismatch,
     TooLarge,
     UNotMonotone,
 )
+from parklab import lattice
 from parklab.lattice import (
     WeightGrid,
     _arrangements,
@@ -142,6 +144,50 @@ class TestGridConstruction:
     def test_load_grid_rejects_unknown_shape(self) -> None:
         with pytest.raises(ShapeMismatch):
             load_grid({"p": 2, "q": 2})
+
+
+class TestGridGuards:
+    def test_decreasing_entries_are_not_monotone(self) -> None:
+        with pytest.raises(NotMonotone, match=r"^u\[0\]\[0\] > u\[1\]\[0\]$"):
+            WeightGrid(1, 0, ((2,), (1,)), ((0,), (0,)))
+        with pytest.raises(NotMonotone, match=r"^v\[0\]\[0\] > v\[0\]\[1\]$"):
+            WeightGrid(0, 1, ((1, 1),), ((3, 2),))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda p, q: grid_from_affine(p, q, a=1, b=0, c=0, cprime=0, d=0, e=1),
+            lambda p, q: grid_from_vectors((1,) * p, (1,) * q),
+            lambda p, q: _cycle_case_grid(p, q, 1, 1),
+        ],
+    )
+    def test_node_guard_is_exact(self, monkeypatch, build) -> None:
+        monkeypatch.setattr(lattice, "_MAX_GRID_NODES", 12)
+        assert (build(2, 3).p, build(3, 2).p, build(1, 5).p) == (2, 3, 1)
+        with pytest.raises(TooLarge, match="^1 x 6 grid has 14 nodes; guarded at 12$"):
+            build(1, 6)
+        monkeypatch.setattr(lattice, "_MAX_GRID_NODES", 11)
+        with pytest.raises(TooLarge, match="^2 x 3 grid has 12 nodes; guarded at 11$"):
+            build(2, 3)
+
+    def test_affine_guard_comes_before_the_node_scan(self, monkeypatch) -> None:
+        monkeypatch.setattr(lattice, "_MAX_GRID_NODES", 12)
+        with pytest.raises(TooLarge):
+            grid_from_affine(3, 3, a=-1, b=0, c=0, cprime=0, d=0, e=1)
+        with pytest.raises(NegativeEntry):
+            grid_from_affine(2, 3, a=-1, b=0, c=0, cprime=0, d=0, e=1)
+
+    def test_negative_sizes_stay_shape_mismatches(self, monkeypatch) -> None:
+        monkeypatch.setattr(lattice, "_MAX_GRID_NODES", 12)
+        with pytest.raises(ShapeMismatch, match="non-negative"):
+            grid_from_affine(-5, -5, a=1, b=0, c=0, cprime=0, d=0, e=1)
+
+    def test_huge_affine_grid_is_refused(self) -> None:
+        with pytest.raises(
+            TooLarge,
+            match="^100000 x 100000 grid has 10000200001 nodes; guarded at 1000000$",
+        ):
+            grid_from_affine(10**5, 10**5, a=1, b=1, c=1, cprime=1, d=1, e=1)
 
 
 def _pinned_constructions():

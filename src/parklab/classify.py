@@ -27,7 +27,6 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterator
 
 from .errors import (
     BipartitionMissing,
@@ -61,14 +60,13 @@ from .lattice import (
     increasing_maximal_pairs,
 )
 from .parking import (
+    Vector,
     _burn_order,
     _mpf_walk,
     enumerate_mpf,
     enumerate_pf,
     order_statistics,
 )
-
-Vector = tuple[int, ...]
 
 _MAX_AFFINE_EDGES = 1_000_000
 
@@ -105,17 +103,6 @@ class InvarianceReport:
         }
 
 
-def _block_orbit(vec: Vector, p: int) -> Iterator[Vector]:
-    """All distinct vectors obtained by permuting within the two blocks.
-
-    They come in set order, which fixes the hole that is_invariant reports.
-    """
-    second_perms = set(itertools.permutations(vec[p:]))
-    for a in set(itertools.permutations(vec[:p])):
-        for b in second_perms:
-            yield a + b
-
-
 def _orbit_closed(vectors: set[Vector], p: int) -> tuple[Vector, Vector] | None:
     """First (element, missing permutation) hole, or None when closed.
 
@@ -129,7 +116,12 @@ def _orbit_closed(vectors: set[Vector], p: int) -> tuple[Vector, Vector] | None:
     for key, held in orbits.items():
         if len(held) < _orbit_size(key):
             vec = held[0]
-            return vec, next(c for c in _block_orbit(vec, p) if c not in vectors)
+            # set order fixes the hole that parklab classify prints
+            second = set(itertools.permutations(vec[p:]))
+            for a in set(itertools.permutations(vec[:p])):
+                for b in second:
+                    if a + b not in vectors:
+                        return vec, a + b
     return None
 
 
@@ -408,10 +400,6 @@ def verify_equality(g: RootedWeightedGraph, grid: WeightGrid) -> bool:
 # sweeps
 
 
-def _slots(n: int) -> list[tuple[int, int]]:
-    return list(itertools.combinations(range(n + 1), 2))
-
-
 def _block_relabelings(p: int, q: int, slots: list[tuple[int, int]]):
     """Slot permutations induced by relabeling inside each block."""
     index = {pair: k for k, pair in enumerate(slots)}
@@ -448,7 +436,7 @@ def connected_block_graphs(p: int, q: int, max_w: int):
     if p < 0 or q < 0:
         raise ShapeMismatch(f"block sizes {p} and {q} must be non-negative")
     n = p + q
-    slots = _slots(n)
+    slots = list(itertools.combinations(range(n + 1), 2))
     if not slots:  # the root alone
         yield RootedWeightedGraph(n, (), p, q)
         return

@@ -296,10 +296,10 @@ def induced_subgraph(
 ) -> tuple[RootedWeightedGraph, dict[int, int]]:
     """Induced subgraph on a root-containing selection, relabeled to convention.
 
-    Block members keep their relative order: A-vertices of the selection become
-    1..m, B-vertices m+1..m+k when the graph is bipartitioned, otherwise the
-    non-root selection is packed in increasing label order. Returns the
-    subgraph and the old-to-new relabeling map. Connectivity is not enforced.
+    The selection is packed in increasing label order. A = 1..p precedes B,
+    so on a bipartitioned graph the selected A-vertices become 1..m and the
+    selected B-vertices m+1..m+k. Returns the subgraph and the old-to-new
+    relabeling map. Connectivity is not enforced.
     """
     sel = frozenset(S)
     if ROOT not in sel:
@@ -307,16 +307,11 @@ def induced_subgraph(
     for v in sel:
         if not (0 <= v <= g.n):
             raise VertexOutOfRange(f"selection member {v} is not a vertex")
-    if g.has_bipartition:
-        first = sorted(sel & g.block_a)
-        second = sorted(sel & g.block_b)
-        new_p, new_q = len(first), len(second)
-    else:
-        first = sorted(sel - {ROOT})
-        second = []
-        new_p = new_q = None
-    mapping = {v: idx for idx, v in enumerate([ROOT, *first, *second])}
-    return _relabeled(g, mapping, len(sel) - 1, new_p, new_q), mapping
+    n = len(sel) - 1
+    new_p = len(sel & g.block_a) if g.has_bipartition else None
+    new_q = None if new_p is None else n - new_p
+    mapping = {v: idx for idx, v in enumerate(sorted(sel))}
+    return _relabeled(g, mapping, n, new_p, new_q), mapping
 
 
 def quotient_graph(
@@ -419,11 +414,6 @@ def uniform_weight(weights: Iterable[int]) -> int | None:
 
 def is_tree(g: RootedWeightedGraph) -> bool:
     return len(g.edges) == g.n and is_connected(g)
-
-
-def is_cycle_graph(g: RootedWeightedGraph) -> bool:
-    """One cycle through every vertex."""
-    return _is_cycle_on(_masks(g)[0], (1 << (g.n + 1)) - 1)
 
 
 def two_weight_tree_bands(g: RootedWeightedGraph) -> tuple[int, int] | None:
@@ -650,7 +640,8 @@ def recognize_family(g: RootedWeightedGraph) -> FamilyTag:
                 return FamilyTag(
                     "two_weight_tree", params=_params(a=bands[0], b=bands[1])
                 )
-    if is_cycle_graph(g):
+    # a cycle through every vertex
+    if _is_cycle_on(_masks(g)[0], (1 << (g.n + 1)) - 1):
         a = uniform_weight(w for _, _, w in g.edges)
         if a is not None:
             return FamilyTag("uniform_cycle", params=_params(a=a))

@@ -66,11 +66,8 @@ def indegree_vector(o: Orientation) -> tuple[int, ...]:
 
 
 def is_acyclic(o: Orientation) -> bool:
-    order = _topological_order(o)
-    return order is not None
-
-
-def _topological_order(o: Orientation) -> list[int] | None:
+    """Kahn's check, with no logic shared with burning, so that
+    enumerate_A_bruteforce stays an independent oracle for enumerate_A."""
     n = o.graph.n
     out: dict[int, list[int]] = {v: [] for v in range(n + 1)}
     indeg = [0] * (n + 1)
@@ -78,15 +75,15 @@ def _topological_order(o: Orientation) -> list[int] | None:
         out[t].append(h)
         indeg[h] += 1
     ready = [v for v in range(n + 1) if indeg[v] == 0]
-    order = []
+    removed = 0
     while ready:
         v = ready.pop()
-        order.append(v)
+        removed += 1
         for u in out[v]:
             indeg[u] -= 1
             if indeg[u] == 0:
                 ready.append(u)
-    return order if len(order) == n + 1 else None
+    return removed == n + 1
 
 
 def has_unique_source(o: Orientation) -> bool:

@@ -20,6 +20,7 @@ from parklab.classify import connected_block_graphs
 from parklab.orientations import (
     enumerate_A_bruteforce,
     has_unique_source,
+    in_A,
     indegree_vector,
     is_acyclic,
 )
@@ -128,6 +129,19 @@ class TestEnumerateA:
         for o in enumerate_A(diamond):
             assert is_acyclic(o)
             assert has_unique_source(o)
+
+    def test_cycle_among_non_root_vertices_is_not_acyclic(self):
+        # 0 -> 1 -> 2 -> 3 -> 1: every non-root vertex has an in-edge, so
+        # only the cycle keeps the orientation out of A(G)
+        g = build_graph(3, [(0, 1, 1), (1, 2, 1), (1, 3, 1), (2, 3, 1)])
+        cyclic = Orientation(g, (1, 2, 1, 3))
+        assert has_unique_source(cyclic)
+        assert not is_acyclic(cyclic)
+        assert not in_A(cyclic)
+        # reversing 3 -> 1 to 1 -> 3 breaks the cycle
+        acyclic = Orientation(g, (1, 2, 3, 3))
+        assert is_acyclic(acyclic)
+        assert in_A(acyclic)
 
 
 class TestBijection:

@@ -6,9 +6,11 @@ set is equivalent to invariance of its maximal elements. is_invariant counts
 the maximal vectors of each block orbit and reports a hole of the first open
 orbit as a witness; the sweep instead burns the adjacent swaps inside each
 block as the walk emits the maximal vectors, and stops at the first that stalls.
-Before that walk the sweep rejects, from neighbour bitmasks alone, each graph
-whose block vertices do not share their largest parking entry (w(v, R) - 1,
-for R the root's component of G - v), which no invariant graph does.
+Before that walk the sweep rejects, from the neighbour bitmasks and weighted
+degrees the block-graph generator keeps at each leaf, each graph whose block
+vertices do not share their largest parking entry (w(v, R) - 1, for R the
+root's component of G - v), which no invariant graph does. The search tests
+the leaf's weight total; both build graphs only for the leaves that pass.
 
 Invariant graphs are matched against the structural case list (cycles with
 up to two marked vertices, a cycle with a chord, banded complete graphs,
@@ -42,7 +44,6 @@ from .graph import (
     RootedWeightedGraph,
     _band_layout,
     _band_pairs,
-    _masks,
     _reach,
     _root_side_weight,
     build_graph,
@@ -416,18 +417,14 @@ def _block_relabelings(p: int, q: int, slots: list[tuple[int, int]]):
     return maps
 
 
-def connected_block_graphs(p: int, q: int, max_w: int):
-    """All connected bipartitioned graphs up to relabeling within blocks.
+def _block_leaves(p: int, q: int, max_w: int):
+    """connected_block_graphs' walk, yielding (edges, nbrs, degree, total).
 
-    Every edge slot takes a weight in 0..max_w (0 means absent), and of each
-    block-relabeling orbit only the lexicographically smallest assignment is
-    yielded, in lexicographic order, when it is connected. The walk assigns
-    the slots depth first, in order (orderly generation, after Read 1978). A
-    relabeling is compared with the identity on the assigned prefix only:
-    where it already reads smaller the whole subtree is pruned, and where it
-    already reads larger it is dropped for the subtree. Connectivity is
-    decided on per-vertex neighbour bitmasks, and only the yielded graphs
-    are built.
+    nbrs and degree are what graph._masks reads from edges, total the weight
+    sum. The walk keeps them slot by slot: each weight step adds 1 to both
+    endpoints and the total, and a slot whose weights run out takes max_w
+    back off. The two lists are the walk's live state, valid only until the
+    next item is requested.
     """
     if max_w < 0:
         raise InvalidParameters(
@@ -438,7 +435,7 @@ def connected_block_graphs(p: int, q: int, max_w: int):
     n = p + q
     slots = list(itertools.combinations(range(n + 1), 2))
     if not slots:  # the root alone
-        yield RootedWeightedGraph(n, (), p, q)
+        yield (), [0], [0], 0
         return
     last = len(slots) - 1
     # (perm, wait, t): perm agrees with the identity before position t, and
@@ -450,6 +447,8 @@ def connected_block_graphs(p: int, q: int, max_w: int):
     weights = [-1] * len(slots)  # -1: slot not assigned yet
     undecided = [relabelings] + [None] * last  # input states per depth
     nbrs = [0] * (n + 1)
+    degree = [0] * (n + 1)
+    total = 0
     full = (1 << (n + 1)) - 1
     edges = []
     d = 0
@@ -460,14 +459,21 @@ def connected_block_graphs(p: int, q: int, max_w: int):
             weights[d] = -1
             nbrs[i] &= ~(1 << j)
             nbrs[j] &= ~(1 << i)
+            degree[i] -= max_w
+            degree[j] -= max_w
+            total -= max_w
             d -= 1
             if d >= 0 and weights[d]:
                 edges.pop()
             continue
         weights[d] = w
-        if w == 1:  # slot d's bits stay set until its weights run out
-            nbrs[i] |= 1 << j
-            nbrs[j] |= 1 << i
+        if w:
+            degree[i] += 1
+            degree[j] += 1
+            total += 1
+            if w == 1:  # slot d's bits stay set until its weights run out
+                nbrs[i] |= 1 << j
+                nbrs[j] |= 1 << i
         kept = []
         for state in undecided[d]:
             perm, wait, t = state
@@ -491,7 +497,25 @@ def connected_block_graphs(p: int, q: int, max_w: int):
                 continue
             if _reach(nbrs) == full:
                 leaf = (*edges, (i, j, w)) if w else tuple(edges)
-                yield RootedWeightedGraph(n, leaf, p, q)
+                yield leaf, nbrs, degree, total
+
+
+def connected_block_graphs(p: int, q: int, max_w: int):
+    """All connected bipartitioned graphs up to relabeling within blocks.
+
+    Every edge slot takes a weight in 0..max_w (0 means absent), and of each
+    block-relabeling orbit only the lexicographically smallest assignment is
+    yielded, in lexicographic order, when it is connected. The walk assigns
+    the slots depth first, in order (orderly generation, after Read 1978). A
+    relabeling is compared with the identity on the assigned prefix only:
+    where it already reads smaller the whole subtree is pruned, and where it
+    already reads larger it is dropped for the subtree. Connectivity is
+    decided on per-vertex neighbour bitmasks. The walk is _block_leaves;
+    the sweep's prefilter and the search's sum test read its leaf masks,
+    degrees and total, and build graphs only for survivors.
+    """
+    for edges, _, _, _ in _block_leaves(p, q, max_w):
+        yield RootedWeightedGraph(p + q, edges, p, q)
 
 
 @dataclass
@@ -513,7 +537,7 @@ class SweepReport:
         }
 
 
-def _blocks_level(g: RootedWeightedGraph) -> bool:
+def _blocks_level(p: int, edges: tuple, nbrs: list[int], degree: list[int]) -> bool:
     """Whether the vertices of each block share their largest parking entry.
 
     By Dhar's burning, v's largest entry is w(v, R) - 1, for R the root's
@@ -522,14 +546,15 @@ def _blocks_level(g: RootedWeightedGraph) -> bool:
     rest. A block permutation moves a largest entry to any vertex of its
     block, so every invariant graph passes; many others pass too, so this
     only spares _closed_maximal_set graphs it would reject. It stops at the
-    first vertex whose entry differs from its block's first.
+    first vertex whose entry differs from its block's first. It reads a
+    leaf of _block_leaves whose first block is 1..p.
     """
-    masks = _masks(g)
-    for first, last in ((1, g.p), (g.p + 1, g.n)):
+    masks = nbrs, degree
+    for first, last in ((1, p), (p + 1, len(nbrs) - 1)):
         if first < last:
-            top = _root_side_weight(g, first, masks)
+            top = _root_side_weight(edges, first, masks)
             for v in range(first + 1, last + 1):
-                if _root_side_weight(g, v, masks) != top:
+                if _root_side_weight(edges, v, masks) != top:
                     return False
     return True
 
@@ -540,10 +565,11 @@ def _sweep_block(args: tuple[int, int, int]) -> tuple:
     tested = invariant = 0
     counts: Counter[str] = Counter()
     bad: list[dict] = []
-    for g in connected_block_graphs(p, q, max_w):
+    for edges, nbrs, degree, _ in _block_leaves(p, q, max_w):
         tested += 1
-        if not _blocks_level(g):
+        if not _blocks_level(p, edges, nbrs, degree):
             continue
+        g = RootedWeightedGraph(p + q, edges, p, q)
         maximal = _closed_maximal_set(g)
         if maximal is None:
             continue
@@ -617,11 +643,13 @@ def search_graph_matching_grid(
     increasing = increasing_maximal_pairs(grid)
     sums = {sum(a + b) for a, b in increasing}
     n = grid.p + grid.q
+    one_sum = len(sums) == 1
     tested = 0
-    for g in connected_block_graphs(grid.p, grid.q, max_w):
+    for edges, _, _, total in _block_leaves(grid.p, grid.q, max_w):
         tested += 1
-        if len(sums) != 1 or g.total_weight - n not in sums:
+        if not one_sum or total - n not in sums:
             continue
+        g = RootedWeightedGraph(n, edges, grid.p, grid.q)
         if _matches_grid(set(enumerate_mpf(g)), grid.p, increasing):
             return g, tested
     return None, tested

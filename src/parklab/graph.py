@@ -28,8 +28,9 @@ neighbour masks that _masks reads from the edges once per call path. It
 decides is_connected, cut_vertices and the cycle recognizer, finds the
 root's side of A for case v, and gives _root_side_weight w(v, R) for R the
 root's component of G - v: a tree's parent edge, and one more than v's
-largest parking entry. classify's block-graph generator runs it on masks
-that it updates slot by slot.
+largest parking entry. classify's block-graph generator runs _reach on masks
+it updates slot by slot, and its sweep prefilter runs _root_side_weight on
+the leaf's edges, masks and degrees, building graphs only for survivors.
 """
 
 from __future__ import annotations
@@ -228,20 +229,21 @@ def _reach(nbrs: Sequence[int], seen: int = 1, start: int = 1) -> int:
 
 
 def _root_side_weight(
-    g: RootedWeightedGraph, v: int, masks: tuple[list[int], list[int]]
+    edges: Sequence[Edge], v: int, masks: tuple[list[int], list[int]]
 ) -> int:
     """w(v, R): the weight joining non-root v to R, the root's component of g - v.
 
-    masks is _masks(g). When v is no cut vertex, R is every other vertex and
-    w(v, R) is v's weighted degree. v is no cut vertex when each of its
-    neighbours is the root or adjacent to it, and then R is not searched.
+    masks is _masks(g) for g the graph with these edges. When v is no cut
+    vertex, R is every other vertex and w(v, R) is v's weighted degree. v is
+    no cut vertex when each of its neighbours is the root or adjacent to
+    it, and then R is not searched.
     """
     nbrs, degree = masks
     if (nbrs[v] & ~nbrs[ROOT]) > 1:
         side = _reach(nbrs, 1 | 1 << v)
-        if side != (1 << (g.n + 1)) - 1:
+        if side != (1 << len(nbrs)) - 1:
             return sum(
-                w for i, j, w in g.edges if v in (i, j) and side >> i + j - v & 1
+                w for i, j, w in edges if v in (i, j) and side >> i + j - v & 1
             )
     return degree[v]
 
@@ -428,7 +430,7 @@ def two_weight_tree_bands(g: RootedWeightedGraph) -> tuple[int, int] | None:
     if not is_tree(g):
         return None
     masks = _masks(g)
-    parent = [_root_side_weight(g, v, masks) for v in range(1, g.n + 1)]
+    parent = [_root_side_weight(g.edges, v, masks) for v in range(1, g.n + 1)]
     a = uniform_weight(parent[: g.p]) if g.p else 0
     b = uniform_weight(parent[g.p :]) if g.q else 0
     if a is None or b is None:

@@ -303,7 +303,9 @@ class TestLazyInvariance:
         # with the largest-entry prefilter off, a burn that accepts every
         # swap lets every graph through; the non-invariant ones then match
         # no case (n = 2 has no in-block swap)
-        monkeypatch.setattr(classify, "_blocks_level", lambda g: True)
+        monkeypatch.setattr(
+            classify, "_blocks_level", lambda p, edges, nbrs, degree: True
+        )
         monkeypatch.setattr(classify, "_burn_order", lambda g, b: [0])
         report = sweep_classification(3, 2)
         assert report.invariant_count == report.graphs_tested == 704
@@ -324,7 +326,7 @@ def block_graphs(max_n: int, max_w: int):
 
 def largest_entries(g) -> list[int]:
     masks = graph._masks(g)
-    return [graph._root_side_weight(g, v, masks) - 1 for v in g.vertices[1:]]
+    return [graph._root_side_weight(g.edges, v, masks) - 1 for v in g.vertices[1:]]
 
 
 class TestLargestEntryFilter:
@@ -337,13 +339,17 @@ class TestLargestEntryFilter:
         assert tested == 35_933
 
     def test_filter_passes_every_invariant_graph(self) -> None:
+        # the filter reads each leaf as the sweep does, on the walk's live masks
         passed = invariant = 0
-        for g in block_graphs(4, 2):
-            level = classify._blocks_level(g)
-            closed = classify._closed_maximal_set(g) is not None
-            assert level or not closed, g
-            passed += level
-            invariant += closed
+        for n in range(2, 5):
+            for p in range(1, n):
+                for edges, nbrs, degree, _ in classify._block_leaves(p, n - p, 2):
+                    level = classify._blocks_level(p, edges, nbrs, degree)
+                    g = RootedWeightedGraph(n, edges, p, n - p)
+                    closed = classify._closed_maximal_set(g) is not None
+                    assert level or not closed, g
+                    passed += level
+                    invariant += closed
         assert (passed, invariant) == (2_878, 1_120)
 
     def test_a_cut_vertex_takes_less_than_its_degree(self) -> None:
@@ -353,7 +359,7 @@ class TestLargestEntryFilter:
         g = build_graph(3, ((0, 3, 1), (1, 3, 1), (2, 3, 1)), p=1, q=2)
         assert graph._masks(g)[1][2:] == [1, 3]
         assert largest_entries(g) == [0, 0, 0]
-        assert classify._blocks_level(g)
+        assert classify._blocks_level(g.p, g.edges, *graph._masks(g))
         assert classify._closed_maximal_set(g) == {(0, 0, 0)}
         assert match_theorem61(g)[0].case == "v"
 
@@ -658,6 +664,17 @@ class TestBlockGraphGeneration:
         generated = sum(1 for _ in connected_block_graphs(p, q, max_w))
         assert generated == count_block_graphs(p, q, max_w)
 
+    @pytest.mark.parametrize("p, q, max_w", SMALL_SHAPES)  # (2, 2, 2) included
+    def test_leaf_records_match_the_built_graph(self, p, q, max_w) -> None:
+        # checked at yield time: nbrs and degree are the walk's live lists
+        streamed = []
+        for edges, nbrs, degree, total in classify._block_leaves(p, q, max_w):
+            g = RootedWeightedGraph(p + q, edges, p, q)
+            assert (nbrs, degree) == graph._masks(g), g
+            assert total == g.total_weight, g
+            streamed.append((p, q, edges))
+        assert streamed == self.stream(connected_block_graphs(p, q, max_w))
+
     def test_a09_stream_is_unchanged(self) -> None:
         digest = hashlib.sha256()
         count = 0
@@ -748,6 +765,18 @@ class TestSweep:
             "v": 652, "vi": 1_839,
         }
         assert report.counterexamples == []
+
+    def test_mirrored_splits_agree(self) -> None:
+        # exchanging the blocks maps the graphs of split (p, q) onto those of
+        # (q, p), invariant ones onto invariant ones of the same lowest case
+        splits = {
+            (p, n - p): classify._sweep_block((p, n - p, 2))
+            for n in range(2, 5)
+            for p in range(1, n)
+        }
+        for (p, q), (tested, invariant, counts, bad) in splits.items():
+            assert (tested, invariant, counts) == splits[q, p][:3], (p, q)
+            assert bad == []
 
     def test_jobs_beyond_the_cpu_count_share_the_cpus(self, monkeypatch) -> None:
         asked = []

@@ -11,6 +11,8 @@ degrees the block-graph generator keeps at each leaf, each graph whose block
 vertices do not share their largest parking entry (w(v, R) - 1, for R the
 root's component of G - v), which no invariant graph does. The search tests
 the leaf's weight total; both build graphs only for the leaves that pass.
+The generator searches for connectivity once per connected prefix, not once
+per leaf, since the slots it adds below a connected leaf only add edges.
 
 Invariant graphs are matched against the structural case list (cycles with
 up to two marked vertices, a cycle with a chord, banded complete graphs,
@@ -25,7 +27,6 @@ construct_u_for_graph, the route the construct-u command prints.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -44,6 +45,7 @@ from .graph import (
     RootedWeightedGraph,
     _band_layout,
     _band_pairs,
+    _band_sizes,
     _reach,
     _root_side_weight,
     build_graph,
@@ -197,8 +199,9 @@ def match_theorem61(g: RootedWeightedGraph) -> list[FamilyTag]:
     if g.p == 0 or g.q == 0:
         raise BipartitionMissing("matching needs both blocks non-empty")
     tags: list[FamilyTag] = []
-    touches_a = any(1 <= u <= g.p for u, _ in g.neighbors(ROOT))
-    touches_b = any(u > g.p for u, _ in g.neighbors(ROOT))
+    ends = [j for i, j, _ in g.edges if i == ROOT]
+    touches_a = any(j <= g.p for j in ends)
+    touches_b = any(j > g.p for j in ends)
     if touches_a:
         tags.extend(matching_invariant_cases(g))
     if touches_b:
@@ -262,7 +265,7 @@ def graph_from_affine_u(
     elif a == 0 and e == 0:
         raise InvalidParameters("the root needs at least one positive band")
     weights = {"a": a, "b": b, "c": c, "d": d, "e": e}
-    pairs = {"a": p, "b": math.comb(p, 2), "c": p * q, "d": math.comb(q, 2), "e": q}
+    pairs = _band_sizes(p, q)
     size = sum(pairs[name] for name in weights if weights[name])
     if size > _MAX_AFFINE_EDGES:
         raise TooLarge(
@@ -425,6 +428,11 @@ def _block_leaves(p: int, q: int, max_w: int):
     endpoints and the total, and a slot whose weights run out takes max_w
     back off. The two lists are the walk's live state, valid only until the
     next item is requested.
+
+    Deeper slots only add edges, and a weight rising past 1 leaves a slot's
+    bits set. So once a leaf's search reaches every vertex, every later leaf
+    is connected until the deepest slot present at that leaf runs out: the
+    walk searches once per connected prefix, not once per leaf.
     """
     if max_w < 0:
         raise InvalidParameters(
@@ -451,11 +459,14 @@ def _block_leaves(p: int, q: int, max_w: int):
     total = 0
     full = (1 << (n + 1)) - 1
     edges = []
+    connected_at = -1  # if >= 0, leaves are connected until this slot runs out
     d = 0
     while d >= 0:
         i, j = slots[d]
         w = weights[d] + 1
         if w > max_w:
+            if d == connected_at:
+                connected_at = -1
             weights[d] = -1
             nbrs[i] &= ~(1 << j)
             nbrs[j] &= ~(1 << i)
@@ -495,7 +506,10 @@ def _block_leaves(p: int, q: int, max_w: int):
                 undecided[d + 1] = kept
                 d += 1
                 continue
-            if _reach(nbrs) == full:
+            if connected_at < 0 and _reach(nbrs) == full:
+                # n >= 1 here, so a connected leaf has a present slot
+                connected_at = d if w else slots.index(edges[-1][:2])
+            if connected_at >= 0:
                 leaf = (*edges, (i, j, w)) if w else tuple(edges)
                 yield leaf, nbrs, degree, total
 
@@ -510,9 +524,11 @@ def connected_block_graphs(p: int, q: int, max_w: int):
     relabeling is compared with the identity on the assigned prefix only:
     where it already reads smaller the whole subtree is pruned, and where it
     already reads larger it is dropped for the subtree. Connectivity is
-    decided on per-vertex neighbour bitmasks. The walk is _block_leaves;
-    the sweep's prefilter and the search's sum test read its leaf masks,
-    degrees and total, and build graphs only for survivors.
+    decided on per-vertex neighbour bitmasks, by one search per connected
+    prefix: adding slots only adds edges, so the leaves after a connected
+    one stay connected until its deepest present slot runs out. The walk is
+    _block_leaves; the sweep's prefilter and the search's sum test read its
+    leaf masks, degrees and total, and build graphs only for survivors.
     """
     for edges, _, _, _ in _block_leaves(p, q, max_w):
         yield RootedWeightedGraph(p + q, edges, p, q)

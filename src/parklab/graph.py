@@ -14,23 +14,25 @@ recognizers for the named families (uniform trees, cycles, banded complete
 graphs, two-weight trees, and each case of the invariance classification).
 Induced subgraphs, quotients, block relabelings and the block swap are all
 images under a vertex map, built by the one constructor _relabeled.
-Each structure has exactly one recognizer: a cycle or a rooted complete
-graph is read off an induced subgraph (whole-graph checks pass every
-vertex), and a tree or forest hanging off a vertex set is recognized by
-counting, in _hanging_tree: merging the set into one vertex keeps a
-connected graph connected, so the edges left form a tree exactly when
-there is one per vertex outside the set. The five bands of a complete band
-graph (root to A, inside A, A to B, inside B, root to B) are laid out once,
-in _band_layout, and _band is the one band reader, for case iii and for
-rooted complete sides alike; classify.graph_from_affine_u builds its edges
-from the same layout. Connectivity is one bitmask search, _reach, over the
-neighbour masks that _masks reads from the edges once per call path. It
-decides is_connected, cut_vertices and the cycle recognizer, finds the
-root's side of A for case v, and gives _root_side_weight w(v, R) for R the
-root's component of G - v: a tree's parent edge, and one more than v's
-largest parking entry. classify's block-graph generator runs _reach on masks
-it updates slot by slot, and its sweep prefilter runs _root_side_weight on
-the leaf's edges, masks and degrees, building graphs only for survivors.
+The matcher reads one edge census, _census: a single pass over the edges
+buckets each weight into the five bands of a complete band graph (root to
+A, inside A, A to B, inside B, root to B) and lists each vertex of {0} | A's
+edges into B. Case iii's bands, a cycle or rooted complete side
+(_side_family) and a tree or forest hanging off a vertex set are read from
+it. The last is recognized by counting: merging the set into one vertex
+keeps a connected graph connected, so the edges left form a tree exactly
+when there is one per vertex outside the set. recognize_family reads the
+census with every vertex in A. The bands are laid out once, in
+_band_layout, from which classify.graph_from_affine_u builds its edges, and
+_band_sizes counts their pairs. Connectivity is one bitmask search, _reach,
+over the neighbour masks that _masks reads from the edges once per call
+path. It decides is_connected, cut_vertices and the cycle recognizer, finds
+the root's side of A for case v, and gives _root_side_weight w(v, R) for R
+the root's component of G - v: a tree's parent edge, and one more than v's
+largest parking entry. classify's block-graph generator runs _reach on
+masks it updates slot by slot, once per connected prefix, and its sweep
+prefilter runs _root_side_weight on the leaf's edges, masks and degrees,
+building graphs only for survivors.
 """
 
 from __future__ import annotations
@@ -438,19 +440,6 @@ def two_weight_tree_bands(g: RootedWeightedGraph) -> tuple[int, int] | None:
     return a, b
 
 
-def _hanging_tree(g: RootedWeightedGraph, core: frozenset[int]) -> int | None:
-    """Uniform weight of the edges not inside core, when they hang a tree off it.
-
-    Merging core into one vertex keeps a connected graph connected, so those
-    edges form a tree exactly when there are g.n + 1 - len(core) of them.
-    Returns None when they do not, or when their weights differ.
-    """
-    hanging = [w for i, j, w in g.edges if i not in core or j not in core]
-    if len(hanging) != g.n + 1 - len(core):
-        return None
-    return uniform_weight(hanging)
-
-
 def _is_cycle_on(nbrs: list[int], verts: int) -> bool:
     """Whether the subgraph induced on the vertex bitmask verts is one cycle:
     three or more vertices, two neighbours each inside verts, and connected.
@@ -483,45 +472,60 @@ def _band_pairs(
     return [(u, v) for u in left for v in right]
 
 
-def _band(
-    g: RootedWeightedGraph, left: Iterable[int], right: Iterable[int]
-) -> int | None:
-    """Uniform positive weight of a band, 0 when it is absent, else None."""
-    weights = {g.weight(u, v) for u, v in _band_pairs(left, right)}
-    if len(weights) > 1:
-        return None
-    return weights.pop() if weights else 0
+def _band_sizes(p: int, q: int) -> dict[str, int]:
+    """Vertex pairs in each band of a complete graph on blocks p and q."""
+    return {"a": p, "b": p * (p - 1) // 2, "c": p * q, "d": q * (q - 1) // 2, "e": q}
 
 
-def _rooted_complete_on(
-    g: RootedWeightedGraph, root: int, leaves: frozenset[int]
-) -> tuple[int, int] | None:
-    """Bands (root_band, inner_band) of a complete graph on {root} | leaves."""
-    a = _band(g, (root,), leaves)
-    if not a:
-        return None
-    b = _band(g, leaves, leaves)
-    # a lone leaf has no inner pairs; otherwise every inner pair is an edge
-    return (a, b) if b or len(leaves) == 1 else None
+def _census(
+    g: RootedWeightedGraph, p: int
+) -> tuple[dict[str, list[int]], list[list[int]]]:
+    """One pass over g.edges with A = 1..p and B the vertices above p.
+
+    Returns the weights of each band (the names of _band_layout) and, for
+    each vertex of {0} | A, the weights of its edges into B.
+    """
+    bands: dict[str, list[int]] = {name: [] for name in "abcde"}
+    into_b: list[list[int]] = [[] for _ in range(p + 1)]
+    for i, j, w in g.edges:
+        if j <= p:
+            bands["b" if i else "a"].append(w)
+        elif i > p:
+            bands["d"].append(w)
+        else:
+            bands["c" if i else "e"].append(w)
+            into_b[i].append(w)
+    return bands, into_b
+
+
+def _full_band(weights: list[int], pairs: int) -> int | None:
+    """Uniform weight of a band of this many pairs, 0 when absent, else None."""
+    if not weights:
+        return 0
+    return uniform_weight(weights) if len(weights) == pairs else None
 
 
 def _side_family(
-    g: RootedWeightedGraph, nbrs: list[int], root: int, others: frozenset[int]
+    nbrs: list[int], root: int, others: int, spokes: list[int], rim: list[int]
 ) -> tuple[str, int, int] | None:
-    """Family of the induced subgraph on {root} | others.
+    """Family of the subgraph induced on root and the vertex bitmask others.
 
-    Returns (shape, first_band, second_band) where shape is "cycle" or
-    "complete"; a cycle reports its uniform weight as first_band and 0 as
-    second_band. nbrs holds g's neighbour bitmasks.
+    spokes holds the weights of root's edges into others, rim those of the
+    edges inside others, and nbrs the graph's neighbour bitmasks. Returns
+    (shape, first_band, second_band) where shape is "cycle" or "complete";
+    a cycle reports its uniform weight as first_band and 0 as second_band.
     """
-    verts = 1 << root | sum(1 << v for v in others)
-    if _is_cycle_on(nbrs, verts):
-        weight = uniform_weight(w for i, j, w in g.edges if verts >> i & verts >> j & 1)
+    k = others.bit_count()
+    # a cycle on k + 1 vertices has k + 1 edges
+    if len(spokes) + len(rim) == k + 1 and _is_cycle_on(nbrs, others | 1 << root):
+        weight = uniform_weight(spokes + rim)
         if weight is not None:
             return "cycle", weight, 0
-    bands = _rooted_complete_on(g, root, others)
-    if bands is not None:
-        return "complete", bands[0], bands[1]
+    a = _full_band(spokes, k)
+    b = _full_band(rim, k * (k - 1) // 2)
+    # a lone leaf has no inner pairs; otherwise every inner pair is an edge
+    if a and (b or k == 1):
+        return "complete", a, b
     return None
 
 
@@ -540,8 +544,12 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
     full = (1 << (g.n + 1)) - 1
     if g.p == 0 or g.q == 0 or _reach(nbrs) != full:
         return tags
-    A, B = g.block_a, g.block_b
-    b_bits = full ^ ((1 << (g.p + 1)) - 1)
+    p, q, n = g.p, g.q, g.n
+    b_bits = full ^ ((1 << (p + 1)) - 1)
+    bands, into_b = _census(g, p)
+
+    def side_b(i: int) -> tuple[str, int, int] | None:
+        return _side_family(nbrs, i, b_bits, into_b[i], bands["d"])
 
     def add(case: str, *groups: dict) -> None:
         # keys sort within each group, not across: iv.a and iv.b list the
@@ -549,71 +557,78 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
         params = tuple(kv for group in groups for kv in sorted(group.items()))
         tags.append(FamilyTag("invariant_case", case, params))
 
-    # the root's A-edges, and the edges meeting B (i < j, so j in B); with
-    # p <= 2 the two lists hold every edge but the chord {1, 2}
-    root_a = [w for i, j, w in g.edges if i == ROOT and j in A]
+    # the root's A-edges, and the edges meeting B; with p <= 2 the two lists
+    # hold every edge but the chord {1, 2}
+    root_a = bands["a"]
     a = uniform_weight(root_a)
-    rest = uniform_weight(w for _, j, w in g.edges if j in B)
+    meet_b = bands["c"] + bands["d"] + bands["e"]
+    rest = uniform_weight(meet_b)
 
     # cases i.a / i.b / i.c: the whole graph is one cycle; in i.b (p = 1) and
     # i.c (p = 2) the root joins all of A with one weight, the rest another
-    if _is_cycle_on(nbrs, full):
+    if len(g.edges) == n + 1 and _is_cycle_on(nbrs, full):
         uniform = uniform_weight(w for _, _, w in g.edges)
         if uniform is not None:
             add("i.a", {"a": uniform})
         one_each = None not in (a, rest) and a != rest
-        if g.p <= 2 and len(root_a) == g.p and one_each:
-            add("i.b" if g.p == 1 else "i.c", {"a": a, "b": rest})
+        if p <= 2 and len(root_a) == p and one_each:
+            add("i.b" if p == 1 else "i.c", {"a": a, "b": rest})
 
     # case ii: two first-block vertices, both joined to the root, and a full
-    # cycle plus the chord {1, 2}
-    if g.p == 2 and len(root_a) == 2 and g.weight(1, 2) and None not in (a, rest):
+    # cycle plus the chord {1, 2}, the one pair of band b
+    chord = bands["b"]
+    ii_shape = len(g.edges) == n + 2 and p == 2 and len(root_a) == 2 and chord
+    if ii_shape and None not in (a, rest):
         chordless = [nbrs[0], nbrs[1] ^ 1 << 2, nbrs[2] ^ 1 << 1, *nbrs[3:]]
         if _is_cycle_on(chordless, full):
-            add("ii", {"a": a, "b": g.weight(1, 2), "c": rest})
+            add("ii", {"a": a, "b": chord[0], "c": rest})
 
     # case iii: complete up to absent bands, constant weight per band
-    layout = _band_layout(g.p, g.q)
-    bands = {name: _band(g, *groups) for name, groups in layout.items()}
-    if None not in bands.values() and bands["a"] >= 1 and bands["c"] >= 1:
-        add("iii", bands)
+    sizes = _band_sizes(p, q)
+    banded = {name: _full_band(bands[name], sizes[name]) for name in bands}
+    if None not in banded.values() and banded["a"] >= 1 and banded["c"] >= 1:
+        add("iii", banded)
 
     # cases iv.a / iv.b: first side is a cycle or complete, second side hangs
     # off a limited attachment set: one vertex carrying a tree, cycle or
-    # complete side (iv.a), or several carrying a uniform forest (iv.b)
-    ga = _side_family(g, nbrs, ROOT, A)
+    # complete side (iv.a), or several carrying a uniform forest (iv.b). The
+    # edges meeting B hang a tree off {0} | A exactly when there are q of
+    # them, since merging {0} | A into one vertex keeps the graph connected.
+    ga = _side_family(nbrs, ROOT, full ^ b_bits ^ 1, root_a, chord)
     if ga is not None:
         side_a = dict(zip(("a_shape", "a", "b"), ga))
-        attach = [v for v in range(g.p + 1) if nbrs[v] & b_bits]
-        tree = _hanging_tree(g, A | {ROOT})
+        attach = [v for v in range(p + 1) if into_b[v]]
+        tree = rest if len(meet_b) == q else None
         if len(attach) == 1:
-            side = ("tree", tree, 0) if tree else _side_family(g, nbrs, attach[0], B)
+            side = ("tree", tree, 0) if tree else side_b(attach[0])
             if side is not None:
-                side_b = dict(zip(("b_shape", "c", "d"), side))
-                add("iv.a", side_a, {"attachment": attach[0], **side_b})
+                params_b = dict(zip(("b_shape", "c", "d"), side))
+                add("iv.a", side_a, {"attachment": attach[0], **params_b})
         elif tree:
             joined = ",".join(map(str, attach))
-            side_b = {"attachments": joined, "b_shape": "forest", "c": tree}
-            add("iv.b", side_a, side_b)
+            params_b = {"attachments": joined, "b_shape": "forest", "c": tree}
+            add("iv.b", side_a, params_b)
 
     # case v: a cycle or complete second side on one vertex i that the root
     # reaches inside {0} | A; every other edge, at least one of them inside
-    # {0} | A, hangs a uniform tree off {i} | B
-    if any(j in A for _, j, _ in g.edges):
+    # {0} | A, hangs a uniform tree off {i} | B, so there are p of them
+    inside = root_a + chord
+    if inside:
         reached = _reach(nbrs, b_bits | 1)
-        for i in (i for i in range(g.p + 1) if reached >> i & 1):
-            side = _side_family(g, nbrs, i, B)
-            a_weight = _hanging_tree(g, B | {i})
-            if side is not None and a_weight is not None:
+        for i in (i for i in range(p + 1) if reached >> i & 1):
+            hanging = inside + [w for v in range(p + 1) if v != i for w in into_b[v]]
+            a_weight = uniform_weight(hanging) if len(hanging) == p else None
+            side = side_b(i) if a_weight else None
+            if side is not None:
                 side_a = {"a_shape": "forest", "a": a_weight, "attachment": i}
                 add("v", {**side_a, **dict(zip(("b_shape", "c", "d"), side))})
                 break
 
     # case vi: a tree entering the first block with one weight, the second
     # block with another
-    bands = two_weight_tree_bands(g)
-    if bands is not None:
-        add("vi", {"a": bands[0], "b": bands[1]})
+    tree_bands = two_weight_tree_bands(g)
+    if tree_bands is not None:
+        add("vi", {"a": tree_bands[0], "b": tree_bands[1]})
     return tags
 
 
@@ -642,14 +657,14 @@ def recognize_family(g: RootedWeightedGraph) -> FamilyTag:
                 return FamilyTag(
                     "two_weight_tree", params=_params(a=bands[0], b=bands[1])
                 )
-    # a cycle through every vertex
-    if _is_cycle_on(_masks(g)[0], (1 << (g.n + 1)) - 1):
-        a = uniform_weight(w for _, _, w in g.edges)
-        if a is not None:
-            return FamilyTag("uniform_cycle", params=_params(a=a))
-    bands = _rooted_complete_on(g, ROOT, frozenset(range(1, g.n + 1)))
-    if bands is not None and g.n >= 2:
-        return FamilyTag("banded_complete", params=_params(a=bands[0], b=bands[1]))
+    # a uniform cycle through every vertex, else a banded complete graph
+    bands = _census(g, g.n)[0]
+    others = (1 << (g.n + 1)) - 2
+    side = _side_family(_masks(g)[0], ROOT, others, bands["a"], bands["b"])
+    if side is not None and side[0] == "cycle":
+        return FamilyTag("uniform_cycle", params=_params(a=side[1]))
+    if side is not None and g.n >= 2:
+        return FamilyTag("banded_complete", params=_params(a=side[1], b=side[2]))
     if g.has_bipartition and g.p and g.q:
         cases = matching_invariant_cases(g)
         if cases:

@@ -684,6 +684,21 @@ class TestBlockGraphGeneration:
         assert count == count_block_graphs(2, 2, 3) == 265_374
         assert digest.hexdigest() == self.A09_DIGEST
 
+    def test_the_walk_searches_once_per_connected_prefix(self, monkeypatch) -> None:
+        # a search per leaf would make 271,360 searches for these 265,374
+        # leaves; a connected prefix makes every leaf below it connected
+        searches = 0
+        reach = classify._reach
+
+        def counted(*args):
+            nonlocal searches
+            searches += 1
+            return reach(*args)
+
+        monkeypatch.setattr(classify, "_reach", counted)
+        assert sum(1 for _ in classify._block_leaves(2, 2, 3)) == 265_374
+        assert searches < 12_000
+
     @pytest.mark.parametrize(
         "p, q, max_w", [s for s in SMALL_SHAPES if s[0] + s[1] <= 3]
     )
@@ -989,3 +1004,19 @@ class TestRecognizerCounts:
                     digest.update(repr(record).encode() + b"\n")
         assert graphs == 1006
         assert digest.hexdigest() == self.TAG_DIGEST
+
+    # sha256 over repr([t.to_json() for t in match_theorem61(g)]) of every
+    # graph below, in generation order
+    MATCHER_DIGEST = "76f649bf6297b5b56d9063ba3c8a69f584e266dca1ed3ce89b0424d358eeac75"
+
+    def test_matcher_tags_are_pinned(self) -> None:
+        shapes = [(p, n - p, 1) for n in range(2, 5) for p in range(1, n)]
+        digest = hashlib.sha256()
+        graphs = 0
+        for p, q, max_w in shapes + [(2, 2, 2), (3, 1, 2)]:
+            for g in connected_block_graphs(p, q, max_w):
+                graphs += 1
+                tags = [t.to_json() for t in match_theorem61(g)]
+                digest.update(repr(tags).encode())
+        assert graphs == 25_669
+        assert digest.hexdigest() == self.MATCHER_DIGEST

@@ -26,13 +26,16 @@ census with every vertex in A. The bands are laid out once, in
 _band_layout, from which classify.graph_from_affine_u builds its edges, and
 _band_sizes counts their pairs. Connectivity is one bitmask search, _reach,
 over the neighbour masks that _masks reads from the edges once per call
-path. It decides is_connected, cut_vertices and the cycle recognizer, finds
-the root's side of A for case v, and gives _root_side_weight w(v, R) for R
-the root's component of G - v: a tree's parent edge, and one more than v's
-largest parking entry. classify's block-graph generator runs _reach on
-masks it updates slot by slot, once per connected prefix, and its sweep
-prefilter runs _root_side_weight on the leaf's edges, masks and degrees,
-building graphs only for survivors.
+path. It decides is_connected and the cycle recognizer, finds the root's
+side of A for case v, and gives _root_side the bitmask of R and v, for R
+the root's component of G - v. cut_vertices reads that one test, and
+_root_side_weight reads w(v, R) from it: a tree's parent edge, and one
+more than v's largest parking entry. classify's block-graph generator
+runs _reach on masks it updates slot by slot, once per connected prefix.
+Its sweep prefilter reads the leaf's edges, masks and degrees and builds
+graphs only for survivors: with weights above 1 it runs _root_side once
+per edge pattern and vertex and reads the weights at the edge positions
+it planned, else it runs _root_side_weight per leaf.
 """
 
 from __future__ import annotations
@@ -230,24 +233,31 @@ def _reach(nbrs: Sequence[int], seen: int = 1, start: int = 1) -> int:
     return reach
 
 
+def _root_side(nbrs: Sequence[int], v: int) -> int:
+    """Bitmask of R and v, for R the root's component of g - v, v non-root.
+
+    nbrs is _masks(g)[0]. The mask is full exactly when v is no cut vertex.
+    v is no cut vertex when each of its neighbours is the root or adjacent
+    to it, and then R is not searched.
+    """
+    if (nbrs[v] & ~nbrs[ROOT]) > 1:
+        return _reach(nbrs, 1 | 1 << v)
+    return (1 << len(nbrs)) - 1
+
+
 def _root_side_weight(
     edges: Sequence[Edge], v: int, masks: tuple[list[int], list[int]]
 ) -> int:
     """w(v, R): the weight joining non-root v to R, the root's component of g - v.
 
     masks is _masks(g) for g the graph with these edges. When v is no cut
-    vertex, R is every other vertex and w(v, R) is v's weighted degree. v is
-    no cut vertex when each of its neighbours is the root or adjacent to
-    it, and then R is not searched.
+    vertex, R is every other vertex and w(v, R) is v's weighted degree.
     """
     nbrs, degree = masks
-    if (nbrs[v] & ~nbrs[ROOT]) > 1:
-        side = _reach(nbrs, 1 | 1 << v)
-        if side != (1 << len(nbrs)) - 1:
-            return sum(
-                w for i, j, w in edges if v in (i, j) and side >> i + j - v & 1
-            )
-    return degree[v]
+    side = _root_side(nbrs, v)
+    if side == (1 << len(nbrs)) - 1:
+        return degree[v]
+    return sum(w for i, j, w in edges if v in (i, j) and side >> i + j - v & 1)
 
 
 def is_connected(g: RootedWeightedGraph) -> bool:
@@ -272,7 +282,7 @@ def cut_vertices(g: RootedWeightedGraph) -> frozenset[int]:
     """Non-root vertices whose removal disconnects the rest of the graph."""
     nbrs = _masks(g)[0]
     full = (1 << len(nbrs)) - 1
-    return frozenset(v for v in range(1, g.n + 1) if _reach(nbrs, 1 | 1 << v) != full)
+    return frozenset(v for v in range(1, g.n + 1) if _root_side(nbrs, v) != full)
 
 
 def _relabeled(

@@ -304,7 +304,7 @@ class TestLazyInvariance:
         # swap lets every graph through; the non-invariant ones then match
         # no case (n = 2 has no in-block swap)
         monkeypatch.setattr(
-            classify, "_blocks_level", lambda p, edges, nbrs, degree: True
+            classify, "_blocks_level", lambda p, edges, nbrs, degree, plans: True
         )
         monkeypatch.setattr(classify, "_burn_order", lambda g, b: [0])
         report = sweep_classification(3, 2)
@@ -362,6 +362,56 @@ class TestLargestEntryFilter:
         assert classify._blocks_level(g.p, g.edges, *graph._masks(g))
         assert classify._closed_maximal_set(g) == {(0, 0, 0)}
         assert match_theorem61(g)[0].case == "v"
+
+    def test_shared_plans_give_the_direct_verdict(self) -> None:
+        # one plan dict per split, as the sweep shares it; the direct verdict
+        # compares the root-side weights of each block's vertices
+        shapes = [
+            (p, n - p, w) for n in range(2, 5) for p in range(1, n) for w in (1, 2)
+        ]
+        passed = 0
+        for p, q, max_w in shapes + [(2, 2, 3)]:
+            plans: dict = {}
+            leaves = 0
+            for edges, nbrs, degree, _ in classify._block_leaves(p, q, max_w):
+                leaves += 1
+                masks = nbrs, degree
+                levels = [
+                    graph._root_side_weight(edges, v, masks)
+                    for v in range(1, p + q + 1)
+                ]
+                direct = len(set(levels[:p])) == 1 == len(set(levels[p:]))
+                shared = classify._blocks_level(p, edges, nbrs, degree, plans)
+                alone = classify._blocks_level(p, edges, nbrs, degree)
+                assert shared == direct == alone, edges
+                passed += shared
+            assert len(plans) <= leaves
+        # the sweep's 225 and 2,878 survivors at w <= 1 and 2, and the a09 shape's
+        assert passed == 225 + 2_878 + 7_856
+
+    def test_plans_are_built_once_per_edge_pattern(self, monkeypatch) -> None:
+        built, seen, shared = [], set(), []
+        level_plan, blocks_level = classify._level_plan, classify._blocks_level
+
+        def count_plans(p, edges, nbrs):
+            built.append(tuple(nbrs))
+            return level_plan(p, edges, nbrs)
+
+        def spy(p, edges, nbrs, degree, plans=None):
+            seen.add(tuple(nbrs))
+            shared.append(plans)
+            return blocks_level(p, edges, nbrs, degree, plans)
+
+        monkeypatch.setattr(classify, "_level_plan", count_plans)
+        monkeypatch.setattr(classify, "_blocks_level", spy)
+        tested, invariant, _, _ = classify._sweep_block((2, 2, 2))
+        assert (tested, invariant) == (14_901, 528)
+        assert len(built) == len(set(built)) == len(seen) == 346
+        assert len({id(plans) for plans in shared}) == 1 and shared[0] is not None
+        # with weights up to 1 each leaf is its own pattern: nothing is kept
+        built.clear(), shared.clear()
+        classify._sweep_block((2, 2, 1))
+        assert built == [] and set(shared) == {None}
 
     def test_rejected_graphs_count_as_tested(self, monkeypatch) -> None:
         # the burn accepts every swap, so only the prefilter rejects: 278 of

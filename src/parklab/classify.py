@@ -11,9 +11,9 @@ degrees the block-graph generator keeps at each leaf, each graph whose block
 vertices do not share their largest parking entry (w(v, R) - 1, for R the
 root's component of G - v), which no invariant graph does. Which vertices
 cut and which of their edges reach R depend on the masks alone, so with
-weights above 1 the sweep plans those reads once per edge pattern and reads
-only weights per leaf. The search tests the leaf's weight total; both build
-graphs only for the leaves that pass.
+weights above 1 the sweep finds those edges once per edge pattern and
+vertex, and reads only weights per leaf. The search tests the leaf's
+weight total; both build graphs only for the leaves that pass.
 The generator searches for connectivity once per connected prefix, not once
 per leaf, since the slots it adds below a connected leaf only add edges.
 
@@ -50,8 +50,7 @@ from .graph import (
     _band_pairs,
     _band_sizes,
     _reach,
-    _root_side,
-    _root_side_weight,
+    _root_side_edges,
     build_graph,
     matching_invariant_cases,
     swap_blocks,
@@ -557,34 +556,6 @@ class SweepReport:
         }
 
 
-def _level_plan(p: int, edges: tuple, nbrs: list[int]) -> tuple:
-    """Where _blocks_level reads w(v, R) for each vertex v of each block.
-
-    One tuple per block of two or more vertices, of (v, at): at is empty
-    when v is no cut vertex, so that w(v, R) is degree[v], and otherwise
-    holds the positions in edges of v's edges into R. _block_leaves lists
-    the present slots in slot order, so every leaf with the masks nbrs has
-    its edges at these positions.
-    """
-    full = (1 << len(nbrs)) - 1
-    plan = []
-    for first, last in ((1, p), (p + 1, len(nbrs) - 1)):
-        if first < last:
-            block = []
-            for v in range(first, last + 1):
-                side = _root_side(nbrs, v)
-                at = ()
-                if side != full:
-                    at = tuple(
-                        k
-                        for k, (i, j, _) in enumerate(edges)
-                        if v in (i, j) and side >> i + j - v & 1
-                    )
-                block.append((v, at))
-            plan.append(tuple(block))
-    return tuple(plan)
-
-
 def _blocks_level(
     p: int, edges: tuple, nbrs: list[int], degree: list[int], plans=None
 ) -> bool:
@@ -599,38 +570,39 @@ def _blocks_level(
     leaf of _block_leaves whose first block is 1..p, and stops at the first
     vertex whose entry differs from its block's first.
 
-    Which vertices cut, and where their edges into R sit, depend on the
-    masks only. plans, a dict keyed by tuple(nbrs), keeps one split's
-    _level_plan of each edge pattern, so that a leaf whose pattern was seen
-    reads only weights and degrees. Without plans each vertex is read
-    directly, which spares the searches after the first difference.
+    w(v, R) is degree[v] when v is no cut vertex, and otherwise the sum of
+    the weights at _root_side_edges' positions in edges. Those positions
+    depend on the masks alone, since _block_leaves lists the present slots
+    in slot order. A plan lists them by vertex, None until a leaf reads the
+    vertex and empty for no cut vertex. plans, a dict keyed by tuple(nbrs),
+    keeps one split's plan of each edge pattern, so later leaves of a
+    pattern read only weights and degrees; without it the plan lives for
+    one leaf.
     """
     if plans is None:
-        masks = nbrs, degree
-        for first, last in ((1, p), (p + 1, len(nbrs) - 1)):
-            if first < last:
-                top = _root_side_weight(edges, first, masks)
-                for v in range(first + 1, last + 1):
-                    if _root_side_weight(edges, v, masks) != top:
-                        return False
-        return True
-    key = tuple(nbrs)
-    plan = plans.get(key)
-    if plan is None:
-        plan = plans[key] = _level_plan(p, edges, nbrs)
-    for block in plan:
-        top = None
-        for v, at in block:
-            if at:
-                level = 0
-                for k in at:
-                    level += edges[k][2]
-            else:
-                level = degree[v]
-            if top is None:
-                top = level
-            elif level != top:
-                return False
+        plan = [None] * len(nbrs)
+    else:
+        key = tuple(nbrs)
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = [None] * len(nbrs)
+    for first, last in ((1, p), (p + 1, len(nbrs) - 1)):
+        if first < last:
+            top = None
+            for v in range(first, last + 1):
+                at = plan[v]
+                if at is None:
+                    at = plan[v] = _root_side_edges(edges, v, nbrs) or ()
+                if at:
+                    level = 0
+                    for k in at:
+                        level += edges[k][2]
+                else:
+                    level = degree[v]
+                if top is None:
+                    top = level
+                elif level != top:
+                    return False
     return True
 
 

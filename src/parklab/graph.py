@@ -26,16 +26,17 @@ census with every vertex in A. The bands are laid out once, in
 _band_layout, from which classify.graph_from_affine_u builds its edges, and
 _band_sizes counts their pairs. Connectivity is one bitmask search, _reach,
 over the neighbour masks that _masks reads from the edges once per call
-path. It decides is_connected and the cycle recognizer, finds the root's
-side of A for case v, and gives _root_side the bitmask of R and v, for R
-the root's component of G - v. cut_vertices reads that one test, and
-_root_side_weight reads w(v, R) from it: a tree's parent edge, and one
-more than v's largest parking entry. classify's block-graph generator
-runs _reach on masks it updates slot by slot, once per connected prefix.
-Its sweep prefilter reads the leaf's edges, masks and degrees and builds
-graphs only for survivors: with weights above 1 it runs _root_side once
-per edge pattern and vertex and reads the weights at the edge positions
-it planned, else it runs _root_side_weight per leaf.
+path. It decides is_connected, cut_vertices and the cycle recognizer,
+finds the root's side of A for case v, and gives _root_side_edges the
+positions of v's edges into R, for R the root's component of G - v, or
+None when v is no cut vertex. _root_side_weight sums them into w(v, R): a
+tree's parent edge, and one more than v's largest parking entry.
+classify's block-graph generator runs _reach on masks it updates slot by
+slot, once per connected prefix. Its sweep prefilter reads the leaf's
+edges, masks and degrees and builds graphs only for survivors: the
+positions depend on the masks alone, so with weights above 1 it runs
+_root_side_edges once per edge pattern and vertex and reads the weights at
+those positions per leaf.
 """
 
 from __future__ import annotations
@@ -233,16 +234,25 @@ def _reach(nbrs: Sequence[int], seen: int = 1, start: int = 1) -> int:
     return reach
 
 
-def _root_side(nbrs: Sequence[int], v: int) -> int:
-    """Bitmask of R and v, for R the root's component of g - v, v non-root.
+def _root_side_edges(
+    edges: Sequence[Edge], v: int, nbrs: Sequence[int]
+) -> list[int] | None:
+    """Positions in edges of non-root v's edges into R, the root's component of g - v.
 
-    nbrs is _masks(g)[0]. The mask is full exactly when v is no cut vertex.
-    v is no cut vertex when each of its neighbours is the root or adjacent
-    to it, and then R is not searched.
+    g is the connected graph with these edges and nbrs is _masks(g)[0].
+    None when v is no cut vertex, so that R is every other vertex. v is no
+    cut vertex when each of its neighbours is the root or adjacent to it,
+    and then R is not searched.
     """
     if (nbrs[v] & ~nbrs[ROOT]) > 1:
-        return _reach(nbrs, 1 | 1 << v)
-    return (1 << len(nbrs)) - 1
+        side = _reach(nbrs, 1 | 1 << v)
+        if side != (1 << len(nbrs)) - 1:
+            return [
+                k
+                for k, (i, j, _) in enumerate(edges)
+                if v in (i, j) and side >> i + j - v & 1
+            ]
+    return None
 
 
 def _root_side_weight(
@@ -250,14 +260,15 @@ def _root_side_weight(
 ) -> int:
     """w(v, R): the weight joining non-root v to R, the root's component of g - v.
 
-    masks is _masks(g) for g the graph with these edges. When v is no cut
-    vertex, R is every other vertex and w(v, R) is v's weighted degree.
+    masks is _masks(g) for g the connected graph with these edges. When v
+    is no cut vertex, R is every other vertex and w(v, R) is v's weighted
+    degree.
     """
     nbrs, degree = masks
-    side = _root_side(nbrs, v)
-    if side == (1 << len(nbrs)) - 1:
+    at = _root_side_edges(edges, v, nbrs)
+    if at is None:
         return degree[v]
-    return sum(w for i, j, w in edges if v in (i, j) and side >> i + j - v & 1)
+    return sum(edges[k][2] for k in at)
 
 
 def is_connected(g: RootedWeightedGraph) -> bool:
@@ -282,7 +293,7 @@ def cut_vertices(g: RootedWeightedGraph) -> frozenset[int]:
     """Non-root vertices whose removal disconnects the rest of the graph."""
     nbrs = _masks(g)[0]
     full = (1 << len(nbrs)) - 1
-    return frozenset(v for v in range(1, g.n + 1) if _root_side(nbrs, v) != full)
+    return frozenset(v for v in range(1, g.n + 1) if _reach(nbrs, 1 | 1 << v) != full)
 
 
 def _relabeled(

@@ -391,27 +391,35 @@ class TestLargestEntryFilter:
 
     def test_plans_are_built_once_per_edge_pattern(self, monkeypatch) -> None:
         built, seen, shared = [], set(), []
-        level_plan, blocks_level = classify._level_plan, classify._blocks_level
+        root_side_edges, blocks_level = (
+            classify._root_side_edges,
+            classify._blocks_level,
+        )
 
-        def count_plans(p, edges, nbrs):
-            built.append(tuple(nbrs))
-            return level_plan(p, edges, nbrs)
+        def count_plans(edges, v, nbrs):
+            built.append((tuple(nbrs), v))
+            return root_side_edges(edges, v, nbrs)
 
         def spy(p, edges, nbrs, degree, plans=None):
             seen.add(tuple(nbrs))
             shared.append(plans)
             return blocks_level(p, edges, nbrs, degree, plans)
 
-        monkeypatch.setattr(classify, "_level_plan", count_plans)
+        monkeypatch.setattr(classify, "_root_side_edges", count_plans)
         monkeypatch.setattr(classify, "_blocks_level", spy)
         tested, invariant, _, _ = classify._sweep_block((2, 2, 2))
         assert (tested, invariant) == (14_901, 528)
-        assert len(built) == len(set(built)) == len(seen) == 346
-        assert len({id(plans) for plans in shared}) == 1 and shared[0] is not None
+        # one dict for the split, one plan per pattern, each vertex planned
+        # at most once: 1,238 of the 346 patterns' 1,384 vertices are read
+        plans = shared[0]
+        assert plans is not None and len({id(d) for d in shared}) == 1
+        assert set(plans) == seen and len(seen) == 346
+        assert len(built) == len(set(built)) == 1_238
+        assert sum(at is not None for plan in plans.values() for at in plan) == 1_238
         # with weights up to 1 each leaf is its own pattern: nothing is kept
-        built.clear(), shared.clear()
+        shared.clear()
         classify._sweep_block((2, 2, 1))
-        assert built == [] and set(shared) == {None}
+        assert set(shared) == {None}
 
     def test_rejected_graphs_count_as_tested(self, monkeypatch) -> None:
         # the burn accepts every swap, so only the prefilter rejects: 278 of

@@ -148,6 +148,12 @@ class TestCutVertices:
     def test_attachment_vertices(self, tree_with_clique):
         assert cut_vertices(tree_with_clique) == {1, 3}
 
+    def test_disconnected_graph(self):
+        # without 1 the root and 2 are apart; without 2 the root and 1 are
+        # joined, although 1's neighbours are all the root
+        g = build_graph(2, [(0, 1, 1)], require_connected=False)
+        assert cut_vertices(g) == {1}
+
 
 class TestInducedSubgraph:
     def test_identity(self, diamond):

@@ -2,28 +2,17 @@
 
 A bipartitioned graph is invariant when permuting entries within each block
 maps parking functions to parking functions. Invariance of the full parking
-set is equivalent to invariance of its maximal elements. is_invariant counts
-the maximal vectors of each block orbit and reports a hole of the first open
-orbit as a witness; the sweep instead burns the adjacent swaps inside each
-block as the walk emits the maximal vectors, and stops at the first that stalls.
-Before that walk the sweep rejects, from the neighbour bitmasks and weighted
-degrees the block-graph generator keeps at each leaf, each graph whose block
-vertices do not share their largest parking entry (w(v, R) - 1, for R the
-root's component of G - v), which no invariant graph does. Which vertices
-cut and which of their edges reach R depend on the masks alone, so with
-weights above 1 the sweep finds those edges once per edge pattern and
-vertex, and reads only weights per leaf. The search tests the leaf's
-weight total; both build graphs only for the leaves that pass.
-The generator searches for connectivity once per connected prefix, not once
-per leaf, since the slots it adds below a connected leaf only add edges.
+set is equivalent to invariance of its maximal elements, so every test here
+reads the maximal set only.
 
 Invariant graphs are matched against the structural case list (cycles with
 up to two marked vertices, a cycle with a chord, banded complete graphs,
 a cycle or complete first side with restricted attachments, uniform forests
 carrying one cycle or complete second side, and two-weight trees). Each
 matched case prescribes a weight grid whose parking pairs reproduce the
-graph's parking functions; verify_equality checks that claim exactly, and
-sweep_classification checks each invariant graph within a budget through
+graph's parking functions; verify_equality checks that claim exactly.
+sweep_classification checks the classification by brute force on every
+block graph within a budget, up to relabeling inside the blocks, through
 construct_u_for_graph, the route the construct-u command prints.
 """
 
@@ -47,7 +36,6 @@ from .graph import (
     FamilyTag,
     RootedWeightedGraph,
     _band_layout,
-    _band_pairs,
     _band_sizes,
     _reach,
     _root_side_edges,
@@ -277,9 +265,9 @@ def graph_from_affine_u(
         )
     edges = [
         (u, v, weights[name])
-        for name, groups in _band_layout(p, q).items()
+        for name, pairs in _band_layout(p, q).items()
         if weights[name]
-        for u, v in _band_pairs(*groups)
+        for u, v in pairs
     ]
     return build_graph(p + q, edges, p=p, q=q)
 
@@ -407,30 +395,21 @@ def verify_equality(g: RootedWeightedGraph, grid: WeightGrid) -> bool:
 # sweeps
 
 
-def _block_relabelings(p: int, q: int, slots: list[tuple[int, int]]):
-    """Slot permutations induced by relabeling inside each block."""
-    index = {pair: k for k, pair in enumerate(slots)}
-    identity = tuple(range(len(slots)))
-    maps = []
-    for sigma in itertools.permutations(range(1, p + 1)):
-        for tau in itertools.permutations(range(p + 1, p + q + 1)):
-            to = (0, *sigma, *tau)
-            perm = tuple(
-                index[min(to[i], to[j]), max(to[i], to[j])] for i, j in slots
-            )
-            if perm != identity:
-                maps.append(perm)
-    return maps
-
-
 def _block_leaves(p: int, q: int, max_w: int):
-    """connected_block_graphs' walk, yielding (edges, nbrs, degree, total).
+    """The walk behind connected_block_graphs, yielding (edges, nbrs, degree, total).
+
+    The walk assigns the slots depth first, in order (orderly generation,
+    after Read 1978). A relabeling is compared with the identity on the
+    assigned prefix only: where it already reads smaller the whole subtree
+    is pruned, and where it already reads larger it is dropped for the
+    subtree.
 
     nbrs and degree are what graph._masks reads from edges, total the weight
     sum. The walk keeps them slot by slot: each weight step adds 1 to both
     endpoints and the total, and a slot whose weights run out takes max_w
     back off. The two lists are the walk's live state, valid only until the
-    next item is requested.
+    next item is requested. The sweep's prefilter and the search's sum test
+    read them, and build graphs only for the leaves that pass.
 
     Deeper slots only add edges, and a weight rising past 1 leaves a slot's
     bits set. So once a leaf's search reaches every vertex, every later leaf
@@ -449,14 +428,19 @@ def _block_leaves(p: int, q: int, max_w: int):
         yield (), [0], [0], 0
         return
     last = len(slots) - 1
-    # (perm, wait, t): perm agrees with the identity before position t, and
-    # position t can be compared once slot wait[t] is assigned
+    index = {pair: k for k, pair in enumerate(slots)}
+    # (perm, wait, t) for the slot permutation perm of each block relabeling:
+    # perm agrees with the identity before position t, and position t can be
+    # compared once slot wait[t] is assigned
     relabelings = []
-    for perm in _block_relabelings(p, q, slots):
-        wait = tuple(map(max, range(len(slots)), perm))
-        relabelings.append((perm, wait, 0))
+    for sigma in itertools.permutations(range(1, p + 1)):
+        for tau in itertools.permutations(range(p + 1, n + 1)):
+            to = (0, *sigma, *tau)
+            perm = tuple(index[min(to[i], to[j]), max(to[i], to[j])] for i, j in slots)
+            relabelings.append((perm, tuple(map(max, range(len(slots)), perm)), 0))
     weights = [-1] * len(slots)  # -1: slot not assigned yet
-    undecided = [relabelings] + [None] * last  # input states per depth
+    # input states per depth; the identity, the permutations' first, is dropped
+    undecided = [relabelings[1:]] + [None] * last
     nbrs = [0] * (n + 1)
     degree = [0] * (n + 1)
     total = 0
@@ -522,16 +506,8 @@ def connected_block_graphs(p: int, q: int, max_w: int):
 
     Every edge slot takes a weight in 0..max_w (0 means absent), and of each
     block-relabeling orbit only the lexicographically smallest assignment is
-    yielded, in lexicographic order, when it is connected. The walk assigns
-    the slots depth first, in order (orderly generation, after Read 1978). A
-    relabeling is compared with the identity on the assigned prefix only:
-    where it already reads smaller the whole subtree is pruned, and where it
-    already reads larger it is dropped for the subtree. Connectivity is
-    decided on per-vertex neighbour bitmasks, by one search per connected
-    prefix: adding slots only adds edges, so the leaves after a connected
-    one stay connected until its deepest present slot runs out. The walk is
-    _block_leaves; the sweep's prefilter and the search's sum test read its
-    leaf masks, degrees and total, and build graphs only for survivors.
+    yielded, in lexicographic order, when it is connected. The graphs are
+    the leaves of _block_leaves.
     """
     for edges, _, _, _ in _block_leaves(p, q, max_w):
         yield RootedWeightedGraph(p + q, edges, p, q)

@@ -7,36 +7,13 @@ multiplicities. An optional bipartition splits the non-root vertices into a
 first block A = {1..p} and a second block B = {p+1..p+q}; the labels are
 the convention, so changing the blocks means relabeling the graph.
 
-Besides construction and validation this module provides the structural
-queries the classification needs: weighted out-degrees into a subset, cut
-vertices, induced subgraphs, quotients by vertex partitions, and
-recognizers for the named families (uniform trees, cycles, banded complete
-graphs, two-weight trees, and each case of the invariance classification).
-Induced subgraphs, quotients, block relabelings and the block swap are all
-images under a vertex map, built by the one constructor _relabeled.
-The matcher reads one edge census, _census: a single pass over the edges
-buckets each weight into the five bands of a complete band graph (root to
-A, inside A, A to B, inside B, root to B) and lists each vertex of {0} | A's
-edges into B. Case iii's bands, a cycle or rooted complete side
-(_side_family) and a tree or forest hanging off a vertex set are read from
-it. The last is recognized by counting: merging the set into one vertex
-keeps a connected graph connected, so the edges left form a tree exactly
-when there is one per vertex outside the set. recognize_family reads the
-census with every vertex in A. The bands are laid out once, in
-_band_layout, from which classify.graph_from_affine_u builds its edges, and
-_band_sizes counts their pairs. Connectivity is one bitmask search, _reach,
-over the neighbour masks that _masks reads from the edges once per call
-path. It decides is_connected, cut_vertices and the cycle recognizer,
-finds the root's side of A for case v, and gives _root_side_edges the
-positions of v's edges into R, for R the root's component of G - v, or
-None when v is no cut vertex. _root_side_weight sums them into w(v, R): a
-tree's parent edge, and one more than v's largest parking entry.
-classify's block-graph generator runs _reach on masks it updates slot by
-slot, once per connected prefix. Its sweep prefilter reads the leaf's
-edges, masks and degrees and builds graphs only for survivors: the
-positions depend on the masks alone, so with weights above 1 it runs
-_root_side_edges once per edge pattern and vertex and reads the weights at
-those positions per leaf.
+Besides construction and validation the module answers the structural
+questions the classification asks: weights into a subset, cut vertices and
+the root's side of a vertex, induced subgraphs, quotients and relabelings,
+recognizers for the named families, and the matcher of the invariance
+cases. The searches run on per-vertex neighbour bitmasks and take edges and
+masks rather than a graph, because classify's block-graph generator keeps
+those masks at each leaf and asks the same questions before it builds one.
 """
 
 from __future__ import annotations
@@ -81,10 +58,6 @@ class RootedWeightedGraph:
     q: int | None = None
 
     @cached_property
-    def weight_map(self) -> dict[tuple[int, int], int]:
-        return {(i, j): w for i, j, w in self.edges}
-
-    @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         # edges are sorted with i < j, so each vertex meets its smaller
         # neighbours in order and then its larger ones: no list needs sorting
@@ -101,12 +74,6 @@ class RootedWeightedGraph:
     @cached_property
     def total_weight(self) -> int:
         return sum(w for _, _, w in self.edges)
-
-    def weight(self, i: int, j: int) -> int:
-        """Weight of edge {i, j}, or 0 when the edge is absent."""
-        if i > j:
-            i, j = j, i
-        return self.weight_map.get((i, j), 0)
 
     def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
         return self.adjacency[v]
@@ -253,22 +220,6 @@ def _root_side_edges(
                 if v in (i, j) and side >> i + j - v & 1
             ]
     return None
-
-
-def _root_side_weight(
-    edges: Sequence[Edge], v: int, masks: tuple[list[int], list[int]]
-) -> int:
-    """w(v, R): the weight joining non-root v to R, the root's component of g - v.
-
-    masks is _masks(g) for g the connected graph with these edges. When v
-    is no cut vertex, R is every other vertex and w(v, R) is v's weighted
-    degree.
-    """
-    nbrs, degree = masks
-    at = _root_side_edges(edges, v, nbrs)
-    if at is None:
-        return degree[v]
-    return sum(edges[k][2] for k in at)
 
 
 def is_connected(g: RootedWeightedGraph) -> bool:
@@ -452,8 +403,11 @@ def two_weight_tree_bands(g: RootedWeightedGraph) -> tuple[int, int] | None:
     g.require_bipartition()
     if not is_tree(g):
         return None
-    masks = _masks(g)
-    parent = [_root_side_weight(g.edges, v, masks) for v in range(1, g.n + 1)]
+    nbrs, degree = _masks(g)
+    parent = []
+    for v in range(1, g.n + 1):
+        at = _root_side_edges(g.edges, v, nbrs)
+        parent.append(degree[v] if at is None else sum(g.edges[k][2] for k in at))
     a = uniform_weight(parent[: g.p]) if g.p else 0
     b = uniform_weight(parent[g.p :]) if g.q else 0
     if a is None or b is None:
@@ -472,25 +426,20 @@ def _is_cycle_on(nbrs: list[int], verts: int) -> bool:
     return _reach(nbrs, full ^ verts | start, start) == full
 
 
-def _band_layout(
-    p: int, q: int
-) -> dict[str, tuple[Sequence[int], Sequence[int]]]:
-    """Vertex groups of the five bands of a complete graph on blocks p and q.
+def _band_layout(p: int, q: int) -> dict[str, Iterable[tuple[int, int]]]:
+    """Vertex pairs of the five bands of a complete graph on blocks p and q.
 
     a joins the root to A, b lies inside A, c joins A to B, d lies inside B
     and e joins the root to B.
     """
-    root, A, B = (ROOT,), range(1, p + 1), range(p + 1, p + q + 1)
-    return {"a": (root, A), "b": (A, A), "c": (A, B), "d": (B, B), "e": (root, B)}
-
-
-def _band_pairs(
-    left: Iterable[int], right: Iterable[int]
-) -> Iterable[tuple[int, int]]:
-    """Vertex pairs of a band; a band inside one group lists each pair once."""
-    if left == right:
-        return itertools.combinations(left, 2)
-    return [(u, v) for u in left for v in right]
+    A, B = range(1, p + 1), range(p + 1, p + q + 1)
+    return {
+        "a": itertools.product((ROOT,), A),
+        "b": itertools.combinations(A, 2),
+        "c": itertools.product(A, B),
+        "d": itertools.combinations(B, 2),
+        "e": itertools.product((ROOT,), B),
+    }
 
 
 def _band_sizes(p: int, q: int) -> dict[str, int]:

@@ -290,12 +290,13 @@ def _step_weights(grid: WeightGrid, path: str) -> tuple[list[int], list[int]]:
 
 
 def _validate_pair(pair: Pair, p: int, q: int) -> None:
-    if len(pair) != 2 or len(pair[0]) != p or len(pair[1]) != q:
-        raise ShapeMismatch(
-            f"pair must have block lengths ({p}, {q}), got "
-            f"({len(pair[0]) if len(pair) == 2 else '?'}, "
-            f"{len(pair[1]) if len(pair) == 2 else '?'})"
-        )
+    try:
+        lengths = tuple(map(len, pair))
+    except TypeError:  # the pair, or a block of it, has no length
+        lengths = ()
+    if lengths != (p, q):
+        got = lengths if len(lengths) == 2 else f"{pair!r}, not two sequences"
+        raise ShapeMismatch(f"pair must have block lengths ({p}, {q}), got {got}")
 
 
 def block_sorted(pair: Pair) -> Pair:

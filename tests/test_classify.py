@@ -325,8 +325,17 @@ def block_graphs(max_n: int, max_w: int):
 
 
 def largest_entries(g) -> list[int]:
-    masks = graph._masks(g)
-    return [graph._root_side_weight(g.edges, v, masks) - 1 for v in g.vertices[1:]]
+    """w(v, R) - 1 for each non-root v, R the root's component of g - v.
+
+    R is what the dict search reaches from the root without passing through
+    v, so the library's bitmask search is not consulted.
+    """
+    tops = []
+    for v in g.vertices[1:]:
+        side = search_tree(g, avoid=v)
+        into = [w for i, j, w in g.edges if v in (i, j) and i + j - v in side]
+        tops.append(sum(into) - 1)
+    return tops
 
 
 class TestLargestEntryFilter:
@@ -375,11 +384,11 @@ class TestLargestEntryFilter:
             leaves = 0
             for edges, nbrs, degree, _ in classify._block_leaves(p, q, max_w):
                 leaves += 1
-                masks = nbrs, degree
-                levels = [
-                    graph._root_side_weight(edges, v, masks)
-                    for v in range(1, p + q + 1)
-                ]
+                levels = []
+                for v in range(1, p + q + 1):
+                    at = graph._root_side_edges(edges, v, nbrs)
+                    level = degree[v] if at is None else sum(edges[k][2] for k in at)
+                    levels.append(level)
                 direct = len(set(levels[:p])) == 1 == len(set(levels[p:]))
                 shared = classify._blocks_level(p, edges, nbrs, degree, plans)
                 alone = classify._blocks_level(p, edges, nbrs, degree)

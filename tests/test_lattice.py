@@ -254,8 +254,29 @@ class TestBoundedBy:
         assert not any(is_bounded_by(pair, w, ladder_grid) for w in paths(3, 3))
 
     def test_rejects_wrong_pair_shape(self, ladder_grid) -> None:
-        with pytest.raises(ShapeMismatch):
+        # parklab upf prints this message
+        with pytest.raises(ShapeMismatch) as caught:
             is_bounded_by(((1, 2), (0, 0, 0)), "EEENNN", ladder_grid)
+        assert str(caught.value) == "pair must have block lengths (3, 3), got (2, 3)"
+
+    @pytest.mark.parametrize(
+        "pair", [(0, 0), ((0,), 0), ((0,),), ((0,), (0,), (0,))]
+    )
+    def test_a_pair_not_of_two_blocks_is_a_shape_mismatch(self, pair) -> None:
+        grid = grid_from_vectors((1,), (1,))
+        g = build_graph(2, [(0, 1, 1), (1, 2, 1)], p=1, q=1)
+        got = f"{pair!r}, not two sequences"
+        message = f"pair must have block lengths (1, 1), got {got}"
+        calls = [
+            partial(is_upf, pair, grid),
+            partial(witness_path, pair, grid),
+            partial(is_bounded_by, pair, "EN", grid),
+            partial(orientation_from_path, g, "EN", pair),
+        ]
+        for call in calls:
+            with pytest.raises(ShapeMismatch) as caught:
+                call()
+            assert str(caught.value) == message
 
     def test_negative_entry_is_never_bounded(self, ladder_grid) -> None:
         pair = ((-1, 0, 0), (0, 0, 0))

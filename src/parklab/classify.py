@@ -157,17 +157,17 @@ def is_invariant(g: RootedWeightedGraph) -> InvarianceReport:
     return InvarianceReport(witness is None, witness, tuple(tags), swapped)
 
 
-def check_lemma61(
-    g: RootedWeightedGraph, *, max_set: int | None = None
-) -> bool:
+def check_lemma61(g: RootedWeightedGraph) -> bool:
     """Compare invariance of the full parking set against the maximal set.
 
     The full set is closed under block permutations orbit by orbit; the
     maximal set's verdict is the sweep's adjacent-swap check. Returns True
-    when the two verdicts agree (they must, for every graph).
+    when the two verdicts agree (they must, for every graph). The full set
+    is enumerated under enumerate_pf's guard: PARKLAB_MAX_SET, else the
+    default.
     """
     g.require_bipartition()
-    full = set(enumerate_pf(g, max_set=max_set))
+    full = set(enumerate_pf(g))
     full_verdict = _orbit_closed(full, g.p) is None
     return full_verdict == (_closed_maximal_set(g) is not None)
 
@@ -278,9 +278,7 @@ def _side_vector(shape: str, length: int, first: int, second: int) -> Vector:
         return (first,) * length
     if shape == "cycle":
         return (first,) * (length - 1) + (2 * first,)
-    if shape == "complete":
-        return tuple(first + k * second for k in range(length))
-    raise InvalidParameters(f"unknown side shape {shape!r}")
+    return tuple(first + k * second for k in range(length))  # complete
 
 
 def _cycle_case_grid(p: int, q: int, a: int, b: int) -> WeightGrid:
@@ -341,9 +339,7 @@ def _grid_for_case(p: int, q: int, tag: FamilyTag) -> WeightGrid:
             _side_vector(params["a_shape"], p, params["a"], params.get("b", 0)),
             _side_vector(params["b_shape"], q, params["c"], params.get("d", 0)),
         )
-    if case == "vi":
-        return grid_from_vectors((params["a"],) * p, (params["b"],) * q)
-    raise NotClassified(f"no grid construction for case {case!r}")
+    return grid_from_vectors((params["a"],) * p, (params["b"],) * q)  # vi
 
 
 def construct_u_for_graph(g: RootedWeightedGraph) -> GridConstruction:
@@ -404,12 +400,13 @@ def _block_leaves(p: int, q: int, max_w: int):
     is pruned, and where it already reads larger it is dropped for the
     subtree.
 
-    nbrs and degree are what graph._masks reads from edges, total the weight
-    sum. The walk keeps them slot by slot: each weight step adds 1 to both
-    endpoints and the total, and a slot whose weights run out takes max_w
-    back off. The two lists are the walk's live state, valid only until the
-    next item is requested. The sweep's prefilter and the search's sum test
-    read them, and build graphs only for the leaves that pass.
+    nbrs is what graph._masks reads from edges, degree each vertex's
+    weighted degree and total the weight sum. The walk keeps them slot by
+    slot: each weight step adds 1 to both endpoints' degrees and the total,
+    and a slot whose weights run out takes max_w back off. The two lists are
+    the walk's live state, valid only until the next item is requested. The
+    sweep's prefilter and the search's sum test read them, and build graphs
+    only for the leaves that pass.
 
     Deeper slots only add edges, and a weight rising past 1 leaves a slot's
     bits set. So once a leaf's search reaches every vertex, every later leaf
@@ -495,7 +492,7 @@ def _block_leaves(p: int, q: int, max_w: int):
                 continue
             if connected_at < 0 and _reach(nbrs) == full:
                 # n >= 1 here, so a connected leaf has a present slot
-                connected_at = d if w else slots.index(edges[-1][:2])
+                connected_at = d if w else index[edges[-1][:2]]
             if connected_at >= 0:
                 leaf = (*edges, (i, j, w)) if w else tuple(edges)
                 yield leaf, nbrs, degree, total

@@ -64,13 +64,6 @@ def _csv_ints(text: str, flag: str) -> tuple[int, ...]:
         raise click.UsageError(f"{flag} expects comma-separated integers")
 
 
-def _parse_pair(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if text.count(";") != 1:
-        raise click.UsageError('--pair expects "CSV;CSV" with one semicolon')
-    left, right = text.split(";")
-    return _csv_ints(left, "--pair"), _csv_ints(right, "--pair")
-
-
 def _load_graph(
     path: str, block_a: str | None, block_b: str | None
 ) -> RootedWeightedGraph:
@@ -196,7 +189,10 @@ def orientations_cmd(graph_path, block_a, block_b):
 def upf_cmd(grid_path, pair_text):
     """Test one pair against the grid; report the first bounding path."""
     grid = _load_grid_file(grid_path)
-    pair = _parse_pair(pair_text)
+    if pair_text.count(";") != 1:
+        raise click.UsageError('--pair expects "CSV;CSV" with one semicolon')
+    left, right = pair_text.split(";")
+    pair = (_csv_ints(left, "--pair"), _csv_ints(right, "--pair"))
     path = witness_path(pair, grid)
     return {"upf": path is not None, "witness_path": path}
 

@@ -98,13 +98,6 @@ class RootedWeightedGraph:
                 "operation needs a graph with designated blocks A and B"
             )
 
-    def with_bipartition(self, p: int, q: int) -> "RootedWeightedGraph":
-        if p < 0 or q < 0 or p + q != self.n:
-            raise ShapeMismatch(
-                f"blocks of sizes {p} and {q} do not cover {self.n} non-root vertices"
-            )
-        return RootedWeightedGraph(self.n, self.edges, p, q)
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -160,9 +153,11 @@ def build_graph(
     edge_tuple = tuple(sorted((i, j, w) for (i, j), w in normalized.items()))
     if (p is None) != (q is None):
         raise ShapeMismatch("block sizes p and q must be given together")
-    g = RootedWeightedGraph(n, edge_tuple)
-    if p is not None:
-        g = g.with_bipartition(p, q)
+    if p is not None and (p < 0 or q < 0 or p + q != n):
+        raise ShapeMismatch(
+            f"blocks of sizes {p} and {q} do not cover {n} non-root vertices"
+        )
+    g = RootedWeightedGraph(n, edge_tuple, p, q)
     # a connected graph on n + 1 vertices has at least n edges; counting them
     # first spares is_connected's per-vertex lists on a huge empty header
     if require_connected and (len(edge_tuple) < n or not is_connected(g)):
@@ -170,16 +165,13 @@ def build_graph(
     return g
 
 
-def _masks(g: RootedWeightedGraph) -> tuple[list[int], list[int]]:
-    """Each vertex's neighbour bitmask and weighted degree, read from g.edges."""
+def _masks(g: RootedWeightedGraph) -> list[int]:
+    """Each vertex's neighbour bitmask, read from g.edges."""
     nbrs = [0] * (g.n + 1)
-    degree = [0] * (g.n + 1)
-    for i, j, w in g.edges:
+    for i, j, _ in g.edges:
         nbrs[i] |= 1 << j
         nbrs[j] |= 1 << i
-        degree[i] += w
-        degree[j] += w
-    return nbrs, degree
+    return nbrs
 
 
 def _reach(nbrs: Sequence[int], seen: int = 1, start: int = 1) -> int:
@@ -206,7 +198,7 @@ def _root_side_edges(
 ) -> list[int] | None:
     """Positions in edges of non-root v's edges into R, the root's component of g - v.
 
-    g is the connected graph with these edges and nbrs is _masks(g)[0].
+    g is the connected graph with these edges and nbrs is _masks(g).
     None when v is no cut vertex, so that R is every other vertex. v is no
     cut vertex when each of its neighbours is the root or adjacent to it,
     and then R is not searched.
@@ -223,7 +215,7 @@ def _root_side_edges(
 
 
 def is_connected(g: RootedWeightedGraph) -> bool:
-    return _reach(_masks(g)[0]) == (1 << (g.n + 1)) - 1
+    return _reach(_masks(g)) == (1 << (g.n + 1)) - 1
 
 
 def d_U(g: RootedWeightedGraph, U: Iterable[int], i: int) -> int:
@@ -242,7 +234,7 @@ def d_U(g: RootedWeightedGraph, U: Iterable[int], i: int) -> int:
 
 def cut_vertices(g: RootedWeightedGraph) -> frozenset[int]:
     """Non-root vertices whose removal disconnects the rest of the graph."""
-    nbrs = _masks(g)[0]
+    nbrs = _masks(g)
     full = (1 << len(nbrs)) - 1
     return frozenset(v for v in range(1, g.n + 1) if _reach(nbrs, 1 | 1 << v) != full)
 
@@ -359,12 +351,6 @@ class FamilyTag:
     params: tuple[tuple[str, int | str], ...] = ()
     swapped: bool = False
 
-    def param(self, name: str):
-        for key, value in self.params:
-            if key == name:
-                return value
-        raise KeyError(name)
-
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
@@ -403,11 +389,12 @@ def two_weight_tree_bands(g: RootedWeightedGraph) -> tuple[int, int] | None:
     g.require_bipartition()
     if not is_tree(g):
         return None
-    nbrs, degree = _masks(g)
+    nbrs = _masks(g)
     parent = []
     for v in range(1, g.n + 1):
         at = _root_side_edges(g.edges, v, nbrs)
-        parent.append(degree[v] if at is None else sum(g.edges[k][2] for k in at))
+        # in a tree a vertex that cuts nothing is a leaf: its one edge counts
+        parent.append(sum(g.edges[k][2] for k in at) if at else g.adjacency[v][0][1])
     a = uniform_weight(parent[: g.p]) if g.p else 0
     b = uniform_weight(parent[g.p :]) if g.q else 0
     if a is None or b is None:
@@ -510,7 +497,7 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
     """
     g.require_bipartition()
     tags: list[FamilyTag] = []
-    nbrs = _masks(g)[0]
+    nbrs = _masks(g)
     full = (1 << (g.n + 1)) - 1
     if g.p == 0 or g.q == 0 or _reach(nbrs) != full:
         return tags
@@ -630,7 +617,7 @@ def recognize_family(g: RootedWeightedGraph) -> FamilyTag:
     # a uniform cycle through every vertex, else a banded complete graph
     bands = _census(g, g.n)[0]
     others = (1 << (g.n + 1)) - 2
-    side = _side_family(_masks(g)[0], ROOT, others, bands["a"], bands["b"])
+    side = _side_family(_masks(g), ROOT, others, bands["a"], bands["b"])
     if side is not None and side[0] == "cycle":
         return FamilyTag("uniform_cycle", params=_params(a=side[1]))
     if side is not None and g.n >= 2:

@@ -297,6 +297,10 @@ def _validate_pair(pair: Pair, p: int, q: int) -> None:
     if lengths != (p, q):
         got = lengths if len(lengths) == 2 else f"{pair!r}, not two sequences"
         raise ShapeMismatch(f"pair must have block lengths ({p}, {q}), got {got}")
+    for block in pair:
+        for x in block:
+            if type(x) is not int:  # bool too, as in build_graph
+                raise ShapeMismatch(f"pair entry {x!r} is not an integer")
 
 
 def block_sorted(pair: Pair) -> Pair:

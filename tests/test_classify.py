@@ -179,6 +179,15 @@ class TestMaximalSetSuffices:
         skew, _ = relabel_for_blocks(diamond, [1, 3], [2])
         assert check_lemma61(skew)
 
+    def test_the_full_set_is_guarded(self, diamond_split, monkeypatch) -> None:
+        # PARKLAB_MAX_SET is the guard's one override on this path
+        size = len(enumerate_pf(diamond_split))
+        monkeypatch.setenv("PARKLAB_MAX_SET", str(size - 1))
+        with pytest.raises(TooLarge, match=f"guard of {size - 1}"):
+            check_lemma61(diamond_split)
+        monkeypatch.setenv("PARKLAB_MAX_SET", str(size))
+        assert check_lemma61(diamond_split)
+
 
 class TestCaseMatching:
     def test_chorded_cycle(self, chorded_cycle) -> None:
@@ -338,6 +347,15 @@ def largest_entries(g) -> list[int]:
     return tops
 
 
+def weighted_degrees(g) -> list[int]:
+    """Each vertex's weighted degree, summed over g.edges."""
+    degree = [0] * (g.n + 1)
+    for i, j, w in g.edges:
+        degree[i] += w
+        degree[j] += w
+    return degree
+
+
 class TestLargestEntryFilter:
     def test_formula_is_each_vertex_largest_parking_entry(self) -> None:
         tested = 0
@@ -366,9 +384,10 @@ class TestLargestEntryFilter:
         # is 3 against its block twin's 1, yet both take at most 0, so a
         # filter on the plain degree would reject this invariant graph
         g = build_graph(3, ((0, 3, 1), (1, 3, 1), (2, 3, 1)), p=1, q=2)
-        assert graph._masks(g)[1][2:] == [1, 3]
+        degree = weighted_degrees(g)
+        assert degree[2:] == [1, 3]
         assert largest_entries(g) == [0, 0, 0]
-        assert classify._blocks_level(g.p, g.edges, *graph._masks(g))
+        assert classify._blocks_level(g.p, g.edges, graph._masks(g), degree)
         assert classify._closed_maximal_set(g) == {(0, 0, 0)}
         assert match_theorem61(g)[0].case == "v"
 
@@ -737,7 +756,7 @@ class TestBlockGraphGeneration:
         streamed = []
         for edges, nbrs, degree, total in classify._block_leaves(p, q, max_w):
             g = RootedWeightedGraph(p + q, edges, p, q)
-            assert (nbrs, degree) == graph._masks(g), g
+            assert (nbrs, degree) == (graph._masks(g), weighted_degrees(g)), g
             assert total == g.total_weight, g
             streamed.append((p, q, edges))
         assert streamed == self.stream(connected_block_graphs(p, q, max_w))
@@ -987,7 +1006,7 @@ class TestQuotientRecognition:
         parts = [[0, 1, 2]] + [[v] for v in range(3, 6)]
         collapsed = quotient_graph(chorded_cycle, parts)
         tag = recognize_family(collapsed)
-        assert tag.kind == "uniform_cycle" and tag.param("a") == 3
+        assert tag.kind == "uniform_cycle" and dict(tag.params)["a"] == 3
 
     def test_collapsed_block_of_full_bands(self, tripartite) -> None:
         parts = [[0, 1, 2, 3], [4], [5]]

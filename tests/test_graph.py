@@ -231,7 +231,7 @@ class TestRecognizeFamily:
     def test_uniform_star(self):
         g = build_graph(3, [(0, 1, 2), (0, 2, 2), (0, 3, 2)])
         tag = recognize_family(g)
-        assert (tag.kind, tag.param("a")) == ("uniform_star", 2)
+        assert (tag.kind, dict(tag.params)["a"]) == ("uniform_star", 2)
 
     def test_uniform_path(self):
         g = build_graph(2, [(0, 1, 3), (1, 2, 3)])
@@ -246,7 +246,7 @@ class TestRecognizeFamily:
     def test_uniform_cycle(self):
         g = build_graph(3, [(0, 1, 2), (1, 2, 2), (2, 3, 2), (0, 3, 2)])
         tag = recognize_family(g)
-        assert (tag.kind, tag.param("a")) == ("uniform_cycle", 2)
+        assert (tag.kind, dict(tag.params)["a"]) == ("uniform_cycle", 2)
 
     def test_banded_complete(self):
         g = build_graph(
@@ -255,7 +255,7 @@ class TestRecognizeFamily:
         )
         tag = recognize_family(g)
         assert tag.kind == "banded_complete"
-        assert (tag.param("a"), tag.param("b")) == (2, 1)
+        assert (dict(tag.params)["a"], dict(tag.params)["b"]) == (2, 1)
 
     def test_uniform_complete_is_banded(self):
         g = build_graph(
@@ -264,7 +264,7 @@ class TestRecognizeFamily:
         )
         tag = recognize_family(g)
         assert tag.kind == "banded_complete"
-        assert (tag.param("a"), tag.param("b")) == (1, 1)
+        assert (dict(tag.params)["a"], dict(tag.params)["b"]) == (1, 1)
 
     def test_two_weight_tree(self):
         g = build_graph(
@@ -272,7 +272,7 @@ class TestRecognizeFamily:
         )
         tag = recognize_family(g)
         assert tag.kind == "two_weight_tree"
-        assert (tag.param("a"), tag.param("b")) == (2, 1)
+        assert (dict(tag.params)["a"], dict(tag.params)["b"]) == (2, 1)
 
     def test_unclassified(self):
         g = build_graph(
@@ -290,7 +290,7 @@ class TestRecognizeFamily:
             ]
             tag = recognize_family(build_graph(n, edges))
             assert tag.kind in {"uniform_tree", "uniform_star", "uniform_path"}
-            assert tag.param("a") == a
+            assert dict(tag.params)["a"] == a
 
 
 class TestBlockRelabeling:

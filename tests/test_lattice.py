@@ -278,6 +278,25 @@ class TestBoundedBy:
                 call()
             assert str(caught.value) == message
 
+    @pytest.mark.parametrize(
+        "pair",
+        [((0.5,), (0,)), (("0",), ("0",)), (((0,),), (0,)), ((0,), (True,))],
+    )
+    def test_a_pair_entry_that_is_no_int_is_a_shape_mismatch(self, pair) -> None:
+        grid = grid_from_vectors((1,), (1,))
+        g = build_graph(2, [(0, 1, 1), (1, 2, 1)], p=1, q=1)
+        bad = next(x for block in pair for x in block if type(x) is not int)
+        calls = [
+            partial(is_upf, pair, grid),
+            partial(witness_path, pair, grid),
+            partial(is_bounded_by, pair, "EN", grid),
+            partial(orientation_from_path, g, "EN", pair),
+        ]
+        for call in calls:
+            with pytest.raises(ShapeMismatch) as caught:
+                call()
+            assert str(caught.value) == f"pair entry {bad!r} is not an integer"
+
     def test_negative_entry_is_never_bounded(self, ladder_grid) -> None:
         pair = ((-1, 0, 0), (0, 0, 0))
         assert not any(is_bounded_by(pair, w, ladder_grid) for w in paths(3, 3))

@@ -31,7 +31,6 @@ from .errors import (
     TooLarge,
 )
 from .graph import (
-    CASE_ORDER,
     ROOT,
     FamilyTag,
     RootedWeightedGraph,
@@ -184,7 +183,8 @@ def match_theorem61(g: RootedWeightedGraph) -> list[FamilyTag]:
     whose one odd edge meets the root on the second side, for instance), so
     both labelings are matched whenever their root condition holds. Tags
     found under the swapped labeling carry swapped=True and describe the
-    graph with the blocks exchanged.
+    graph with the blocks exchanged. The case names i.a .. vi sort in case
+    order, so the tags are sorted by name, then unswapped first.
     """
     g.require_bipartition()
     if g.p == 0 or g.q == 0:
@@ -200,7 +200,7 @@ def match_theorem61(g: RootedWeightedGraph) -> list[FamilyTag]:
         tags.extend(
             replace(t, swapped=True) for t in matching_invariant_cases(flipped)
         )
-    tags.sort(key=lambda t: (CASE_ORDER.index(t.case), t.swapped))
+    tags.sort(key=lambda t: (t.case, t.swapped))
     return tags
 
 
@@ -413,10 +413,16 @@ def _block_leaves(p: int, q: int, max_w: int):
     is connected until the deepest slot present at that leaf runs out: the
     walk searches once per connected prefix, not once per leaf.
     """
+    # the walk steps weights by 1 and takes max_w back off, so a float
+    # max_w corrupts its degrees and total; bool is refused as in build_graph
+    if type(max_w) is not int:
+        raise InvalidParameters(f"max_w must be an integer, got {max_w!r}")
     if max_w < 0:
         raise InvalidParameters(
             f"max_w must be >= 0 (weights run 0..max_w), got {max_w}"
         )
+    if type(p) is not int or type(q) is not int:
+        raise ShapeMismatch(f"block sizes {p!r} and {q!r} must be integers")
     if p < 0 or q < 0:
         raise ShapeMismatch(f"block sizes {p} and {q} must be non-negative")
     n = p + q
@@ -632,6 +638,8 @@ def sweep_classification(
         ("max_w", max_w, 0),
         ("jobs", jobs, 1),
     ):
+        if type(value) is not int:
+            raise InvalidParameters(f"{name} must be an integer, got {value!r}")
         if value < least:
             raise InvalidParameters(f"{name} must be >= {least}, got {value}")
     tasks = [(p, n - p, max_w) for n in range(2, max_n + 1) for p in range(1, n)]

@@ -35,7 +35,6 @@ from .graph import (
     relabel_for_blocks,
 )
 from .lattice import (
-    WeightGrid,
     _orbit_size,
     affine_coefficients,
     increasing_maximal_pairs,
@@ -89,10 +88,6 @@ def _read_grid_json(path: str):
         return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ShapeMismatch(f"grid file is not valid JSON: {exc}") from None
-
-
-def _load_grid_file(path: str) -> WeightGrid:
-    return load_grid(_read_grid_json(path))
 
 
 input_file = click.Path(exists=True, dir_okay=False)
@@ -188,7 +183,7 @@ def orientations_cmd(graph_path, block_a, block_b):
 )
 def upf_cmd(grid_path, pair_text):
     """Test one pair against the grid; report the first bounding path."""
-    grid = _load_grid_file(grid_path)
+    grid = load_grid(_read_grid_json(grid_path))
     if pair_text.count(";") != 1:
         raise click.UsageError('--pair expects "CSV;CSV" with one semicolon')
     left, right = pair_text.split(";")
@@ -200,7 +195,7 @@ def upf_cmd(grid_path, pair_text):
 @command("grid", grid_option)
 def grid_cmd(grid_path):
     """Normalize a grid description and summarize its maximal pairs."""
-    grid = _load_grid_file(grid_path)
+    grid = load_grid(_read_grid_json(grid_path))
     increasing = increasing_maximal_pairs(grid)
     east, north = maximal_upf_sum_witness(grid)
     out = grid.to_json()
@@ -241,7 +236,7 @@ def construct_graph_cmd(grid_path):
 def verify_cmd(graph_path, grid_path, block_a, block_b):
     """Compare the graph's parking functions against the grid's pairs."""
     g = _load_graph(graph_path, block_a, block_b)
-    grid = _load_grid_file(grid_path)
+    grid = load_grid(_read_grid_json(grid_path))
     return {"equal": verify_equality(g, grid)}
 
 

@@ -306,8 +306,7 @@ def quotient_graph(
 def swap_blocks(g: RootedWeightedGraph) -> RootedWeightedGraph:
     """Exchange the two blocks, relabeling so the old B becomes 1..q."""
     g.require_bipartition()
-    order = [ROOT, *range(g.p + 1, g.n + 1), *range(1, g.p + 1)]
-    return _relabeled(g, {v: idx for idx, v in enumerate(order)}, g.n, g.q, g.p)
+    return relabel_for_blocks(g, range(g.p + 1, g.n + 1), range(1, g.p + 1))[0]
 
 
 def relabel_for_blocks(
@@ -360,11 +359,9 @@ class FamilyTag:
         }
 
 
-CASE_ORDER = ("i.a", "i.b", "i.c", "ii", "iii", "iv.a", "iv.b", "v", "vi")
-
-
-def _params(**kwargs) -> tuple[tuple[str, int | str], ...]:
-    return tuple(sorted(kwargs.items()))
+def _params(*groups: dict) -> tuple[tuple[str, int | str], ...]:
+    """The items of each group in turn, keys sorted within a group, not across."""
+    return tuple(kv for group in groups for kv in sorted(group.items()))
 
 
 def uniform_weight(weights: Iterable[int]) -> int | None:
@@ -492,8 +489,8 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
     The graph must carry a bipartition; an empty block or a disconnected
     graph matches no case. Matching is purely structural; the caller is
     responsible for block swapping when the root touches only the second
-    block. The cases are tried in CASE_ORDER, so the results come ordered by
-    case.
+    block. The cases are tried in case order, i.a to vi, which is also the
+    order their names sort in, so the results come sorted by case.
     """
     g.require_bipartition()
     tags: list[FamilyTag] = []
@@ -509,10 +506,8 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
         return _side_family(nbrs, i, b_bits, into_b[i], bands["d"])
 
     def add(case: str, *groups: dict) -> None:
-        # keys sort within each group, not across: iv.a and iv.b list the
-        # first side's keys before the second side's
-        params = tuple(kv for group in groups for kv in sorted(group.items()))
-        tags.append(FamilyTag("invariant_case", case, params))
+        # iv.a and iv.b list the first side's keys before the second side's
+        tags.append(FamilyTag("invariant_case", case, _params(*groups)))
 
     # the root's A-edges, and the edges meeting B; with p <= 2 the two lists
     # hold every edge but the chord {1, 2}
@@ -607,21 +602,20 @@ def recognize_family(g: RootedWeightedGraph) -> FamilyTag:
                 family = "uniform_path"
             else:
                 family = "uniform_tree"
-            return FamilyTag(family, params=_params(a=a))
+            return FamilyTag(family, params=_params({"a": a}))
         if g.has_bipartition:
             bands = two_weight_tree_bands(g)
             if bands is not None:
-                return FamilyTag(
-                    "two_weight_tree", params=_params(a=bands[0], b=bands[1])
-                )
+                params = _params(dict(zip("ab", bands)))
+                return FamilyTag("two_weight_tree", params=params)
     # a uniform cycle through every vertex, else a banded complete graph
     bands = _census(g, g.n)[0]
     others = (1 << (g.n + 1)) - 2
     side = _side_family(_masks(g), ROOT, others, bands["a"], bands["b"])
     if side is not None and side[0] == "cycle":
-        return FamilyTag("uniform_cycle", params=_params(a=side[1]))
+        return FamilyTag("uniform_cycle", params=_params({"a": side[1]}))
     if side is not None and g.n >= 2:
-        return FamilyTag("banded_complete", params=_params(a=side[1], b=side[2]))
+        return FamilyTag("banded_complete", params=_params(dict(zip("ab", side[1:]))))
     if g.has_bipartition and g.p and g.q:
         cases = matching_invariant_cases(g)
         if cases:

@@ -43,7 +43,7 @@ from .errors import (
     UNotMonotone,
 )
 from .graph import ROOT, RootedWeightedGraph
-from .parking import _burn_order, _down_set, _size_guard, order_statistics
+from .parking import _burn_order, _check_ints, _down_set, _size_guard, order_statistics
 
 Pair = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -298,9 +298,7 @@ def _validate_pair(pair: Pair, p: int, q: int) -> None:
         got = lengths if len(lengths) == 2 else f"{pair!r}, not two sequences"
         raise ShapeMismatch(f"pair must have block lengths ({p}, {q}), got {got}")
     for block in pair:
-        for x in block:
-            if type(x) is not int:  # bool too, as in build_graph
-                raise ShapeMismatch(f"pair entry {x!r} is not an integer")
+        _check_ints(block, "pair entry")
 
 
 def block_sorted(pair: Pair) -> Pair:

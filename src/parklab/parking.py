@@ -29,6 +29,7 @@ from .errors import (
     InvalidParameters,
     LengthMismatch,
     NotAParkingFunction,
+    ShapeMismatch,
     TooLarge,
     UNotMonotone,
 )
@@ -66,8 +67,19 @@ def order_statistics(values: Sequence[int]) -> Vector:
     return tuple(sorted(values))
 
 
+def _check_ints(values: Iterable, what: str) -> None:
+    """Raise ShapeMismatch at the first value that is not an int, bool too.
+
+    build_graph refuses bool edge entries in the same way.
+    """
+    for x in values:
+        if type(x) is not int:
+            raise ShapeMismatch(f"{what} {x!r} is not an integer")
+
+
 def is_classical_pf(a: Sequence[int]) -> bool:
     """Whether a is non-negative and its i-th order statistic stays below i."""
+    _check_ints(a, "vector entry")
     return all(0 <= v < i for i, v in enumerate(order_statistics(a), start=1))
 
 
@@ -81,6 +93,8 @@ def is_vector_pf(a: Sequence[int], u: Sequence[int]) -> bool:
         raise LengthMismatch(
             f"vector of length {len(a)} checked against {len(u)} thresholds"
         )
+    _check_ints(a, "vector entry")
+    _check_ints(u, "threshold")
     if any(x <= 0 for x in u) or any(u[i] > u[i + 1] for i in range(len(u) - 1)):
         raise UNotMonotone("thresholds must be positive and non-decreasing")
     return all(0 <= v < bound for v, bound in zip(order_statistics(a), u))
@@ -91,16 +105,19 @@ def _check_length(g: RootedWeightedGraph, b: Sequence[int]) -> None:
         raise LengthMismatch(
             f"vector of length {len(b)} against {g.n} non-root vertices"
         )
+    _check_ints(b, "vector entry")
 
 
 def _burn_order(g: RootedWeightedGraph, b) -> list[int] | None:
-    """Dhar's burning order [ROOT, ...] of a non-negative b, None if it stalls.
+    """Dhar's burning order [ROOT, ...] of b, None if it stalls.
 
     From the root, repeatedly burn the smallest-indexed vertex whose entry
     is beaten by its weighted degree into the burned set. b parks exactly
     when every vertex burns. slack[v] is b's entry less v's degree into the
     burned set; it only falls, so a vertex joins the heap of burnable
-    vertices once, when its slack turns negative.
+    vertices once, when its slack turns negative. A vertex whose slack
+    starts below zero is never lowered or pushed, so a negative entry never
+    burns.
     """
     slack = [-1, *b]
     ready = [ROOT]
@@ -119,12 +136,10 @@ def _burn_order(g: RootedWeightedGraph, b) -> list[int] | None:
 def is_g_pf(g: RootedWeightedGraph, b: Sequence[int]) -> bool:
     """Graph parking membership in polynomial time, by Dhar's burning.
 
-    b parks exactly when its entries are non-negative and its burning order
-    reaches every vertex.
+    b parks exactly when its burning order reaches every vertex; a negative
+    entry never burns, so no vector with one parks.
     """
     _check_length(g, b)
-    if any(x < 0 for x in b):
-        return False
     return _burn_order(g, b) is not None
 
 

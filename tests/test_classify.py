@@ -800,6 +800,16 @@ class TestBlockGraphGeneration:
         with pytest.raises(ShapeMismatch):
             next(connected_block_graphs(-1, 3, 1))
 
+    @pytest.mark.parametrize("max_w", [1.5, 2.0, True, "2"])
+    def test_weight_bound_must_be_an_int(self, max_w) -> None:
+        with pytest.raises(InvalidParameters, match="max_w must be an integer"):
+            next(connected_block_graphs(2, 1, max_w))
+
+    @pytest.mark.parametrize("p, q", [(1.0, 1), (1, True), ("1", 1)])
+    def test_block_sizes_must_be_ints(self, p, q) -> None:
+        with pytest.raises(ShapeMismatch, match="must be integers"):
+            next(connected_block_graphs(p, q, 1))
+
 
 class TestSearchOracle:
     def test_structure_queries_agree_with_the_dict_search(self) -> None:
@@ -940,6 +950,23 @@ class TestSweep:
             sweep_classification(2, 2, jobs=jobs)
         assert ran == []
 
+    @pytest.mark.parametrize(
+        "args, kwargs, name",
+        [
+            ((3, 1.5), {}, "max_w"),
+            ((3.0, 1), {}, "max_n"),
+            ((True, 1), {}, "max_n"),
+            ((3, 1), {"jobs": 1.5}, "jobs"),
+            ((3, 1), {"jobs": True}, "jobs"),
+        ],
+    )
+    def test_budgets_must_be_ints(self, monkeypatch, args, kwargs, name) -> None:
+        ran = []
+        monkeypatch.setattr(classify, "_sweep_block", ran.append)
+        with pytest.raises(InvalidParameters, match=f"{name} must be an integer"):
+            sweep_classification(*args, **kwargs)
+        assert ran == []
+
     def test_report_serialization(self) -> None:
         data = sweep_classification(2, 1).to_json()
         assert data["budget"] == {"max_n": 2, "max_w": 1}
@@ -959,6 +986,11 @@ class TestSearchGraph:
         found, tested = search_graph_matching_grid(grid, 2)
         assert found is not None and tested >= 1
         assert verify_equality(found, grid)
+
+    def test_weight_bound_must_be_an_int(self) -> None:
+        grid = grid_from_affine(1, 1, a=1, b=0, c=1, cprime=1, d=0, e=1)
+        with pytest.raises(InvalidParameters, match="max_w must be an integer"):
+            search_graph_matching_grid(grid, 2.5)
 
     def test_asymmetric_grid_has_none(self) -> None:
         grid = grid_from_affine(1, 1, a=1, b=0, c=1, cprime=2, d=0, e=1)

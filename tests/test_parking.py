@@ -25,11 +25,16 @@ from parklab.errors import (
     InvalidParameters,
     LengthMismatch,
     NotAParkingFunction,
+    ShapeMismatch,
     TooLarge,
     UNotMonotone,
 )
 from parklab import parking
-from parklab.orientations import enumerate_A_bruteforce, orientation_to_mpf
+from parklab.orientations import (
+    enumerate_A_bruteforce,
+    mpf_to_orientation,
+    orientation_to_mpf,
+)
 from parklab.parking import _burn_order, _down_set
 from conftest import DIAMOND_MPF, random_connected_graph, random_connected_graph_capped
 
@@ -155,6 +160,38 @@ class TestNegativeEntries:
             is_vector_pf((-1, 0), (2, 1))
 
 
+class TestIntegerEntries:
+    """Membership tests take Python ints only; ShapeMismatch names the first other."""
+
+    TRIANGLE = build_graph(2, [(0, 1, 1), (0, 2, 1), (1, 2, 1)])
+
+    @pytest.mark.parametrize(
+        "call, named",
+        [
+            (lambda g: is_g_pf(g, (0.5, 0)), "vector entry 0.5"),
+            (lambda g: is_g_pf(g, ("0", 0)), "vector entry '0'"),
+            (lambda g: is_maximal(g, (True, False)), "vector entry True"),
+            (lambda g: is_g_pf_by_subsets(g, (0, 1.0)), "vector entry 1.0"),
+            (lambda g: mpf_to_orientation(g, (1.0, 0)), "vector entry 1.0"),
+            (lambda g: is_classical_pf((0.5,)), "vector entry 0.5"),
+            (lambda g: is_classical_pf((0, False)), "vector entry False"),
+            (lambda g: is_vector_pf((0.0,), (1,)), "vector entry 0.0"),
+            (lambda g: is_vector_pf((0,), (1.5,)), "threshold 1.5"),
+            (lambda g: is_vector_pf((0,), (True,)), "threshold True"),
+        ],
+    )
+    def test_a_non_int_entry_is_a_shape_mismatch(self, call, named):
+        with pytest.raises(ShapeMismatch) as caught:
+            call(self.TRIANGLE)
+        assert str(caught.value) == f"{named} is not an integer"
+
+    def test_length_is_checked_first(self):
+        with pytest.raises(LengthMismatch):
+            is_g_pf(self.TRIANGLE, (0.5,))
+        with pytest.raises(LengthMismatch):
+            is_vector_pf((0.5,), (1, 2))
+
+
 class TestGraphMembership:
     def test_diamond_member(self, diamond):
         assert is_g_pf(diamond, (5, 1, 2))
@@ -179,7 +216,7 @@ class TestGraphMembership:
             g = random_connected_graph_capped(rng, 5, 12)
             bound = max(w for _, _, w in g.edges) + 1
             for _ in range(10):
-                b = tuple(rng.randrange(bound + 1) for _ in range(g.n))
+                b = tuple(rng.randrange(-1, bound + 1) for _ in range(g.n))
                 assert is_g_pf(g, b) == is_g_pf_by_subsets(g, b)
 
     def test_burn_order_is_the_smallest_first_scan(self):

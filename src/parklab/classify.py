@@ -22,6 +22,7 @@ import itertools
 import os
 from collections import Counter
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 from .errors import (
     BipartitionMissing,
@@ -73,8 +74,8 @@ class InvarianceReport:
     """Outcome of the invariance test.
 
     witness, present only on failure, is a pair (element, missing): element
-    lies in the maximal set while one of its block permutations (missing)
-    does not, which direct membership testing confirms.
+    is the least maximal vector with an adjacent in-block swap that does
+    not park, and missing is that vector under its leftmost such swap.
     """
 
     invariant: bool
@@ -96,50 +97,35 @@ class InvarianceReport:
         }
 
 
-def _orbit_closed(vectors: set[Vector], p: int) -> tuple[Vector, Vector] | None:
-    """First (element, missing permutation) hole, or None when closed.
+def _first_hole(g: RootedWeightedGraph, vectors: Iterable[Vector]) -> tuple:
+    """The first vector with an in-block swap that does not park: (hole, read).
 
-    An orbit is open when the set holds fewer of its vectors than it has.
-    Only the least vector of the open orbit with the least one is expanded.
-    """
-    orbits: dict[Pair, list[Vector]] = {}
-    for vec in sorted(vectors):
-        key = (tuple(sorted(vec[:p])), tuple(sorted(vec[p:])))
-        orbits.setdefault(key, []).append(vec)
-    for key, held in orbits.items():
-        if len(held) < _orbit_size(key):
-            vec = held[0]
-            # set order fixes the hole that parklab classify prints
-            second = set(itertools.permutations(vec[p:]))
-            for a in set(itertools.permutations(vec[:p])):
-                for b in second:
-                    if a + b not in vectors:
-                        return vec, a + b
-    return None
+    vectors is the maximal set or the full parking set, in any order. The
+    adjacent swaps inside a block generate the block permutations, so the
+    set is closed under them exactly when no vector has an adjacent
+    in-block swap outside it. The full set holds every parking vector, and
+    a swap keeps the entry sum W - n, so on either set a swapped vector
+    stays in it exactly when it parks. Each vector's moving swaps are looked
+    up among the vectors known to park, and burned only when absent.
 
-
-def _closed_maximal_set(g: RootedWeightedGraph) -> set[Vector] | None:
-    """The maximal set when block permutations preserve it, else None.
-
-    The adjacent swaps inside a block generate the block permutations, and
-    every maximal vector sums to W - n, so a swapped maximal vector is
-    maximal exactly when it parks. Each vector the walk emits has its moving
-    swaps looked up among the vectors known to be maximal, and burned only
-    when absent; the walk stops at the first swap that does not burn.
+    hole is (vector, swapped) for the first vector, in the order given, with
+    such a swap, and its leftmost one. read holds the vectors read and the
+    swaps found to park by then; with no hole, hole is None and read is the
+    whole set.
     """
     p = g.p
     swaps = [i for i in range(g.n - 1) if i != p - 1]
     known: set[Vector] = set()
-    for vec in _mpf_walk(g):
+    for vec in vectors:
         known.add(vec)
         for i in swaps:
             if vec[i] != vec[i + 1]:
                 swapped = vec[:i] + (vec[i + 1], vec[i]) + vec[i + 2 :]
                 if swapped not in known:
                     if _burn_order(g, swapped) is None:
-                        return None
+                        return (vec, swapped), known
                     known.add(swapped)
-    return known
+    return None, known
 
 
 def is_invariant(g: RootedWeightedGraph) -> InvarianceReport:
@@ -149,8 +135,7 @@ def is_invariant(g: RootedWeightedGraph) -> InvarianceReport:
     closure of the full parking set, so no down-set is enumerated.
     """
     g.require_bipartition()
-    maximal = set(enumerate_mpf(g))
-    witness = _orbit_closed(maximal, g.p)
+    witness = _first_hole(g, enumerate_mpf(g))[0]
     tags = match_theorem61(g) if g.p and g.q else []
     swapped = tags[0].swapped if tags else False
     return InvarianceReport(witness is None, witness, tuple(tags), swapped)
@@ -159,16 +144,15 @@ def is_invariant(g: RootedWeightedGraph) -> InvarianceReport:
 def check_lemma61(g: RootedWeightedGraph) -> bool:
     """Compare invariance of the full parking set against the maximal set.
 
-    The full set is closed under block permutations orbit by orbit; the
-    maximal set's verdict is the sweep's adjacent-swap check. Returns True
-    when the two verdicts agree (they must, for every graph). The full set
-    is enumerated under enumerate_pf's guard: PARKLAB_MAX_SET, else the
+    Both verdicts come from the sweep's adjacent-swap check, _first_hole,
+    one run over the full set and one over the maximal set's walk. Returns
+    True when the two agree (they must, for every graph). The full set is
+    enumerated under enumerate_pf's guard: PARKLAB_MAX_SET, else the
     default.
     """
     g.require_bipartition()
-    full = set(enumerate_pf(g))
-    full_verdict = _orbit_closed(full, g.p) is None
-    return full_verdict == (_closed_maximal_set(g) is not None)
+    full_hole = _first_hole(g, enumerate_pf(g))[0]
+    return (full_hole is None) == (_first_hole(g, _mpf_walk(g))[0] is None)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +529,7 @@ def _blocks_level(
     with v at w(v, R) - 1 and zeros elsewhere, R burns, then v, then the
     rest. A block permutation moves a largest entry to any vertex of its
     block, so every invariant graph passes; many others pass too, so this
-    only spares _closed_maximal_set graphs it would reject. It reads a
+    only spares _first_hole graphs it would reject. It reads a
     leaf of _block_leaves whose first block is 1..p, and stops at the first
     vertex whose entry differs from its block's first.
 
@@ -598,8 +582,8 @@ def _sweep_block(args: tuple[int, int, int]) -> tuple:
         if not _blocks_level(p, edges, nbrs, degree, plans):
             continue
         g = RootedWeightedGraph(p + q, edges, p, q)
-        maximal = _closed_maximal_set(g)
-        if maximal is None:
+        hole, maximal = _first_hole(g, _mpf_walk(g))
+        if hole is not None:
             continue
         invariant += 1
         try:

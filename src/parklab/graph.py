@@ -41,6 +41,16 @@ Edge = tuple[int, int, int]
 ROOT = 0
 
 
+def _check_ints(values: Iterable, what: str) -> None:
+    """Raise ShapeMismatch at the first value that is not an int, bool too.
+
+    build_graph refuses bool edge entries in the same way.
+    """
+    for x in values:
+        if type(x) is not int:
+            raise ShapeMismatch(f"{what} {x!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class RootedWeightedGraph:
     """Immutable rooted graph with positive integer edge weights.
@@ -118,16 +128,17 @@ def build_graph(
     """Validate and build a rooted weighted graph.
 
     Args:
-        n: number of non-root vertices.
+        n: number of non-root vertices, an int (bool excluded).
         edges: tuples or lists of three ints (i, j, w), bool excluded; order
             of endpoints does not matter.
-        p, q: optional block sizes; both or neither must be given.
+        p, q: optional block sizes, ints; both or neither must be given.
         require_connected: reject graphs not connected to the root.
 
     Raises:
         VertexOutOfRange, LoopEdge, DuplicateEdge, NonPositiveWeight,
         Disconnected, ShapeMismatch.
     """
+    _check_ints((n,), "vertex count")
     if n < 0:
         raise VertexOutOfRange(f"vertex count {n} is negative")
     normalized: dict[tuple[int, int], int] = {}
@@ -153,6 +164,8 @@ def build_graph(
     edge_tuple = tuple(sorted((i, j, w) for (i, j), w in normalized.items()))
     if (p is None) != (q is None):
         raise ShapeMismatch("block sizes p and q must be given together")
+    if p is not None:
+        _check_ints((p, q), "block size")
     if p is not None and (p < 0 or q < 0 or p + q != n):
         raise ShapeMismatch(
             f"blocks of sizes {p} and {q} do not cover {n} non-root vertices"
@@ -224,6 +237,7 @@ def d_U(g: RootedWeightedGraph, U: Iterable[int], i: int) -> int:
     U must be a non-empty subset of the non-root vertices and contain i.
     """
     subset = frozenset(U)
+    _check_ints((i, *subset), "vertex")
     for v in subset:
         if not (1 <= v <= g.n):
             raise VertexOutOfRange(f"subset member {v} is not a non-root vertex")
@@ -272,6 +286,7 @@ def induced_subgraph(
     sel = frozenset(S)
     if ROOT not in sel:
         raise RootMissing("induced subgraph must contain the root")
+    _check_ints(sel, "selection member")
     for v in sel:
         if not (0 <= v <= g.n):
             raise VertexOutOfRange(f"selection member {v} is not a vertex")
@@ -295,6 +310,7 @@ def quotient_graph(
     if any(not b for b in block_list):
         raise NotAPartition("empty block")
     flat: list[int] = [v for b in block_list for v in b]
+    _check_ints(flat, "block member")
     if len(flat) != len(set(flat)) or set(flat) != set(g.vertices):
         raise NotAPartition("blocks must cover every vertex exactly once")
     root_block = next(b for b in block_list if ROOT in b)
@@ -316,8 +332,9 @@ def relabel_for_blocks(
 
     Returns the relabeled graph and the old-to-new vertex map.
     """
-    a_sorted = sorted(block_a)
-    b_sorted = sorted(block_b)
+    blocks = list(block_a), list(block_b)
+    _check_ints(itertools.chain(*blocks), "block member")
+    a_sorted, b_sorted = map(sorted, blocks)
     for block in (a_sorted, b_sorted):
         for v, w in zip(block, block[1:]):
             if v == w:

@@ -42,8 +42,8 @@ from .errors import (
     TooLarge,
     UNotMonotone,
 )
-from .graph import ROOT, RootedWeightedGraph
-from .parking import _burn_order, _check_ints, _down_set, _size_guard, order_statistics
+from .graph import ROOT, RootedWeightedGraph, _check_ints
+from .parking import _burn_order, _down_set, _size_guard, order_statistics
 
 Pair = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -65,6 +65,7 @@ class WeightGrid:
     v: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        _check_ints((self.p, self.q), "grid dimension")
         if self.p < 0 or self.q < 0:
             raise ShapeMismatch("grid dimensions must be non-negative")
         for name, arr in (("u", self.u), ("v", self.v)):
@@ -75,6 +76,7 @@ class WeightGrid:
                     f"{name} must be a ({self.p + 1}) x ({self.q + 1}) array"
                 )
             for row in arr:
+                _check_ints(row, f"{name} entry")
                 for entry in row:
                     if entry < 0:
                         raise NegativeEntry(f"{name} entry {entry} is negative")
@@ -133,6 +135,7 @@ def grid_from_vectors(
     this grid are exactly the pairs whose halves park on u and v separately.
     """
     for name, vec in (("u", u), ("v", v)):
+        _check_ints(vec, f"{name} entry")
         if any(x <= 0 for x in vec) or any(
             vec[i] > vec[i + 1] for i in range(len(vec) - 1)
         ):
@@ -160,6 +163,8 @@ def grid_from_affine(
     e: int,
 ) -> WeightGrid:
     """Affine grid u[i][j] = b*i + c*j + a, v[i][j] = cprime*i + d*j + e."""
+    _check_ints((p, q), "grid dimension")
+    _check_ints((a, b, c, cprime, d, e), "affine coefficient")
     _node_guard(p, q)
 
     def u_at(i: int, j: int) -> int:

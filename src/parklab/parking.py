@@ -29,11 +29,10 @@ from .errors import (
     InvalidParameters,
     LengthMismatch,
     NotAParkingFunction,
-    ShapeMismatch,
     TooLarge,
     UNotMonotone,
 )
-from .graph import ROOT, RootedWeightedGraph, _masks
+from .graph import ROOT, RootedWeightedGraph, _check_ints, _masks
 
 Vector = tuple[int, ...]
 
@@ -44,8 +43,8 @@ MAX_SUBSET_SCAN_VERTICES = 24
 def _size_guard(max_set: int | None) -> int:
     """The enumeration guard: max_set, else PARKLAB_MAX_SET, else the default.
 
-    Raises InvalidParameters for a negative guard or a variable that is not
-    an integer.
+    Raises InvalidParameters for a negative guard, or a guard or variable
+    that is not an integer.
     """
     source = "max_set"
     if max_set is None:
@@ -57,6 +56,8 @@ def _size_guard(max_set: int | None) -> int:
             max_set = int(raw)
         except ValueError:
             raise InvalidParameters(f"{source} is not an integer: {raw!r}") from None
+    elif type(max_set) is not int:
+        raise InvalidParameters(f"max_set must be an integer, got {max_set!r}")
     if max_set < 0:
         raise InvalidParameters(f"{source} must be >= 0, got {max_set}")
     return max_set
@@ -67,20 +68,12 @@ def order_statistics(values: Sequence[int]) -> Vector:
     return tuple(sorted(values))
 
 
-def _check_ints(values: Iterable, what: str) -> None:
-    """Raise ShapeMismatch at the first value that is not an int, bool too.
-
-    build_graph refuses bool edge entries in the same way.
-    """
-    for x in values:
-        if type(x) is not int:
-            raise ShapeMismatch(f"{what} {x!r} is not an integer")
-
-
 def is_classical_pf(a: Sequence[int]) -> bool:
-    """Whether a is non-negative and its i-th order statistic stays below i."""
-    _check_ints(a, "vector entry")
-    return all(0 <= v < i for i, v in enumerate(order_statistics(a), start=1))
+    """Whether a is non-negative and its i-th order statistic stays below i.
+
+    That is vector parking against the thresholds 1..n.
+    """
+    return is_vector_pf(a, range(1, len(a) + 1))
 
 
 def is_vector_pf(a: Sequence[int], u: Sequence[int]) -> bool:

@@ -52,6 +52,7 @@ from parklab.graph import (
     two_weight_tree_bands,
 )
 from parklab.lattice import block_sorted, increasing_maximal_pairs
+from parklab.parking import _mpf_walk
 
 FOUR_CYCLE = build_graph(3, ((0, 2, 1), (1, 2, 1), (1, 3, 1), (0, 3, 2)), p=2, q=1)
 
@@ -109,8 +110,8 @@ class TestIsInvariant:
 def orbit_closed_by_expansion(vectors, p):
     """Reference orbit check: expand every orbit, report the first hole.
 
-    Orbits are visited from their least vectors in sorted order, and each
-    orbit's permutations come in set order, first block outermost.
+    It shares no code with the library's adjacent-swap check, so the tests
+    read their verdicts from it.
     """
     checked = set()
     for vec in sorted(vectors):
@@ -125,12 +126,30 @@ def orbit_closed_by_expansion(vectors, p):
     return None
 
 
+def first_swap_hole(vectors, p):
+    """The least vector with an adjacent in-block swap outside the set.
+
+    Returns (vector, swapped) for its leftmost such swap, or None; reads
+    set membership only, so nothing is burned.
+    """
+    members = set(vectors)
+    for vec in sorted(members):
+        for i in range(len(vec) - 1):
+            swapped = vec[:i] + (vec[i + 1], vec[i]) + vec[i + 2 :]
+            if i != p - 1 and swapped not in members:
+                return vec, swapped
+    return None
+
+
 class TestOrbitCount:
     def test_witnesses_match_the_expansion_on_maximal_sets(self) -> None:
         holes = 0
         for g in small_block_graphs():
-            want = orbit_closed_by_expansion(set(enumerate_mpf(g)), g.p)
-            assert is_invariant(g).witness == want, g
+            maximal = enumerate_mpf(g)
+            want = orbit_closed_by_expansion(set(maximal), g.p)
+            witness = is_invariant(g).witness
+            assert (witness is None) == (want is None), g
+            assert witness == first_swap_hole(maximal, g.p), g
             holes += want is not None
         assert 0 < holes < 704 + 554
 
@@ -139,9 +158,11 @@ class TestOrbitCount:
         for n in range(1, 4):
             for p in range(n + 1):
                 for g in connected_block_graphs(p, n - p, 2):
-                    full = set(enumerate_pf(g))
-                    want = orbit_closed_by_expansion(full, g.p)
-                    assert classify._orbit_closed(full, g.p) == want, g
+                    full = enumerate_pf(g)
+                    want = orbit_closed_by_expansion(set(full), g.p)
+                    hole = classify._first_hole(g, full)[0]
+                    assert (hole is None) == (want is None), g
+                    assert hole == first_swap_hole(full, g.p), g
                     holes += want is not None
                     graphs += 1
         assert graphs == 1006 and 0 < holes < graphs
@@ -160,6 +181,21 @@ class TestLongBlocks:
 
     def test_lemma61_holds(self) -> None:
         assert check_lemma61(self.PATH)
+
+    def test_a_long_distinct_block_names_its_hole_at_once(self) -> None:
+        # edges 1-2 .. 9-10 weigh 1..9, so the least maximal vector's first
+        # block reads 0, 0, 1, .., 8: an orbit of 10!/2 arrangements
+        p = 10
+        edges = [(0, 1, 1), *((i, i + 1, i) for i in range(1, p)), (0, p + 1, 1)]
+        g = build_graph(p + 1, edges, p=p, q=1)
+        start = time.perf_counter()
+        report = is_invariant(g)
+        assert time.perf_counter() - start < 0.1
+        assert not report.invariant
+        assert report.witness == (
+            (0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 0),
+            (0, 1, 0, 2, 3, 4, 5, 6, 7, 8, 0),
+        )
 
 
 class TestMaximalSetSuffices:
@@ -265,7 +301,7 @@ class TestCaseMatching:
         tested = 0
         for g in small_block_graphs():
             tested += 1
-            closed = classify._orbit_closed(set(enumerate_mpf(g)), g.p)
+            closed = orbit_closed_by_expansion(set(enumerate_mpf(g)), g.p)
             assert bool(match_theorem61(g)) == (closed is None), g
         assert tested == 704 + 554
 
@@ -281,11 +317,11 @@ class TestLazyInvariance:
         for g in small_block_graphs():
             tested += 1
             full = set(enumerate_mpf(g))
-            lazy = classify._closed_maximal_set(g)
-            closed = classify._orbit_closed(full, g.p) is None
-            assert (lazy is not None) == closed, g
+            hole, lazy = classify._first_hole(g, _mpf_walk(g))
+            closed = orbit_closed_by_expansion(full, g.p) is None
+            assert (hole is None) == closed, g
             grids = [previous[g.p, g.q]] if (g.p, g.q) in previous else []
-            if lazy is not None:
+            if hole is None:
                 assert lazy == full, g
                 grids.append(construct_u_for_graph(g).grid)
                 previous[g.p, g.q] = grids[-1]
@@ -373,7 +409,7 @@ class TestLargestEntryFilter:
                 for edges, nbrs, degree, _ in classify._block_leaves(p, n - p, 2):
                     level = classify._blocks_level(p, edges, nbrs, degree)
                     g = RootedWeightedGraph(n, edges, p, n - p)
-                    closed = classify._closed_maximal_set(g) is not None
+                    closed = classify._first_hole(g, _mpf_walk(g))[0] is None
                     assert level or not closed, g
                     passed += level
                     invariant += closed
@@ -388,7 +424,7 @@ class TestLargestEntryFilter:
         assert degree[2:] == [1, 3]
         assert largest_entries(g) == [0, 0, 0]
         assert classify._blocks_level(g.p, g.edges, graph._masks(g), degree)
-        assert classify._closed_maximal_set(g) == {(0, 0, 0)}
+        assert classify._first_hole(g, _mpf_walk(g)) == (None, {(0, 0, 0)})
         assert match_theorem61(g)[0].case == "v"
 
     def test_shared_plans_give_the_direct_verdict(self) -> None:

@@ -6,12 +6,14 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import parklab
+from parklab import format_graph_text
 from parklab.cli import main
 
 DIAMOND_TEXT = "3 2 1\n0 1 2\n0 2 2\n1 2 1\n1 3 3\n2 3 3\n"
@@ -594,3 +596,132 @@ class TestEveryCommand:
         pretty = runner.invoke(main, [*args, "--pretty"])
         assert pretty.exit_code == 1
         assert pretty.output == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# the conftest graphs, each run through every graph command
+CORPUS_GRAPHS = (
+    "diamond",
+    "diamond_split",
+    "tripartite",
+    "clique_fan",
+    "chorded_cycle",
+    "tree_with_clique",
+    "cycle_with_tufts",
+    "forest_with_clique",
+)
+# name -> contents; .txt files are graphs, .json files grids
+CORPUS_FILES = {
+    # not invariant: (0, 0, 2, 0) parks, its in-block swap (0, 2, 0, 0) does not
+    "open.txt": "4 1 3\n0 4 1\n1 3 1\n1 4 1\n2 3 1\n2 4 1\n3 4 1\n",
+    "ladder.json": json.dumps(LADDER_GRID),
+    "affine.json": json.dumps(AFFINE_GRID),
+    "explicit.json": '{"p":2,"q":1,"u":[[1,1],[1,2],[2,2]],"v":[[1,2],[1,2],[3,3]]}',
+    "latin1.txt": b"1 0 0\n0 1 1 # caf\xe9\n",
+    "latin1.json": b'{"vectors": {"u": [1], "v": ["caf\xe9"]}}',
+    "bad.json": "{bad",
+    "bad.txt": "1 0 0\n0 1 x\n",
+    "empty.txt": "# a comment only\n",
+    "disconnected.txt": "2 0 0\n0 1 1\n",
+    "float-vectors.json": '{"vectors": {"u": [1.5], "v": [1]}}',
+    "float-explicit.json": '{"p":0,"q":0,"u":[[1.0]],"v":[[1]]}',
+    "float-affine.json": '{"p":1.5,"q":1,' + TestMalformedInput.AFFINE + "}",
+    "negative-affine.json": (
+        '{"p":2,"q":1,"affine":{"a":1,"b":-1,"c":0,"cprime":0,"d":0,"e":1}}'
+    ),
+}
+# each grid file with a pair of its shape
+GRID_FILES = {
+    "ladder.json": "2,0,1;1,3,0",
+    "affine.json": "0,1,2;1,0",
+    "explicit.json": "0,1;0",
+}
+# (argv, PARKLAB_MAX_SET) past the per-graph and per-grid runs
+CORPUS_RUNS = [
+    (["classify", "--graph", "open.txt"], None),
+    (["construct-u", "--graph", "open.txt"], None),
+    (["classify", "--graph", "diamond.txt", "--A", "1,3", "--B", "2"], None),
+    (["mpf", "--graph", "diamond.txt", "--A", "1,3", "--B", "2"], None),
+    (["mpf", "--graph", "diamond.txt", "--A", "1,3"], None),
+    (["mpf", "--graph", "diamond.txt", "--A", "1,3", "--B", "2,2"], None),
+    (["mpf", "--graph", "diamond.txt", "--A", "1,2", "--B", "2,3"], None),
+    (["mpf", "--graph", "diamond.txt", "--A", "1", "--B", "2"], None),
+    (["mpf", "--graph", "diamond.txt", "--A", "x", "--B", "2"], None),
+    (["check", "--graph", "diamond.txt", "--vector", "5,1,2"], None),
+    (["check", "--graph", "diamond.txt", "--vector", "6,1,2"], None),
+    (["check", "--graph", "diamond.txt", "--vector", ""], None),
+    (["check", "--graph", "diamond.txt", "--vector", "1,x"], None),
+    (["upf", "--grid", "ladder.json", "--pair", "3,0,0;0,0,0"], None),
+    (["upf", "--grid", "ladder.json", "--pair", "0,0"], None),
+    (["upf", "--grid", "ladder.json", "--pair", "0;0"], None),
+    (["verify", "--graph", "tripartite.txt", "--grid", "affine.json"], None),
+    (["verify", "--graph", "diamond_split.txt", "--grid", "explicit.json"], None),
+    (["verify", "--graph", "diamond_split.txt", "--grid", "ladder.json"], None),
+    (["verify", "--graph", "diamond.txt", "--grid", "explicit.json"], None),
+    (["pf", "--graph", "latin1.txt"], None),
+    (["grid", "--grid", "latin1.json"], None),
+    (["pf", "--graph", "bad.txt"], None),
+    (["pf", "--graph", "empty.txt"], None),
+    (["pf", "--graph", "disconnected.txt"], None),
+    *(
+        (["grid", "--grid", name], None)
+        for name in CORPUS_FILES
+        if name.endswith(".json") and name not in GRID_FILES
+    ),
+    (["upf", "--grid", "bad.json", "--pair", "0;0"], None),
+    (["verify", "--graph", "diamond.txt", "--grid", "bad.json"], None),
+    (["construct-graph", "--grid", "bad.json"], None),
+    (["construct-graph", "--grid", "float-affine.json"], None),
+    (["construct-graph", "--grid", "negative-affine.json"], None),
+    (["pf", "--graph", "diamond.txt", "--max-set", "-1"], None),
+    (["pf", "--graph", "diamond.txt", "--max-set", "0"], None),
+    (["pf", "--graph", "diamond.txt", "--max-set", "83"], None),
+    (["pf", "--graph", "diamond.txt", "--max-set", "x"], None),
+    (["pf", "--graph", "diamond.txt"], "abc"),
+    (["pf", "--graph", "diamond.txt"], "-3"),
+    (["pf", "--graph", "diamond.txt"], "3"),
+    (["pf", "--graph", "diamond.txt", "--max-set", "100"], "3"),
+    (["sweep", "--max-n", "3"], None),
+    (["sweep", "--max-n", "3", "--max-w", "1", "--jobs", "0"], None),
+]
+
+
+def cli_corpus(runner, folder: Path, graphs: dict) -> list[tuple]:
+    """(argv, PARKLAB_MAX_SET, exit code, stdout) of every corpus run.
+
+    The files are written to folder first; argv names each by its name
+    there, so the records do not depend on where folder is.
+    """
+    files = dict(CORPUS_FILES)
+    files |= {f"{name}.txt": format_graph_text(g) for name, g in graphs.items()}
+    for name, text in files.items():
+        path = folder / name
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    runs = []
+    for name in graphs:
+        graph = ["--graph", f"{name}.txt"]
+        zeros = ",".join(["0"] * graphs[name].n)
+        runs += [[command, *graph] for command in ("pf", "mpf", "orientations")]
+        runs += [["check", *graph, "--vector", zeros]]
+        runs += [[command, *graph] for command in ("classify", "construct-u")]
+    for name, pair in GRID_FILES.items():
+        runs += [["grid", "--grid", name], ["construct-graph", "--grid", name]]
+        runs += [["upf", "--grid", name, "--pair", pair]]
+    records = []
+    for argv, guard in [(argv, None) for argv in runs] + CORPUS_RUNS:
+        real = [str(folder / a) if a in files else a for a in argv]
+        result = runner.invoke(main, real, env={"PARKLAB_MAX_SET": guard})
+        records.append((argv, guard, result.exit_code, result.stdout))
+    return records
+
+
+class TestOutputCorpus:
+    def test_every_command_output_is_pinned(self, runner, tmp_path, request) -> None:
+        graphs = {name: request.getfixturevalue(name) for name in CORPUS_GRAPHS}
+        start = time.perf_counter()
+        records = cli_corpus(runner, tmp_path, graphs)
+        assert time.perf_counter() - start < 2.0
+        assert Counter(code for _, _, code, _ in records) == {0: 62, 1: 36, 2: 5}
+        digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+        assert digest == (
+            "0ba30bd5228752bc12984a10a2f1a2e836798e76bad267a8a0973c9e8bcc22b8"
+        )

@@ -107,6 +107,32 @@ class TestBuildGraph:
             build_graph(10**12, [], p=1, q=1)
 
 
+class TestIntegerLabels:
+    """Sizes and vertex labels are Python ints; ShapeMismatch names the first other."""
+
+    TRIANGLE = build_graph(2, [(0, 1, 1), (0, 2, 1), (1, 2, 1)], p=1, q=1)
+    EDGES = [(0, 1, 1), (0, 2, 1)]
+
+    @pytest.mark.parametrize(
+        "call, named",
+        [
+            (lambda g, e: build_graph(2.0, e), "vertex count 2.0"),
+            (lambda g, e: build_graph(2, e, p=True, q=1), "block size True"),
+            (lambda g, e: build_graph(2, e, p=1.0, q=1.0), "block size 1.0"),
+            (lambda g, e: d_U(g, [1.0], 1), "vertex 1.0"),
+            (lambda g, e: d_U(g, [1], 1.0), "vertex 1.0"),
+            (lambda g, e: induced_subgraph(g, [0, "1"]), "selection member '1'"),
+            (lambda g, e: quotient_graph(g, [[0], [1.0], [2]]), "block member 1.0"),
+            (lambda g, e: relabel_for_blocks(g, [1.0], [2]), "block member 1.0"),
+            (lambda g, e: relabel_for_blocks(g, ["1"], [2]), "block member '1'"),
+        ],
+    )
+    def test_a_non_int_is_a_shape_mismatch(self, call, named):
+        with pytest.raises(ShapeMismatch) as caught:
+            call(self.TRIANGLE, self.EDGES)
+        assert str(caught.value) == f"{named} is not an integer"
+
+
 class TestDU:
     def test_diamond_top_block(self, diamond):
         assert d_U(diamond, {1, 2, 3}, 1) == 2

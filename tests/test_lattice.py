@@ -146,6 +146,33 @@ class TestGridConstruction:
             load_grid({"p": 2, "q": 2})
 
 
+class TestIntegerEntries:
+    """Grid builders take Python ints only; ShapeMismatch names the first other."""
+
+    @pytest.mark.parametrize(
+        "call, named",
+        [
+            (lambda: grid_from_vectors((1.5,), (1,)), "u entry 1.5"),
+            (lambda: grid_from_vectors((1,), (True,)), "v entry True"),
+            (
+                lambda: grid_from_affine(1, 1, a=0.5, b=0, c=1, cprime=1, d=0, e=1),
+                "affine coefficient 0.5",
+            ),
+            (
+                lambda: grid_from_affine(1, 1.0, a=1, b=0, c=1, cprime=1, d=0, e=1),
+                "grid dimension 1.0",
+            ),
+            (lambda: WeightGrid(0, 0, ((1.5,),), ((1,),)), "u entry 1.5"),
+            (lambda: WeightGrid(0, 0, (("1",),), ((1,),)), "u entry '1'"),
+            (lambda: WeightGrid(0, False, ((1,),), ((1,),)), "grid dimension False"),
+        ],
+    )
+    def test_a_non_int_is_a_shape_mismatch(self, call, named) -> None:
+        with pytest.raises(ShapeMismatch) as caught:
+            call()
+        assert str(caught.value) == f"{named} is not an integer"
+
+
 class TestGridGuards:
     def test_decreasing_entries_are_not_monotone(self) -> None:
         with pytest.raises(NotMonotone, match=r"^u\[0\]\[0\] > u\[1\]\[0\]$"):

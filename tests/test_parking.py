@@ -191,6 +191,18 @@ class TestIntegerEntries:
         with pytest.raises(LengthMismatch):
             is_vector_pf((0.5,), (1, 2))
 
+    def test_classical_parking_needs_a_sequence(self):
+        # an iterator has no length, as in is_vector_pf and is_g_pf
+        with pytest.raises(TypeError):
+            is_classical_pf(iter([5]))
+        assert not is_classical_pf([5])
+
+    @pytest.mark.parametrize("guard", [1.5, True])
+    def test_the_guard_must_be_an_int(self, guard):
+        with pytest.raises(InvalidParameters) as caught:
+            enumerate_pf(self.TRIANGLE, max_set=guard)
+        assert str(caught.value) == f"max_set must be an integer, got {guard!r}"
+
 
 class TestGraphMembership:
     def test_diamond_member(self, diamond):

@@ -11,11 +11,13 @@ membership burns the vector, and the maximal parking functions, the
 weighted indegrees minus one of the acyclic orientations with the root as
 unique source, are read off one walk over the burning orders. The full
 parking set of a graph is the downward closure of its maximal elements,
-generated in lexicographic order with each element built once; the same
-closure serves the parking pairs of a weight grid. A closure counts the
-distinct maximal elements as they arrive and the elements it will produce
-against a size guard, and raises as soon as either exceeds it; the
-PARKLAB_MAX_SET environment variable or a keyword argument sets the guard.
+generated in lexicographic order with no membership test; the same closure
+serves the parking pairs of a weight grid. Its last three coordinates are
+built once per distinct set of covering suffixes and emitted under every
+prefix that shares them. A closure counts the distinct maximal elements as
+they arrive and the elements it will produce against a size guard, and
+raises as soon as either exceeds it; the PARKLAB_MAX_SET environment
+variable or a keyword argument sets the guard.
 """
 
 from __future__ import annotations
@@ -215,6 +217,67 @@ def _mpf_walk(g: RootedWeightedGraph) -> Iterator[Vector]:
             stack.append((depth + 1, placed, owed, reached, cand))
 
 
+def _closure_block(
+    tails: frozenset[Vector],
+    budget: int,
+    memo: dict[frozenset[Vector], list[Vector]],
+) -> list[Vector] | None:
+    """Sorted downward closure of tails, non-negative vectors of one length 1..3.
+
+    None when the closure holds more than budget vectors, and then nothing
+    past budget has been built. Single entries close to the run 0..top.
+    Pairs close to a staircase: each first entry v runs its last entry up to
+    the largest last entry among the pairs whose first is at least v, and
+    the staircase's exact size is checked before it is built. Triples close
+    to their children's blocks with the first entry prepended: the child for
+    v closes the tails of the triples whose first entry is at least v, and
+    gets the budget its larger siblings left, less one vector for each
+    smaller sibling still to come. memo maps each tail set closed so far to
+    its block; a hit is checked against the budget of the call.
+    """
+    block = memo.get(tails)
+    if block is not None:
+        return block if len(block) <= budget else None
+    top = max(t[0] for t in tails)
+    # each entry 0..top starts at least one vector
+    if top >= budget:
+        return None
+    width = len(next(iter(tails)))
+    if width == 1:
+        block = [(v,) for v in range(top + 1)]
+    elif width == 2:
+        # reach[v]: the largest last entry of a tail whose first is >= v
+        reach = [-1] * (top + 1)
+        for a, b in tails:
+            if b > reach[a]:
+                reach[a] = b
+        for v in range(top - 1, -1, -1):
+            if reach[v + 1] > reach[v]:
+                reach[v] = reach[v + 1]
+        if top + 1 + sum(reach) > budget:
+            return None
+        block = [(v, w) for v, last in enumerate(reach) for w in range(last + 1)]
+    else:
+        by_first: list[list[Vector]] = [[] for _ in range(top + 1)]
+        for t in tails:
+            by_first[t[0]].append(t[1:])
+        children: list[list[Vector]] = [[]] * (top + 1)
+        grown: set[Vector] = set()
+        size = 0
+        for v in range(top, -1, -1):
+            grown.update(by_first[v])
+            child = _closure_block(frozenset(grown), budget - size - v, memo)
+            if child is None:
+                return None
+            children[v] = child
+            size += len(child)
+        block = []
+        for v, child in enumerate(children):
+            block.extend(map((v,).__add__, child))
+    memo[tails] = block
+    return block
+
+
 def _down_set(tops: Iterable[Vector], limit: int) -> list[Vector]:
     """Sorted downward closure of non-negative vectors in the entrywise order.
 
@@ -223,15 +286,16 @@ def _down_set(tops: Iterable[Vector], limit: int) -> list[Vector]:
     generated in lexicographic order, a coordinate at a time. A node holds a
     prefix and the distinct suffixes of the tops that cover it; its entry runs
     from 0 to the largest first entry among them, and the child for value v
-    keeps the tails of the suffixes whose first entry is at least v. Those
-    tail lists nest, so every child reads a prefix of one list that grows as
-    v falls. The last entry is emitted as a run, and the last two as a
-    staircase of running maxima, so each element is built once, already in
-    order, with no membership test and no sort.
+    keeps the tails of the suffixes whose first entry is at least v. The
+    closure below a node depends only on its suffixes, never on its prefix,
+    so the last three coordinates are a block, built once per distinct
+    suffix set in a call by _closure_block and emitted under every prefix
+    that shares it. Each element is emitted once, already in order, with no
+    membership test and no sort.
 
     Raises TooLarge exactly when the closure holds more than limit vectors:
-    at the first distinct top past limit, or before emitting a subtree that
-    would take the count past limit.
+    at the first distinct top past limit, or before emitting a subtree or
+    building a block that would take the count past limit.
     """
     exceeded = f"parking set exceeds the guard of {limit}"
     distinct: set[Vector] = set()
@@ -244,46 +308,32 @@ def _down_set(tops: Iterable[Vector], limit: int) -> list[Vector]:
         return []
     if distinct == {()}:
         return [()]
+    width = len(next(iter(distinct)))
+    memo: dict[frozenset[Vector], list[Vector]] = {}
     out: list[Vector] = []
-    # frames (prefix, tails, count): the first count tails are the distinct
-    # suffixes of the tops that cover prefix
-    stack = [((), list(distinct), len(distinct))]
+    # frames (prefix, tails): tails are the distinct suffixes of the tops
+    # that cover prefix
+    stack = [((), frozenset(distinct))]
     while stack:
-        prefix, tails, count = stack.pop()
-        tails = tails[:count]
+        prefix, tails = stack.pop()
+        if width - len(prefix) <= 3:
+            block = _closure_block(tails, limit - len(out), memo)
+            if block is None:
+                raise TooLarge(exceeded)
+            out.extend(map(prefix.__add__, block))
+            continue
         top = max(t[0] for t in tails)
         # each entry 0..top extends prefix to at least one element
         if len(out) + top >= limit:
             raise TooLarge(exceeded)
-        if len(tails[0]) == 1:
-            out.extend([prefix + (v,) for v in range(top + 1)])
-        elif len(tails[0]) == 2:
-            # reach[v]: the largest last entry of a tail whose first is >= v
-            reach = [-1] * (top + 1)
-            for a, b in tails:
-                if b > reach[a]:
-                    reach[a] = b
-            for v in range(top - 1, -1, -1):
-                if reach[v + 1] > reach[v]:
-                    reach[v] = reach[v + 1]
-            if len(out) + top + 1 + sum(reach) > limit:
-                raise TooLarge(exceeded)
-            for v, last in enumerate(reach):
-                head = prefix + (v,)
-                out.extend([head + (w,) for w in range(last + 1)])
-        else:
-            by_first: list[list[Vector]] = [[] for _ in range(top + 1)]
-            for t in tails:
-                by_first[t[0]].append(t[1:])
-            grown: list[Vector] = []
-            seen: set[Vector] = set()
-            # pushed largest value first, so the smallest is expanded first
-            for v in range(top, -1, -1):
-                for t in by_first[v]:
-                    if t not in seen:
-                        seen.add(t)
-                        grown.append(t)
-                stack.append((prefix + (v,), grown, len(grown)))
+        by_first: list[list[Vector]] = [[] for _ in range(top + 1)]
+        for t in tails:
+            by_first[t[0]].append(t[1:])
+        grown: set[Vector] = set()
+        # pushed largest value first, so the smallest is expanded first
+        for v in range(top, -1, -1):
+            grown.update(by_first[v])
+            stack.append((prefix + (v,), frozenset(grown)))
     return out
 
 

@@ -446,7 +446,9 @@ class TestEnumerate:
         # first-block entries of a parking pair stay below the largest
         # consumed east weight, second-block entries below the largest
         # consumed north weight
-        for p, q in product((1, 2), repeat=2):
+        # 2x3 and 3x2 pairs have five entries, so their closures are built
+        # from three-entry blocks shared between prefixes
+        for p, q in [*product((1, 2), repeat=2), (2, 3), (3, 2)]:
             for a, b, c, cprime, d, e in product((0, 1), repeat=6):
                 grid = grid_from_affine(p, q, a=a, b=b, c=c, cprime=cprime, d=d, e=e)
                 a_bound, b_bound = grid.u[p - 1][q], grid.v[p][q - 1]

@@ -349,6 +349,27 @@ class TestEnumerate:
             g = random_connected_graph(rng, 6, 3)
             assert len(enumerate_pf(g)) == matrix_tree_count(g)
 
+    def test_dense_graphs_at_real_sizes_have_the_matrix_tree_count(self):
+        # n = 7 with 14 edges of weight 1-2 and 16k-20k parking functions
+        rng = random.Random(2907)
+        checked = 0
+        while checked < 3:
+            edges = {(rng.randrange(v), v): rng.randint(1, 2) for v in range(1, 8)}
+            pool = [(i, j) for i in range(7) for j in range(i + 1, 8)]
+            rng.shuffle(pool)
+            for pair in pool:
+                if len(edges) == 14:
+                    break
+                edges.setdefault(pair, rng.randint(1, 2))
+            g = build_graph(7, [(i, j, w) for (i, j), w in edges.items()])
+            count = matrix_tree_count(g)
+            if not 16_000 <= count <= 20_000:
+                continue
+            pfs = enumerate_pf(g)
+            assert len(pfs) == count
+            assert all(a < b for a, b in zip(pfs, pfs[1:]))
+            checked += 1
+
     def test_negative_guard_is_rejected(self, diamond, monkeypatch):
         with pytest.raises(InvalidParameters, match="max_set must be >= 0, got -1"):
             enumerate_pf(diamond, max_set=-1)
@@ -424,11 +445,54 @@ class TestDownSet:
                     predecessor_down_set, tops, limit
                 )
 
+    def test_blocks_reused_from_the_memo_match_the_predecessor_search(self):
+        # tops share a small pool of three-entry suffixes, so prefixes share
+        # their last three coordinates' blocks
+        rng = random.Random(2929)
+        reused = 0
+        for _ in range(300):
+            n = rng.randint(4, 7)
+            k = n - 3
+            pool = [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(3)]
+            tops = [
+                tuple(rng.randint(0, 2) for _ in range(k)) + rng.choice(pool)
+                for _ in range(rng.randint(1, 6))
+            ]
+            want = predecessor_down_set(tops, 3**k * 4**3)
+            limits = {0, 1, len(want) // 2, len(want) - 1, len(want)}
+            # a limit inside the first block emitted again under a later
+            # prefix: the block covering a prefix is keyed by its suffixes
+            keys = set()
+            start = 0
+            for prefix, group in itertools.groupby(want, key=lambda v: v[:k]):
+                size = len(list(group))
+                key = frozenset(
+                    t[k:] for t in tops if all(map(int.__ge__, t, prefix))
+                )
+                if key in keys:
+                    limits.add(start + size // 2)
+                    reused += 1
+                    break
+                keys.add(key)
+                start += size
+            assert _down_set(iter(tops), len(want)) == want
+            for limit in limits:
+                assert self.outcome(_down_set, iter(tops), limit) == self.outcome(
+                    predecessor_down_set, tops, limit
+                )
+        assert reused >= 250
+
     def test_entry_past_the_guard_is_refused_before_it_is_built(self):
-        with pytest.raises(TooLarge, match="guard of 100"):
-            _down_set([(10**12,)], 100)
-        with pytest.raises(TooLarge, match="guard of 100"):
-            _down_set([(1, 10**12)], 100)
+        for tops in (
+            [(10**12,)],
+            [(1, 10**12)],
+            [(10**12, 0, 0)],
+            [(0, 10**12, 0)],
+            [(0, 0, 10**12)],
+            [(1, 1, 1, 10**12)],
+        ):
+            with pytest.raises(TooLarge, match="guard of 100"):
+                _down_set(tops, 100)
 
 
 class TestMaximality:

@@ -5,7 +5,9 @@ node (i, j) of the p x q lattice rectangle, non-decreasing in both
 coordinates. A monotone path from (0, 0) to (p, q) prices its steps with
 the node it leaves: an east step at (i, j) costs u[i][j], a north step
 costs v[i][j]. A pair of vectors (a, b) with |a| = p and |b| = q parks when
-some path prices every order statistic strictly above it.
+some path prices every order statistic strictly above it. Deciding that takes
+one walk of p + q steps that steps east whenever it may (witness_path), not a
+scan of the C(p+q, p) paths.
 
 Only part of the grid is ever read by a path: u[i][j] with i < p and
 v[i][j] with j < q (a path east of column p cannot step east again). The
@@ -15,11 +17,11 @@ grids repeat their last read entry into the unread row u[p][.] and column
 v[.][q], and affine grids extend their formula there. No builder takes a
 grid of more than _MAX_GRID_NODES (one million) nodes.
 
-Maximal pairs come from paths directly: along any path the east weights
-(and the north weights) are non-decreasing, so subtracting one from them
-yields the increasing maximal candidates; their permutations within each
-block fill out the maximal set, and its downward closure (the same one graph
-parking sets use) is the full parking set.
+Maximal pairs still come from a scan of every path: along any path the east
+weights (and the north weights) are non-decreasing, so subtracting one from
+them yields the increasing maximal candidates; their permutations within
+each block fill out the maximal set, and its downward closure (the same one
+graph parking sets use) is the full parking set.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import le
+from operator import le, lt
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import orientations as _ori
@@ -247,6 +249,8 @@ def load_grid(obj: Mapping) -> WeightGrid:
 
 
 def validate_path(path: str, p: int, q: int) -> None:
+    if not isinstance(path, str):
+        raise ShapeMismatch(f"path must be a string of E and N, got {path!r}")
     if sorted(path) != ["E"] * p + ["N"] * q:
         raise ShapeMismatch(
             f"path must use exactly {p} east and {q} north steps, got {path!r}"
@@ -259,6 +263,7 @@ def paths(p: int, q: int) -> list[str]:
     A path is the set of its east-step positions; combinations lists those
     sets in lexicographic order, which is the words' order.
     """
+    _check_ints((p, q), "grid dimension")
     if p < 0 or q < 0:
         raise ShapeMismatch("grid dimensions must be non-negative")
     return list(_words(p, q))
@@ -313,29 +318,42 @@ def block_sorted(pair: Pair) -> Pair:
 def is_bounded_by(pair: Pair, path: str, grid: WeightGrid) -> bool:
     """Whether the path prices every order statistic of the pair above it."""
     _validate_pair(pair, grid.p, grid.q)
-    return _bounds(block_sorted(pair), step_weights(grid, path))
-
-
-def _bounds(ranked: Pair, weights: tuple[list[int], list[int]]) -> bool:
-    """Whether step weights (east, north) price a block-sorted pair above it."""
-    entries = ranked[0] + ranked[1]
-    steps = weights[0] + weights[1]
-    return min(entries, default=0) >= 0 and all(
-        x < w for x, w in zip(entries, steps)
-    )
+    a, b = block_sorted(pair)
+    east, north = step_weights(grid, path)
+    return min(a + b, default=0) >= 0 and all(map(lt, a + b, east + north))
 
 
 def witness_path(pair: Pair, grid: WeightGrid) -> str | None:
-    """First bounding path in lexicographic order, or None.
+    """First bounding path in lexicographic order (E < N), or None.
 
-    The words are walked lazily, so the search stops at the first bound.
+    One walk from (0, 0), at most p + q steps. With (a, b) the block-sorted
+    pair, an east step from (x, y) is allowed when a[x] < u[x][y] and a north
+    step when b[y] < v[x][y]. The walk steps east whenever that is allowed,
+    else north, and gives up at a node that allows neither. Preferring east
+    loses nothing: if a bounding path leaves (x, y) north and first steps
+    east at (x, y'), the path that steps east at once and then north along
+    column x + 1 bounds too, since v[x + 1][k] >= v[x][k] on a monotone
+    grid. So every node the walk reaches lies on a bounding path if any
+    exists, and its word is the first one. A negative entry is bounded by
+    no path.
     """
     _validate_pair(pair, grid.p, grid.q)
-    ranked = block_sorted(pair)
-    for word in _words(grid.p, grid.q):
-        if _bounds(ranked, _step_weights(grid, word)):
-            return word
-    return None
+    p, q, u, v = grid.p, grid.q, grid.u, grid.v
+    a, b = block_sorted(pair)
+    if min(a + b, default=0) < 0:
+        return None
+    word = []
+    x = y = 0
+    for _ in range(p + q):
+        if x < p and a[x] < u[x][y]:
+            word.append("E")
+            x += 1
+        elif y < q and b[y] < v[x][y]:
+            word.append("N")
+            y += 1
+        else:
+            return None
+    return "".join(word)
 
 
 def is_upf(pair: Pair, grid: WeightGrid) -> bool:

@@ -122,6 +122,19 @@ class TestGridCommands:
         )
         assert data == {"upf": False, "witness_path": None}
 
+    def test_upf_answers_on_a_30_by_30_grid(self, runner, tmp_path) -> None:
+        """961 nodes but C(60, 30) paths: membership must not scan the paths."""
+        path = tmp_path / "grid.json"
+        side = list(range(1, 31))
+        path.write_text(json.dumps({"vectors": {"u": side, "v": side}}))
+        outside = ",".join(["30"] * 30) + ";" + ",".join(["0"] * 30)
+        data = run_json(runner, ["upf", "--grid", str(path), "--pair", outside])
+        assert data == {"upf": False, "witness_path": None}
+        staircase = ",".join(map(str, range(30)))
+        pair = f"{staircase};{staircase}"
+        data = run_json(runner, ["upf", "--grid", str(path), "--pair", pair])
+        assert data == {"upf": True, "witness_path": "E" * 30 + "N" * 30}
+
     def test_grid_summary(self, runner, affine_file) -> None:
         data = run_json(runner, ["grid", "--grid", affine_file])
         assert data["p"] == 3 and data["q"] == 2

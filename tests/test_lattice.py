@@ -333,6 +333,20 @@ class TestBoundedBy:
         with pytest.raises(ShapeMismatch):
             validate_path(word, 3, 3)
 
+    @pytest.mark.parametrize("path", [5, None, list("EEENNN")])
+    def test_a_path_that_is_no_string_is_a_shape_mismatch(self, ladder_grid, path):
+        g = build_graph(6, [(0, v, 1) for v in range(1, 7)], p=3, q=3)
+        calls = [
+            partial(is_bounded_by, LADDER_PAIR, path, ladder_grid),
+            partial(step_weights, ladder_grid, path),
+            partial(orientation_from_path, g, path, LADDER_PAIR),
+        ]
+        for call in calls:
+            with pytest.raises(ShapeMismatch) as caught:
+                call()
+            message = f"path must be a string of E and N, got {path!r}"
+            assert str(caught.value) == message
+
     def test_step_weights_walk_the_grid(self, ladder_grid) -> None:
         assert step_weights(ladder_grid, "EEENNN") == ([1, 2, 3], [1, 3, 5])
         assert step_weights(ladder_grid, "NNNEEE") == ([1, 2, 3], [1, 3, 5])
@@ -357,6 +371,14 @@ class TestPaths:
     def test_negative_size_is_rejected(self, p, q) -> None:
         with pytest.raises(ShapeMismatch, match="non-negative"):
             paths(p, q)
+
+    @pytest.mark.parametrize(
+        "p, q, bad", [(1.5, 2, 1.5), ("2", 1, "2"), (True, 1, True), (1, 2.0, 2.0)]
+    )
+    def test_non_integer_size_is_rejected(self, p, q, bad) -> None:
+        with pytest.raises(ShapeMismatch) as caught:
+            paths(p, q)
+        assert str(caught.value) == f"grid dimension {bad!r} is not an integer"
 
 
 class TestWitness:
@@ -395,6 +417,55 @@ class TestWitness:
             members += first is not None
             assert witness_path(pair, ladder_grid) == first
         assert 0 < members < len(pairs)
+
+    def test_matches_the_path_scan_on_random_grids(self) -> None:
+        """The east-first walk against a scan of every path, empty blocks too."""
+
+        def scan(pair, grid):
+            a, b = sorted(pair[0]), sorted(pair[1])
+            if min(a + b, default=0) < 0:
+                return None
+            for word in paths(grid.p, grid.q):
+                east, north = step_weights(grid, word)
+                if all(x < w for x, w in zip(a + b, east + north)):
+                    return word
+            return None
+
+        def monotone_array(rng, p, q):
+            """Each node adds 0, 1 or 3 to the larger of its two predecessors."""
+            arr = [[rng.randrange(4)] * (q + 1) for _ in range(p + 1)]
+            for i, j in product(range(p + 1), range(q + 1)):
+                if i or j:
+                    before = max(arr[i - 1][j] if i else 0, arr[i][j - 1] if j else 0)
+                    arr[i][j] = before + rng.choice((0, 0, 1, 3))
+            return tuple(map(tuple, arr))
+
+        builders = {
+            "affine": lambda rng, p, q: grid_from_affine(
+                p, q, **{k: rng.randrange(4) for k in "a b c cprime d e".split()}
+            ),
+            "vectors": lambda rng, p, q: grid_from_vectors(
+                sorted(rng.randrange(1, 7) for _ in range(p)),
+                sorted(rng.randrange(1, 7) for _ in range(q)),
+            ),
+            "explicit": lambda rng, p, q: WeightGrid(
+                p, q, monotone_array(rng, p, q), monotone_array(rng, p, q)
+            ),
+        }
+        rng = random.Random(30)
+        answers = Counter()
+        for kind, p, q in product(builders, range(5), range(5)):
+            for _ in range(3):
+                grid = builders[kind](rng, p, q)
+                for _ in range(6):
+                    pair = tuple(
+                        tuple(rng.randrange(-1, 7) for _ in range(n)) for n in (p, q)
+                    )
+                    first = scan(pair, grid)
+                    assert witness_path(pair, grid) == first, (kind, pair, grid)
+                    assert is_upf(pair, grid) == (first is not None)
+                    answers[kind, first is not None] += 1
+        assert all(answers[kind, member] for kind in builders for member in (0, 1))
 
 
 class TestEnumerate:

@@ -8,6 +8,9 @@ indents it under --pretty, and turns a domain error into
 {"error": {"type", "message"}} with exit code 1; usage errors exit with
 code 2. verify and sweep exit 0 even when the verdict is negative,
 because the verdict is the data.
+
+Each subcommand imports the library functions it runs inside its body,
+so one call loads only the modules that subcommand uses.
 """
 
 from __future__ import annotations
@@ -16,34 +19,14 @@ import functools
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
-from .classify import (
-    construct_u_for_graph,
-    graph_from_affine_u,
-    is_invariant,
-    sweep_classification,
-    verify_equality,
-)
 from .errors import DomainError, InvalidParameters, ShapeMismatch
-from .graph import (
-    RootedWeightedGraph,
-    format_graph_text,
-    parse_graph_text,
-    recognize_family,
-    relabel_for_blocks,
-)
-from .lattice import (
-    _orbit_size,
-    affine_coefficients,
-    increasing_maximal_pairs,
-    load_grid,
-    maximal_upf_sum_witness,
-    witness_path,
-)
-from .orientations import enumerate_A, orientation_to_mpf
-from .parking import enumerate_mpf, enumerate_pf, is_g_pf, is_maximal
+
+if TYPE_CHECKING:
+    from .graph import RootedWeightedGraph
 
 
 def _emit(obj: dict, pretty: bool) -> None:
@@ -66,6 +49,8 @@ def _csv_ints(text: str, flag: str) -> tuple[int, ...]:
 def _load_graph(
     path: str, block_a: str | None, block_b: str | None
 ) -> RootedWeightedGraph:
+    from .graph import parse_graph_text, relabel_for_blocks
+
     g = parse_graph_text(_read_text(path))
     if (block_a is None) != (block_b is None):
         raise click.UsageError("--A and --B must be given together")
@@ -137,6 +122,8 @@ def command(name: str, *options):
 )
 def pf_cmd(graph_path, block_a, block_b, max_set):
     """List every parking function of the graph."""
+    from .parking import enumerate_pf
+
     g = _load_graph(graph_path, block_a, block_b)
     elements = enumerate_pf(g, max_set=max_set)
     return {"count": len(elements), "elements": [list(b) for b in elements]}
@@ -145,6 +132,8 @@ def pf_cmd(graph_path, block_a, block_b, max_set):
 @command("mpf", graph_option, *block_options)
 def mpf_cmd(graph_path, block_a, block_b):
     """List the maximal parking functions of the graph."""
+    from .parking import enumerate_mpf
+
     g = _load_graph(graph_path, block_a, block_b)
     elements = enumerate_mpf(g)
     return {"count": len(elements), "elements": [list(b) for b in elements]}
@@ -158,6 +147,8 @@ def mpf_cmd(graph_path, block_a, block_b):
 )
 def check_cmd(graph_path, block_a, block_b, vector):
     """Test one vector for membership and maximality."""
+    from .parking import is_g_pf, is_maximal
+
     g = _load_graph(graph_path, block_a, block_b)
     b = _csv_ints(vector, "--vector")
     parking = is_g_pf(g, b)
@@ -168,6 +159,8 @@ def check_cmd(graph_path, block_a, block_b, vector):
 @command("orientations", graph_option, *block_options)
 def orientations_cmd(graph_path, block_a, block_b):
     """List the acyclic unique-source orientations with their vectors."""
+    from .orientations import enumerate_A, orientation_to_mpf
+
     g = _load_graph(graph_path, block_a, block_b)
     items = [
         {"edges": list(o.tokens()), "mpf": list(orientation_to_mpf(o))}
@@ -183,6 +176,8 @@ def orientations_cmd(graph_path, block_a, block_b):
 )
 def upf_cmd(grid_path, pair_text):
     """Test one pair against the grid; report the first bounding path."""
+    from .lattice import load_grid, witness_path
+
     grid = load_grid(_read_grid_json(grid_path))
     if pair_text.count(";") != 1:
         raise click.UsageError('--pair expects "CSV;CSV" with one semicolon')
@@ -195,6 +190,13 @@ def upf_cmd(grid_path, pair_text):
 @command("grid", grid_option)
 def grid_cmd(grid_path):
     """Normalize a grid description and summarize its maximal pairs."""
+    from .lattice import (
+        _orbit_size,
+        increasing_maximal_pairs,
+        load_grid,
+        maximal_upf_sum_witness,
+    )
+
     grid = load_grid(_read_grid_json(grid_path))
     increasing = increasing_maximal_pairs(grid)
     east, north = maximal_upf_sum_witness(grid)
@@ -208,6 +210,9 @@ def grid_cmd(grid_path):
 @command("classify", graph_option, *block_options)
 def classify_cmd(graph_path, block_a, block_b):
     """Test invariance and report every matching structural case."""
+    from .classify import is_invariant
+    from .graph import recognize_family
+
     g = _load_graph(graph_path, block_a, block_b)
     out = is_invariant(g).to_json()
     out["family"] = recognize_family(g).to_json()
@@ -217,12 +222,18 @@ def classify_cmd(graph_path, block_a, block_b):
 @command("construct-u", graph_option, *block_options)
 def construct_u_cmd(graph_path, block_a, block_b):
     """Build the weight grid prescribed for a matched graph."""
+    from .classify import construct_u_for_graph
+
     return construct_u_for_graph(_load_graph(graph_path, block_a, block_b)).to_json()
 
 
 @command("construct-graph", grid_option)
 def construct_graph_cmd(grid_path):
     """Build the graph matching an affine grid description."""
+    from .classify import graph_from_affine_u
+    from .graph import format_graph_text
+    from .lattice import affine_coefficients
+
     raw = _read_grid_json(grid_path)
     if not isinstance(raw, dict) or not {"affine", "p", "q"} <= raw.keys():
         raise InvalidParameters("construct-graph needs p, q, and an affine block")
@@ -235,6 +246,9 @@ def construct_graph_cmd(grid_path):
 @command("verify", graph_option, grid_option, *block_options)
 def verify_cmd(graph_path, grid_path, block_a, block_b):
     """Compare the graph's parking functions against the grid's pairs."""
+    from .classify import verify_equality
+    from .lattice import load_grid
+
     g = _load_graph(graph_path, block_a, block_b)
     grid = load_grid(_read_grid_json(grid_path))
     return {"equal": verify_equality(g, grid)}
@@ -248,6 +262,8 @@ def verify_cmd(graph_path, grid_path, block_a, block_b):
 )
 def sweep_cmd(max_n, max_w, jobs):
     """Exhaustively check the classification within a size budget."""
+    from .classify import sweep_classification
+
     return sweep_classification(max_n, max_w, jobs=jobs).to_json()
 
 

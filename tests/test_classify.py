@@ -26,6 +26,7 @@ from parklab import (
     grid_from_vectors,
     induced_subgraph,
     is_invariant,
+    is_vector_pf,
     match_theorem61,
     quotient_graph,
     recognize_family,
@@ -1014,6 +1015,40 @@ class TestSweep:
             "counterexamples",
         }
         json.dumps(data)
+
+
+class TestOneBlockBaseCase:
+    """With q = 0 the sweep's walk, prefilter and swap-burn check count the
+    graphs whose parking functions are invariant under every permutation,
+    the base case of Gaydarov and Hopkins' classification."""
+
+    @staticmethod
+    def invariant_graphs(n: int, max_w: int):
+        for edges, nbrs, degree, _ in classify._block_leaves(n, 0, max_w):
+            if classify._blocks_level(n, edges, nbrs, degree):
+                g = RootedWeightedGraph(n, edges, n, 0)
+                hole, maximal = classify._first_hole(g, _mpf_walk(g))
+                if hole is None:
+                    yield g, maximal
+
+    @pytest.mark.parametrize(
+        "max_w, counts",
+        [(1, [1, 3, 6, 11, 22]), (2, [2, 8, 14, 24]), (3, [3, 15, 24])],
+    )
+    def test_invariant_graphs_park_on_one_threshold_vector(
+        self, max_w, counts
+    ) -> None:
+        found = []
+        for n in range(1, len(counts) + 1):
+            graphs = list(self.invariant_graphs(n, max_w))
+            found.append(len(graphs))
+            for g, maximal in graphs:
+                (r,) = {tuple(sorted(vec)) for vec in maximal}
+                assert set(maximal) == set(itertools.permutations(r))
+                u = [x + 1 for x in r]
+                box = itertools.product(range(r[-1] + 1), repeat=n)
+                assert set(enumerate_pf(g)) == {a for a in box if is_vector_pf(a, u)}
+        assert found == counts
 
 
 class TestSearchGraph:

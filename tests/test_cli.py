@@ -1,5 +1,6 @@
 """End-to-end tests for the batch command line."""
 
+import ast
 import hashlib
 import json
 import os
@@ -551,14 +552,59 @@ class TestInputEdges:
             "import sys, parklab.cli; "
             f"print([m for m in {pool_modules!r} if m in sys.modules])"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            check=True,
-            env={**os.environ, "PYTHONPATH": str(Path(parklab.__file__).parents[1])},
-        ).stdout
-        assert out == "[]\n"
+        assert fresh_interpreter(code) == "[]\n"
+
+    def test_imports_load_no_library_module(self) -> None:
+        assert loaded_modules("import parklab") == set()
+        assert loaded_modules("import parklab.cli") == {"cli", "errors"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["pf"], ["mpf"], ["check", "--vector", "1,2,5"]],
+        ids=["pf", "mpf", "check"],
+    )
+    def test_graph_membership_loads_only_graph_and_parking(
+        self, graph_file, argv
+    ) -> None:
+        loaded = loaded_modules(command_probe([*argv, "--graph", graph_file]))
+        assert loaded == {"cli", "errors", "graph", "parking"}
+
+    @pytest.mark.parametrize(
+        "argv", [["upf", "--pair", "0,0,0;0,0,0"], ["grid"]], ids=["upf", "grid"]
+    )
+    def test_grid_commands_leave_classify_unloaded(self, grid_file, argv) -> None:
+        loaded = loaded_modules(command_probe([*argv, "--grid", grid_file]))
+        assert "lattice" in loaded and "classify" not in loaded
+
+
+def fresh_interpreter(code: str) -> str:
+    """Run code in a new interpreter that imports this parklab; its stdout."""
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(parklab.__file__).parents[1])},
+    ).stdout
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The parklab submodules loaded once code has run in a new interpreter."""
+    probe = (
+        f"{code}\nimport sys\n"
+        "print([m.removeprefix('parklab.') for m in sys.modules"
+        " if m.startswith('parklab.')])"
+    )
+    return set(ast.literal_eval(fresh_interpreter(probe)))
+
+
+def command_probe(argv: list[str]) -> str:
+    """Code that runs one subcommand in process, as perfbench does."""
+    return (
+        "import contextlib, io\nfrom parklab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    main.main({argv!r}, prog_name='parklab', standalone_mode=False)"
+    )
 
 
 GRAPH_BLOCKS = ["--graph", "--B", "--A"]

@@ -758,5 +758,35 @@ class TestFamilyInvariance:
                     assert is_upf((a, lowered), grid)
 
 
+class TestVectorGridProduct:
+    """A vector grid's pairs are the product of two one-block parking sets,
+    an oracle that shares no code with the lattice walk or maximal pairs."""
+
+    def test_membership_and_enumeration_are_the_product(self) -> None:
+        rng = random.Random(41)
+        members = pairs = 0
+        for k in range(24):
+            u = sorted(rng.randrange(1, 5) for _ in range(rng.randrange(4)))
+            v = sorted(rng.randrange(1, 5) for _ in range(rng.randrange(4)))
+            grid = grid_from_vectors(u, v)
+            # entries from -1 to each block's largest threshold, which never parks
+            left, right = (
+                {
+                    a: is_vector_pf(a, w)
+                    for a in product(range(-1, max(w, default=0) + 1), repeat=len(w))
+                }
+                for w in (u, v)
+            )
+            for (a, a_parks), (b, b_parks) in product(left.items(), right.items()):
+                assert is_upf((a, b), grid) == (a_parks and b_parks), (u, v, a, b)
+                members += a_parks and b_parks
+                pairs += 1
+            if k % 4 == 0:
+                want = {(a, b) for a in left if left[a] for b in right if right[b]}
+                got = enumerate_upf(grid)
+                assert len(got) == len(want) and set(got) == want, (u, v)
+        assert 0 < members < pairs
+
+
 def _cyclic_shifts(xs: tuple) -> list[tuple]:
     return [xs[k:] + xs[:k] for k in range(max(1, len(xs)))]

@@ -1,29 +1,20 @@
-"""The package's public names: the imports of parklab/__init__.py, in order."""
+"""The package's public names: the table in parklab/__init__.py, in order."""
 
 from __future__ import annotations
 
-import ast
+import importlib
 import types
-from pathlib import Path
+
+import pytest
 
 import parklab
 
-INIT = Path(parklab.__file__)
 
-
-def _imported_names() -> list[str]:
-    """Names bound by the `from .x import ...` statements, in source order."""
-    tree = ast.parse(INIT.read_text())
-    return [
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
+def test_all_is_the_table_then_version():
+    assert parklab.__all__ == [*parklab._HOME, "__version__"]
+    assert list(parklab._HOME) == [
+        name for names in parklab._EXPORTS.values() for name in names
     ]
-
-
-def test_all_is_the_import_list_then_version():
-    assert parklab.__all__ == [*_imported_names(), "__version__"]
 
 
 def test_star_import_binds_exactly_all():
@@ -36,3 +27,23 @@ def test_star_import_binds_exactly_all():
 def test_no_export_is_a_module():
     for name in parklab.__all__:
         assert not isinstance(getattr(parklab, name), types.ModuleType), name
+
+
+def test_each_export_is_its_home_modules_attribute():
+    for name, module in parklab._HOME.items():
+        home = importlib.import_module(f"parklab.{module}")
+        assert getattr(parklab, name) is getattr(home, name), name
+
+
+def test_each_home_module_is_a_package_attribute():
+    for module in parklab._EXPORTS:
+        assert getattr(parklab, module) is importlib.import_module(f"parklab.{module}")
+
+
+def test_dir_lists_every_export():
+    assert set(parklab.__all__) <= set(dir(parklab))
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        parklab.no_such_name

@@ -19,6 +19,7 @@ _EXPORTS = {
         "d_U",
         "format_graph_text",
         "induced_subgraph",
+        "match_theorem61",
         "matching_invariant_cases",
         "parse_graph_text",
         "quotient_graph",
@@ -68,7 +69,6 @@ _EXPORTS = {
         "construct_u_for_graph",
         "graph_from_affine_u",
         "is_invariant",
-        "match_theorem61",
         "search_graph_matching_grid",
         "sweep_classification",
         "verify_equality",

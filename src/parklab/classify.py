@@ -1,11 +1,12 @@
-"""Block-permutation invariance: testing, matching, and grid construction.
+"""Block-permutation invariance: testing and grid construction.
 
 A bipartitioned graph is invariant when permuting entries within each block
 maps parking functions to parking functions. Invariance of the full parking
 set is equivalent to invariance of its maximal elements, so every test here
 reads the maximal set only.
 
-Invariant graphs are matched against the structural case list (cycles with
+Invariant graphs are matched by graph.match_theorem61, the one dispatcher
+from a graph to its cases, against the structural case list (cycles with
 up to two marked vertices, a cycle with a chord, banded complete graphs,
 a cycle or complete first side with restricted attachments, uniform forests
 carrying one cycle or complete second side, and two-weight trees). Each
@@ -21,18 +22,16 @@ from __future__ import annotations
 import itertools
 import os
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import (
-    BipartitionMissing,
     InvalidParameters,
     NotClassified,
     ShapeMismatch,
     TooLarge,
 )
 from .graph import (
-    ROOT,
     FamilyTag,
     RootedWeightedGraph,
     _band_layout,
@@ -40,8 +39,7 @@ from .graph import (
     _reach,
     _root_side_edges,
     build_graph,
-    matching_invariant_cases,
-    swap_blocks,
+    match_theorem61,
 )
 from .lattice import (
     Pair,
@@ -156,39 +154,6 @@ def check_lemma61(g: RootedWeightedGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# case matching
-
-
-def match_theorem61(g: RootedWeightedGraph) -> list[FamilyTag]:
-    """All structural cases the graph matches, lowest case first.
-
-    The case list is stated for a root touching the first block, but a root
-    touching both blocks can realize a case in either labeling (a cycle
-    whose one odd edge meets the root on the second side, for instance), so
-    both labelings are matched whenever their root condition holds. Tags
-    found under the swapped labeling carry swapped=True and describe the
-    graph with the blocks exchanged. The case names i.a .. vi sort in case
-    order, so the tags are sorted by name, then unswapped first.
-    """
-    g.require_bipartition()
-    if g.p == 0 or g.q == 0:
-        raise BipartitionMissing("matching needs both blocks non-empty")
-    tags: list[FamilyTag] = []
-    ends = [j for i, j, _ in g.edges if i == ROOT]
-    touches_a = any(j <= g.p for j in ends)
-    touches_b = any(j > g.p for j in ends)
-    if touches_a:
-        tags.extend(matching_invariant_cases(g))
-    if touches_b:
-        flipped = swap_blocks(g)
-        tags.extend(
-            replace(t, swapped=True) for t in matching_invariant_cases(flipped)
-        )
-    tags.sort(key=lambda t: (t.case, t.swapped))
-    return tags
-
-
-# ---------------------------------------------------------------------------
 # constructions
 
 
@@ -267,10 +232,6 @@ def _side_vector(shape: str, length: int, first: int, second: int) -> Vector:
 
 def _cycle_case_grid(p: int, q: int, a: int, b: int) -> WeightGrid:
     """Grid for the cycle cases; the marked-root band is a, the rest b."""
-    if p > 2 and a != b:
-        raise InvalidParameters(
-            "cycles with more than two first-block vertices are uniform"
-        )
     return _node_grid(
         p,
         q,
@@ -280,10 +241,6 @@ def _cycle_case_grid(p: int, q: int, a: int, b: int) -> WeightGrid:
 
 
 def _chord_case_grid(p: int, q: int, a: int, b: int, c: int) -> WeightGrid:
-    if p != 2:
-        raise InvalidParameters(
-            "the chord case exists only with two first-block vertices"
-        )
     return _node_grid(
         p,
         q,

@@ -10,16 +10,17 @@ the convention, so changing the blocks means relabeling the graph.
 Besides construction and validation the module answers the structural
 questions the classification asks: weights into a subset, cut vertices and
 the root's side of a vertex, induced subgraphs, quotients and relabelings,
-recognizers for the named families, and the matcher of the invariance
-cases. The searches run on per-vertex neighbour bitmasks and take edges and
-masks rather than a graph, because classify's block-graph generator keeps
-those masks at each leaf and asks the same questions before it builds one.
+recognizers for the named families, the matcher of the invariance cases,
+and match_theorem61, the one route from a graph to its cases. The searches
+run on per-vertex neighbour bitmasks and take edges and masks rather than a
+graph, because classify's block-graph generator keeps those masks at each
+leaf and asks the same questions before it builds one.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -504,10 +505,10 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
     """All cases of the invariance classification matching the graph as labeled.
 
     The graph must carry a bipartition; an empty block or a disconnected
-    graph matches no case. Matching is purely structural; the caller is
-    responsible for block swapping when the root touches only the second
-    block. The cases are tried in case order, i.a to vi, which is also the
-    order their names sort in, so the results come sorted by case.
+    graph matches no case. Matching is purely structural, with no root
+    condition and no block swap: callers reach it through match_theorem61,
+    which adds both. The cases are tried in case order, i.a to vi, which is
+    also the order their names sort in, so the results come sorted by case.
     """
     g.require_bipartition()
     tags: list[FamilyTag] = []
@@ -601,14 +602,43 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
     return tags
 
 
+def match_theorem61(g: RootedWeightedGraph) -> list[FamilyTag]:
+    """All structural cases the graph matches, lowest case first.
+
+    The case list is stated for a root touching the first block, but a root
+    touching both blocks can realize a case in either labeling (a cycle
+    whose one odd edge meets the root on the second side, for instance), so
+    both labelings are matched whenever their root condition holds. Tags
+    found under the swapped labeling carry swapped=True and describe the
+    graph with the blocks exchanged. The case names i.a .. vi sort in case
+    order, so the tags are sorted by name, then unswapped first.
+    """
+    g.require_bipartition()
+    if g.p == 0 or g.q == 0:
+        raise BipartitionMissing("matching needs both blocks non-empty")
+    tags: list[FamilyTag] = []
+    ends = [j for i, j, _ in g.edges if i == ROOT]
+    touches_a = any(j <= g.p for j in ends)
+    touches_b = any(j > g.p for j in ends)
+    if touches_a:
+        tags.extend(matching_invariant_cases(g))
+    if touches_b:
+        flipped = swap_blocks(g)
+        tags.extend(
+            replace(t, swapped=True) for t in matching_invariant_cases(flipped)
+        )
+    tags.sort(key=lambda t: (t.case, t.swapped))
+    return tags
+
+
 def recognize_family(g: RootedWeightedGraph) -> FamilyTag:
     """Most specific structural family of the graph.
 
     Uniform trees refine to stars (every edge at the root) and paths (no
     vertex of degree above two); non-uniform trees on a
     bipartition may be two-weight trees; cycles and banded complete graphs
-    come next, then the lowest matching case of the invariance
-    classification, and "unclassified" as the fallback.
+    come next, then the lowest case match_theorem61 finds, and
+    "unclassified" as the fallback.
     """
     if is_tree(g):
         a = uniform_weight(w for _, _, w in g.edges)
@@ -634,7 +664,7 @@ def recognize_family(g: RootedWeightedGraph) -> FamilyTag:
     if side is not None and g.n >= 2:
         return FamilyTag("banded_complete", params=_params(dict(zip("ab", side[1:]))))
     if g.has_bipartition and g.p and g.q:
-        cases = matching_invariant_cases(g)
+        cases = match_theorem61(g)
         if cases:
             return cases[0]
     return FamilyTag("unclassified")

@@ -45,7 +45,6 @@ from parklab.errors import (
     TooLarge,
 )
 from parklab import classify, graph
-from parklab.classify import _cycle_case_grid
 from parklab.graph import (
     RootedWeightedGraph,
     is_connected,
@@ -581,7 +580,7 @@ class TestGraphFromAffine:
 
     # sha256 over every block size 0..3 and band weight -1..2: the graph's
     # JSON, family and case list, or the error type and message
-    BAND_DIGEST = "95ee3d8b988883e25bcaa980a46092229c94b032a0178211eb7dcd2304dc2492"
+    BAND_DIGEST = "414c82627cbb8eaf3c6f51e968ee65f0f76cd1681ab1be8e58e3828c5cc914e5"
 
     def test_band_graphs_are_pinned(self) -> None:
         digest = hashlib.sha256()
@@ -1051,6 +1050,35 @@ class TestOneBlockBaseCase:
         assert found == counts
 
 
+class TestVectorCaseGrids:
+    """The grids of cases iv.a, iv.b, v and vi are vector grids: a pair parks
+    on one exactly when each half parks on its threshold vector. Checked on
+    the graph's own parking set, with no grid walk or maximal pairs."""
+
+    def test_parking_set_is_the_product_of_one_block_sets(self) -> None:
+        graphs = points = 0
+        for g in itertools.chain(
+            *(connected_block_graphs(p, n - p, 2) for n in (2, 3) for p in range(1, n))
+        ):
+            if not is_invariant(g).invariant:
+                continue
+            built = construct_u_for_graph(g)
+            if built.case.case not in ("iv.a", "iv.b", "v", "vi"):
+                continue
+            grid = built.grid
+            u = [grid.u[i][0] for i in range(g.p)]
+            v = [grid.v[0][j] for j in range(g.q)]
+            parking = set(enumerate_pf(g))
+            graphs += 1
+            for pair in itertools.product(range(max(u + v) + 1), repeat=g.n):
+                points += 1
+                a, b = pair[: g.p], pair[g.p :]
+                assert (pair in parking) == (
+                    is_vector_pf(a, u) and is_vector_pf(b, v)
+                ), (g, pair)
+        assert (graphs, points) == (100, 3695)
+
+
 class TestSearchGraph:
     def test_symmetric_grid_has_a_graph(self) -> None:
         grid = grid_from_affine(1, 1, a=1, b=0, c=1, cprime=1, d=0, e=1)
@@ -1124,18 +1152,12 @@ class TestQuotientRecognition:
         )
 
 
-class TestCycleCaseGrid:
-    def test_long_cycle_with_two_bands_is_rejected(self) -> None:
-        with pytest.raises(InvalidParameters):
-            _cycle_case_grid(3, 1, 1, 2)
-
-
 class TestRecognizerCounts:
     """Families and case lists of every block graph with n <= 3, weights <= 2."""
 
     WITH_BLOCKS = {
-        "banded_complete": 10, "i.b": 4, "i.c": 2, "ii": 8, "iii": 50,
-        "iv.a": 24, "two_weight_tree": 42, "unclassified": 512,
+        "banded_complete": 10, "i.b": 8, "i.c": 4, "ii": 16, "iii": 56,
+        "iv.a": 32, "two_weight_tree": 42, "unclassified": 484,
         "uniform_cycle": 10, "uniform_path": 28, "uniform_star": 6,
         "uniform_tree": 8,
     }
@@ -1164,6 +1186,24 @@ class TestRecognizerCounts:
         assert Counter(map(family, unblocked)) == self.WITHOUT_BLOCKS
         rows = [case_list(g) for g in graphs]
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.MATCH_DIGEST
+
+    def test_family_is_the_lowest_case_match(self) -> None:
+        # where no structural family applies, the family is match_theorem61's
+        # first tag, swapped labelings included, and "unclassified" only when
+        # no case matches
+        graphs = 0
+        for n in (2, 3):
+            for p in range(1, n):
+                for g in connected_block_graphs(p, n - p, 2):
+                    graphs += 1
+                    tag = recognize_family(g)
+                    if tag.kind not in ("invariant_case", "unclassified"):
+                        continue
+                    tags = match_theorem61(g)
+                    assert (tag.kind == "unclassified") == (not tags), g
+                    if tags:
+                        assert tag == tags[0], g
+        assert graphs == 704
 
     # sha256 of repr() of every graph's full case tags, matches and grid (or
     # the error type and message), empty blocks included

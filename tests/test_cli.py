@@ -159,6 +159,17 @@ class TestClassifyCommands:
         assert [t["case"] for t in data["family_matches"]] == ["ii", "iii"]
         assert "family" in data
 
+    def test_family_reads_the_swapped_labeling(self, runner, tmp_path) -> None:
+        # the root touches only the second block, so every case matches with
+        # the blocks exchanged
+        path = tmp_path / "swapped.txt"
+        path.write_text("3 1 2\n0 2 1\n0 3 1\n2 3 1\n1 2 1\n1 3 1\n")
+        data = run_json(runner, ["classify", "--graph", str(path)])
+        assert data["invariant"] is True
+        lowest = data["family_matches"][0]
+        assert (lowest["case"], lowest["swapped"]) == ("ii", True)
+        assert data["family"] == lowest
+
     def test_block_override_changes_the_verdict(self, runner, graph_file) -> None:
         data = run_json(
             runner,

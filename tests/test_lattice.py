@@ -255,7 +255,7 @@ def test_whole_grids_are_pinned() -> None:
         count += 1
     assert count == 14_544
     assert digest.hexdigest() == (
-        "987a152c987c8c0b17122e584777c30507252139a5f4c42514afed6cefaf6ce5"
+        "cabfebc7331dbe0a34bb622f9f82cfd357216a57e5a56ca3eba2213499295af2"
     )
 
 

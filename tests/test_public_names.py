@@ -35,6 +35,13 @@ def test_each_export_is_its_home_modules_attribute():
         assert getattr(parklab, name) is getattr(home, name), name
 
 
+def test_each_function_and_class_is_defined_in_its_home_module():
+    for name, module in parklab._HOME.items():
+        value = getattr(parklab, name)
+        if isinstance(value, (type, types.FunctionType)):
+            assert value.__module__ == f"parklab.{module}", name
+
+
 def test_each_home_module_is_a_package_attribute():
     for module in parklab._EXPORTS:
         assert getattr(parklab, module) is importlib.import_module(f"parklab.{module}")

@@ -18,6 +18,7 @@ _EXPORTS = {
         "cut_vertices",
         "d_U",
         "format_graph_text",
+        "graph_from_affine_u",
         "induced_subgraph",
         "match_theorem61",
         "matching_invariant_cases",
@@ -67,7 +68,6 @@ _EXPORTS = {
         "check_lemma61",
         "connected_block_graphs",
         "construct_u_for_graph",
-        "graph_from_affine_u",
         "is_invariant",
         "search_graph_matching_grid",
         "sweep_classification",

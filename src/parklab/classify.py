@@ -25,17 +25,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (
-    InvalidParameters,
-    NotClassified,
-    ShapeMismatch,
-    TooLarge,
-)
+from .errors import InvalidParameters, NotClassified, ShapeMismatch
 from .graph import (
     FamilyTag,
     RootedWeightedGraph,
-    _band_layout,
-    _band_sizes,
     _reach,
     _root_side_edges,
     build_graph,
@@ -59,8 +52,6 @@ from .parking import (
     enumerate_pf,
     order_statistics,
 )
-
-_MAX_AFFINE_EDGES = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -168,66 +159,15 @@ def wedge(
     return build_graph(g1.n + g2.n, edges, p=g1.n, q=g2.n)
 
 
-def graph_from_affine_u(
-    p: int,
-    q: int,
-    *,
-    a: int,
-    b: int,
-    c: int,
-    cprime: int,
-    d: int,
-    e: int,
-) -> RootedWeightedGraph:
-    """The graph whose parking pairs match an affine grid, when one exists.
-
-    Symmetric cross coefficients c = cprime > 0 give a complete graph on
-    five bands (root to A: a, inside A: b, across: c, inside B: d, root to
-    B: e; zero bands mean absent edges; a and e must not both vanish).
-    c = cprime = 0 gives two banded complete graphs merged at the root, and
-    needs a, e >= 1. Distinct cross coefficients are refused, although some
-    such grids do have a graph with the same parking set. A graph of more
-    than _MAX_AFFINE_EDGES edges raises TooLarge before any edge is built.
-    """
-    if min(p, q) < 1:
-        raise InvalidParameters("both block sizes must be at least 1")
-    if min(a, b, c, cprime, d, e) < 0:
-        raise InvalidParameters("band weights must be non-negative")
-    if c != cprime:
-        raise InvalidParameters(
-            f"only equal cross coefficients are built, got c={c}, cprime={cprime}"
-        )
-    if c == 0:
-        if a < 1 or e < 1:
-            raise InvalidParameters(
-                "independent sides need positive root bands"
-            )
-    elif a == 0 and e == 0:
-        raise InvalidParameters("the root needs at least one positive band")
-    weights = {"a": a, "b": b, "c": c, "d": d, "e": e}
-    pairs = _band_sizes(p, q)
-    size = sum(pairs[name] for name in weights if weights[name])
-    if size > _MAX_AFFINE_EDGES:
-        raise TooLarge(
-            f"affine graph on blocks ({p}, {q}) has {size} edges; "
-            f"guarded at {_MAX_AFFINE_EDGES}"
-        )
-    edges = [
-        (u, v, weights[name])
-        for name, pairs in _band_layout(p, q).items()
-        if weights[name]
-        for u, v in pairs
-    ]
-    return build_graph(p + q, edges, p=p, q=q)
-
-
 def _side_vector(shape: str, length: int, first: int, second: int) -> Vector:
-    """Threshold vector of a recognized side structure."""
-    if shape in ("tree", "forest"):
-        return (first,) * length
+    """Threshold vector of a recognized side structure.
+
+    A tree or forest side has second band 0, so the complete side's rule
+    gives its constant vector.
+    """
     if shape == "cycle":
         return (first,) * (length - 1) + (2 * first,)
-    return tuple(first + k * second for k in range(length))  # complete
+    return tuple(first + k * second for k in range(length))
 
 
 def _cycle_case_grid(p: int, q: int, a: int, b: int) -> WeightGrid:

@@ -69,9 +69,13 @@ def _read_text(path: str) -> str:
 
 
 def _read_grid_json(path: str):
+    text = _read_text(path)
+    # JSONDecodeError is a ValueError, as is an integer longer than the
+    # interpreter's digit limit; nesting past the recursion limit raises
+    # RecursionError
     try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise ShapeMismatch(f"grid file is not valid JSON: {exc}") from None
 
 
@@ -230,8 +234,7 @@ def construct_u_cmd(graph_path, block_a, block_b):
 @command("construct-graph", grid_option)
 def construct_graph_cmd(grid_path):
     """Build the graph matching an affine grid description."""
-    from .classify import graph_from_affine_u
-    from .graph import format_graph_text
+    from .graph import format_graph_text, graph_from_affine_u
     from .lattice import affine_coefficients
 
     raw = _read_grid_json(grid_path)

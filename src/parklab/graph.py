@@ -11,7 +11,9 @@ Besides construction and validation the module answers the structural
 questions the classification asks: weights into a subset, cut vertices and
 the root's side of a vertex, induced subgraphs, quotients and relabelings,
 recognizers for the named families, the matcher of the invariance cases,
-and match_theorem61, the one route from a graph to its cases. The searches
+and match_theorem61, the one route from a graph to its cases. One table
+of the five bands of a complete block graph serves both case iii's
+matcher and its builder, graph_from_affine_u. The searches
 run on per-vertex neighbour bitmasks and take edges and masks rather than a
 graph, because classify's block-graph generator keeps those masks at each
 leaf and asks the same questions before it builds one.
@@ -22,17 +24,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BipartitionMissing,
     Disconnected,
     DuplicateEdge,
+    InvalidParameters,
     LoopEdge,
     NonPositiveWeight,
     NotAPartition,
     RootMissing,
     ShapeMismatch,
+    TooLarge,
     VertexNotInU,
     VertexOutOfRange,
 )
@@ -40,6 +44,8 @@ from .errors import (
 Edge = tuple[int, int, int]
 
 ROOT = 0
+
+_MAX_AFFINE_EDGES = 1_000_000
 
 
 def _check_ints(values: Iterable, what: str) -> None:
@@ -428,25 +434,70 @@ def _is_cycle_on(nbrs: list[int], verts: int) -> bool:
     return _reach(nbrs, full ^ verts | start, start) == full
 
 
-def _band_layout(p: int, q: int) -> dict[str, Iterable[tuple[int, int]]]:
-    """Vertex pairs of the five bands of a complete graph on blocks p and q.
+def _band_table(p: int, q: int) -> dict[str, tuple[int, Iterator[tuple[int, int]]]]:
+    """Each band of a complete graph on blocks p and q: (pair count, pairs).
 
     a joins the root to A, b lies inside A, c joins A to B, d lies inside B
-    and e joins the root to B.
+    and e joins the root to B. The pairs are lazy iterators that make each
+    pair as it is read, so the counts cost nothing on blocks of any size.
     """
     A, B = range(1, p + 1), range(p + 1, p + q + 1)
     return {
-        "a": itertools.product((ROOT,), A),
-        "b": itertools.combinations(A, 2),
-        "c": itertools.product(A, B),
-        "d": itertools.combinations(B, 2),
-        "e": itertools.product((ROOT,), B),
+        "a": (p, ((ROOT, v) for v in A)),
+        "b": (p * (p - 1) // 2, ((u, v) for u in A for v in range(u + 1, A.stop))),
+        "c": (p * q, ((u, v) for u in A for v in B)),
+        "d": (q * (q - 1) // 2, ((u, v) for u in B for v in range(u + 1, B.stop))),
+        "e": (q, ((ROOT, v) for v in B)),
     }
 
 
-def _band_sizes(p: int, q: int) -> dict[str, int]:
-    """Vertex pairs in each band of a complete graph on blocks p and q."""
-    return {"a": p, "b": p * (p - 1) // 2, "c": p * q, "d": q * (q - 1) // 2, "e": q}
+def graph_from_affine_u(
+    p: int,
+    q: int,
+    *,
+    a: int,
+    b: int,
+    c: int,
+    cprime: int,
+    d: int,
+    e: int,
+) -> RootedWeightedGraph:
+    """The graph whose parking pairs match an affine grid, when one exists.
+
+    Symmetric cross coefficients c = cprime > 0 give a complete graph on
+    five bands (root to A: a, inside A: b, across: c, inside B: d, root to
+    B: e; zero bands mean absent edges; a and e must not both vanish), the
+    graphs of case iii. c = cprime = 0 gives two banded complete graphs
+    merged at the root, and needs a, e >= 1. Distinct cross coefficients are
+    refused, although some such grids do have a graph with the same parking
+    set. A graph of more than _MAX_AFFINE_EDGES edges raises TooLarge before
+    any edge is built.
+    """
+    _check_ints((p, q), "block size")
+    _check_ints((a, b, c, cprime, d, e), "affine coefficient")
+    if min(p, q) < 1:
+        raise InvalidParameters("both block sizes must be at least 1")
+    if min(a, b, c, cprime, d, e) < 0:
+        raise InvalidParameters("band weights must be non-negative")
+    if c != cprime:
+        raise InvalidParameters(
+            f"only equal cross coefficients are built, got c={c}, cprime={cprime}"
+        )
+    if c == 0:
+        if a < 1 or e < 1:
+            raise InvalidParameters("independent sides need positive root bands")
+    elif a == 0 and e == 0:
+        raise InvalidParameters("the root needs at least one positive band")
+    weights = {"a": a, "b": b, "c": c, "d": d, "e": e}
+    bands = {name: band for name, band in _band_table(p, q).items() if weights[name]}
+    size = sum(count for count, _ in bands.values())
+    if size > _MAX_AFFINE_EDGES:
+        raise TooLarge(
+            f"affine graph on blocks ({p}, {q}) has {size} edges; "
+            f"guarded at {_MAX_AFFINE_EDGES}"
+        )
+    edges = [(u, v, weights[name]) for name in bands for u, v in bands[name][1]]
+    return build_graph(p + q, edges, p=p, q=q)
 
 
 def _census(
@@ -454,7 +505,7 @@ def _census(
 ) -> tuple[dict[str, list[int]], list[list[int]]]:
     """One pass over g.edges with A = 1..p and B the vertices above p.
 
-    Returns the weights of each band (the names of _band_layout) and, for
+    Returns the weights of each band (the names of _band_table) and, for
     each vertex of {0} | A, the weights of its edges into B.
     """
     bands: dict[str, list[int]] = {name: [] for name in "abcde"}
@@ -554,8 +605,8 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
             add("ii", {"a": a, "b": chord[0], "c": rest})
 
     # case iii: complete up to absent bands, constant weight per band
-    sizes = _band_sizes(p, q)
-    banded = {name: _full_band(bands[name], sizes[name]) for name in bands}
+    table = _band_table(p, q)
+    banded = {name: _full_band(bands[name], table[name][0]) for name in bands}
     if None not in banded.values() and banded["a"] >= 1 and banded["c"] >= 1:
         add("iii", banded)
 

@@ -563,9 +563,9 @@ class TestGraphFromAffine:
                     size = len(graph_from_affine_u(p, q, **bands).edges)
                 except InvalidParameters:
                     continue
-                monkeypatch.setattr(classify, "_MAX_AFFINE_EDGES", size)
+                monkeypatch.setattr(graph, "_MAX_AFFINE_EDGES", size)
                 graph_from_affine_u(p, q, **bands)
-                monkeypatch.setattr(classify, "_MAX_AFFINE_EDGES", size - 1)
+                monkeypatch.setattr(graph, "_MAX_AFFINE_EDGES", size - 1)
                 with pytest.raises(TooLarge, match=f" has {size} edges; "):
                     graph_from_affine_u(p, q, **bands)
                 monkeypatch.undo()

@@ -498,7 +498,7 @@ class TestMalformedInput:
 
 
 class TestLongInputs:
-    """Inputs deeper than the interpreter's recursion limit."""
+    """Inputs past the interpreter's recursion limit or integer digit limit."""
 
     N = 1200
 
@@ -519,6 +519,35 @@ class TestLongInputs:
         data = run_json(runner, ["grid", "--grid", str(path)])
         assert data["maximal_increasing"] == [[[0] * self.N, []]]
         assert data["maximal_count"] == 1
+
+    GRID_COMMANDS = ["grid", "upf", "verify", "construct-graph"]
+
+    @staticmethod
+    def grid_file_error(runner, tmp_path, graph_file, command, text) -> dict:
+        path = tmp_path / "grid.json"
+        path.write_text(text)
+        extra = {"upf": ["--pair", "0;"], "verify": ["--graph", graph_file]}
+        argv = [command, "--grid", str(path), *extra.get(command, [])]
+        return run_json(runner, argv, expect_exit=1)["error"]
+
+    @pytest.mark.parametrize("command", GRID_COMMANDS)
+    def test_grid_file_nested_past_the_recursion_limit(
+        self, runner, tmp_path, graph_file, command
+    ) -> None:
+        text = "[" * 5000 + "]" * 5000
+        error = self.grid_file_error(runner, tmp_path, graph_file, command, text)
+        assert error["type"] == "shape-mismatch"
+
+    @pytest.mark.parametrize("command", GRID_COMMANDS)
+    def test_grid_integer_past_the_digit_limit(
+        self, runner, tmp_path, graph_file, command
+    ) -> None:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts integers of any length")
+        text = '{"vectors": {"u": [' + "1" * (limit + 1) + '], "v": []}}'
+        error = self.grid_file_error(runner, tmp_path, graph_file, command, text)
+        assert error["type"] == "shape-mismatch"
 
 
 class TestInputEdges:
@@ -585,6 +614,11 @@ class TestInputEdges:
     )
     def test_grid_commands_leave_classify_unloaded(self, grid_file, argv) -> None:
         loaded = loaded_modules(command_probe([*argv, "--grid", grid_file]))
+        assert "lattice" in loaded and "classify" not in loaded
+
+    def test_construct_graph_leaves_classify_unloaded(self, affine_file) -> None:
+        argv = ["construct-graph", "--grid", affine_file]
+        loaded = loaded_modules(command_probe(argv))
         assert "lattice" in loaded and "classify" not in loaded
 
 

@@ -14,6 +14,7 @@ from parklab import (
     cut_vertices,
     d_U,
     format_graph_text,
+    graph_from_affine_u,
     induced_subgraph,
     parse_graph_text,
     quotient_graph,
@@ -107,6 +108,10 @@ class TestBuildGraph:
             build_graph(10**12, [], p=1, q=1)
 
 
+# the triangle's bands, which graph_from_affine_u builds on blocks (1, 1)
+BANDS = {"a": 1, "b": 0, "c": 1, "cprime": 1, "d": 0, "e": 1}
+
+
 class TestIntegerLabels:
     """Sizes and vertex labels are Python ints; ShapeMismatch names the first other."""
 
@@ -125,6 +130,16 @@ class TestIntegerLabels:
             (lambda g, e: quotient_graph(g, [[0], [1.0], [2]]), "block member 1.0"),
             (lambda g, e: relabel_for_blocks(g, [1.0], [2]), "block member 1.0"),
             (lambda g, e: relabel_for_blocks(g, ["1"], [2]), "block member '1'"),
+            (lambda g, e: graph_from_affine_u(2.0, 1, **BANDS), "block size 2.0"),
+            (lambda g, e: graph_from_affine_u(1, False, **BANDS), "block size False"),
+            (
+                lambda g, e: graph_from_affine_u(1, 1, **{**BANDS, "a": 1.5}),
+                "affine coefficient 1.5",
+            ),
+            (
+                lambda g, e: graph_from_affine_u(1, 1, **{**BANDS, "cprime": "1"}),
+                "affine coefficient '1'",
+            ),
         ],
     )
     def test_a_non_int_is_a_shape_mismatch(self, call, named):

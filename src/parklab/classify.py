@@ -170,22 +170,13 @@ def _side_vector(shape: str, length: int, first: int, second: int) -> Vector:
     return tuple(first + k * second for k in range(length))
 
 
-def _cycle_case_grid(p: int, q: int, a: int, b: int) -> WeightGrid:
-    """Grid for the cycle cases; the marked-root band is a, the rest b."""
+def _cycle_case_grid(p: int, q: int, a: int, rest: int, chord: int) -> WeightGrid:
+    """Grid for cycles: marked-root band a, the rest, and chord {1, 2} (0 if absent)."""
     return _node_grid(
         p,
         q,
-        lambda i, j: a + b if i >= p - 1 and j == q else a,
-        lambda i, j: 2 * b if i == p and j >= q - 1 else b,
-    )
-
-
-def _chord_case_grid(p: int, q: int, a: int, b: int, c: int) -> WeightGrid:
-    return _node_grid(
-        p,
-        q,
-        lambda i, j: a if i == 0 else (a + b + c if j == q else a + b),
-        lambda i, j: 2 * c if i == p and j >= q - 1 else c,
+        lambda i, j: a + chord + (rest if j == q else 0) if i >= p - 1 else a,
+        lambda i, j: 2 * rest if i == p and j >= q - 1 else rest,
     )
 
 
@@ -209,9 +200,9 @@ class GridConstruction:
 def _grid_for_case(p: int, q: int, tag: FamilyTag) -> WeightGrid:
     case, params = tag.case, dict(tag.params)
     if case in ("i.a", "i.b", "i.c"):
-        return _cycle_case_grid(p, q, params["a"], params.get("b", params["a"]))
+        return _cycle_case_grid(p, q, params["a"], params.get("b", params["a"]), 0)
     if case == "ii":
-        return _chord_case_grid(p, q, params["a"], params["b"], params["c"])
+        return _cycle_case_grid(p, q, params["a"], params["c"], params["b"])
     if case == "iii":
         return grid_from_affine(p, q, cprime=params["c"], **params)
     if case in ("iv.a", "iv.b", "v"):

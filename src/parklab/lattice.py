@@ -471,8 +471,11 @@ def path_from_orientation(
 
     That order takes next the smallest vertex whose in-neighbours are all
     taken; each vertex after the root records E (first block) or N (second).
+    The orientation must be of g's edges; its graph's blocks are not read.
     """
     g.require_bipartition()
+    if (o.graph.n, o.graph.edges) != (g.n, g.edges):
+        raise ShapeMismatch("orientation is not of this graph's edges")
     order = _burn_order(g, _ori.orientation_to_mpf(o))
     return "".join("E" if v <= g.p else "N" for v in order[1:])
 

@@ -23,7 +23,7 @@ from .errors import (
     NotMaximal,
     TooLarge,
 )
-from .graph import ROOT, RootedWeightedGraph
+from .graph import ROOT, RootedWeightedGraph, _check_ints
 from .parking import _burn_order, _check_length, enumerate_mpf
 
 MAX_BRUTE_EDGES = 12
@@ -37,6 +37,7 @@ class Orientation:
     heads: tuple[int, ...]
 
     def __post_init__(self):
+        _check_ints(self.heads, "head")
         if len(self.heads) != len(self.graph.edges):
             raise LengthMismatch("one head per edge required")
         for (i, j, _), h in zip(self.graph.edges, self.heads):

@@ -5,7 +5,7 @@ import json
 import random
 from collections import Counter
 from functools import partial
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from math import comb
 
 import pytest
@@ -32,7 +32,7 @@ from parklab import (
     verify_equality,
     witness_path,
 )
-from parklab.classify import _chord_case_grid, _cycle_case_grid
+from parklab.classify import _cycle_case_grid
 from parklab.errors import (
     DomainError,
     InvalidParameters,
@@ -185,7 +185,7 @@ class TestGridGuards:
         [
             lambda p, q: grid_from_affine(p, q, a=1, b=0, c=0, cprime=0, d=0, e=1),
             lambda p, q: grid_from_vectors((1,) * p, (1,) * q),
-            lambda p, q: _cycle_case_grid(p, q, 1, 1),
+            lambda p, q: _cycle_case_grid(p, q, 1, 1, 0),
         ],
     )
     def test_node_guard_is_exact(self, monkeypatch, build) -> None:
@@ -229,9 +229,9 @@ def _pinned_constructions():
         yield partial(grid_from_vectors, u, v)
     for p, q in product(range(1, 5), repeat=2):
         for a, b in product(range(4), repeat=2):
-            yield partial(_cycle_case_grid, p, q, a, b)
+            yield partial(_cycle_case_grid, p, q, a, b, 0)
         for a, b, c in product(range(4), repeat=3):
-            yield partial(_chord_case_grid, p, q, a, b, c)
+            yield partial(_cycle_case_grid, p, q, a, c, b)
 
 
 def test_whole_grids_are_pinned() -> None:
@@ -255,7 +255,7 @@ def test_whole_grids_are_pinned() -> None:
         count += 1
     assert count == 14_544
     assert digest.hexdigest() == (
-        "cabfebc7331dbe0a34bb622f9f82cfd357216a57e5a56ca3eba2213499295af2"
+        "8ad968afec2c526a0d41acf2f5f469dbfc0e9f780cdc18d31ca91d952368f0fc"
     )
 
 
@@ -583,19 +583,26 @@ def random_monotone_grid(rng, p, q):
     return WeightGrid(p, q, array(), array())
 
 
+@pytest.fixture(scope="module")
+def scan_grids():
+    """Every grid the whole-grid digest pins, and 500 random monotone grids."""
+    grids = []
+    for build in _pinned_constructions():
+        try:
+            grids.append(build())
+        except DomainError:
+            pass
+    rng = random.Random(16)
+    for _ in range(500):
+        grids.append(random_monotone_grid(rng, rng.randint(0, 4), rng.randint(0, 4)))
+    assert len(grids) == 3_644
+    return grids
+
+
 class TestMaximalPairs:
-    def test_matches_the_path_scan(self) -> None:
-        grids = []
-        for build in _pinned_constructions():
-            try:
-                grids.append(build())
-            except DomainError:
-                pass
-        rng = random.Random(16)
-        for _ in range(500):
-            grids.append(random_monotone_grid(rng, rng.randint(0, 4), rng.randint(0, 4)))
+    def test_matches_the_path_scan(self, scan_grids) -> None:
         sizes = Counter()
-        for grid in grids:
+        for grid in scan_grids:
             got = increasing_maximal_pairs(grid)
             assert got == reference_increasing_maximal_pairs(grid), grid
             sizes[min(len(got), 2)] += 1
@@ -610,15 +617,31 @@ class TestMaximalPairs:
         grid = grid_from_affine(2, 2, a=1, b=1, c=1, cprime=0, d=1, e=1)
         assert len(increasing_maximal_pairs(grid)) == 1
 
-    def test_maximal_pairs_cannot_grow(self, ladder_grid) -> None:
-        for a, b in increasing_maximal_pairs(ladder_grid):
-            assert is_upf((a, b), ladder_grid)
-            for i in range(len(a)):
-                bumped = tuple(x + (k == i) for k, x in enumerate(a))
-                assert not is_upf((bumped, b), ladder_grid)
-            for j in range(len(b)):
-                bumped = tuple(y + (k == j) for k, y in enumerate(b))
-                assert not is_upf((a, bumped), ladder_grid)
+    def test_maximal_pairs_cannot_grow(self, ladder_grid, scan_grids) -> None:
+        # is_upf's east-first walk shares no code with the maximal-pair scan
+        for grid in (ladder_grid, *scan_grids):
+            maximal = increasing_maximal_pairs(grid)
+            for a, b in maximal:
+                assert is_upf((a, b), grid)
+                for i in range(len(a)):
+                    bumped = tuple(x + (k == i) for k, x in enumerate(a))
+                    assert not is_upf((bumped, b), grid)
+                for j in range(len(b)):
+                    bumped = tuple(y + (k == j) for k, y in enumerate(b))
+                    assert not is_upf((a, bumped), grid)
+            if grid.p > 2 or grid.q > 2:
+                continue
+            # every weight a path steps on is at most the grid's largest entry
+            top = max(map(max, grid.u + grid.v))
+            for a, b in product(
+                combinations_with_replacement(range(top), grid.p),
+                combinations_with_replacement(range(top), grid.q),
+            ):
+                if is_upf((a, b), grid):
+                    assert any(
+                        all(x <= y for x, y in zip(a + b, ma + mb))
+                        for ma, mb in maximal
+                    ), (grid, a, b)
 
     def test_orbit_expansion_matches_membership(self, tripartite_grid) -> None:
         maximal = set(enumerate_mupf(tripartite_grid))
@@ -695,6 +718,15 @@ class TestPathFromOrientation:
             g = random_bipartitioned_graph(rng, 5, 3)
             for o in enumerate_A(g):
                 assert path_from_orientation(g, o) == source_removal(g, o)
+
+    def test_another_graphs_orientation_is_refused(self) -> None:
+        path = build_graph(2, [(0, 1, 1), (1, 2, 1)], p=1, q=1)
+        triangle = build_graph(2, [(0, 1, 1), (0, 2, 1), (1, 2, 1)])
+        for o in enumerate_A(triangle):
+            with pytest.raises(ShapeMismatch, match="^orientation is not of"):
+                path_from_orientation(path, o)
+        unblocked = build_graph(2, [(0, 1, 1), (1, 2, 1)])
+        assert path_from_orientation(path, Orientation(unblocked, (1, 2))) == "EN"
 
     def test_cyclic_orientation_stalls(self, tripartite) -> None:
         heads = (1, 2, 3, 4, 5, 4, 1, 2, 5, 4, 5)

@@ -29,6 +29,7 @@ from parklab.errors import (
     LengthMismatch,
     NotInA,
     NotMaximal,
+    ShapeMismatch,
     TooLarge,
 )
 from conftest import DIAMOND_MPF, random_connected_graph_capped
@@ -168,6 +169,14 @@ class TestBijection:
         g = build_graph(2, [(0, 1, 1), (0, 2, 1), (1, 2, 1)])
         with pytest.raises(LengthMismatch, match=message):
             Orientation(g, heads)
+
+    @pytest.mark.parametrize("head", [True, 1.0])
+    def test_a_non_int_head_is_a_shape_mismatch(self, head):
+        # True == 1 passes the endpoint test, so the type is checked first
+        g = build_graph(2, [(0, 1, 1), (1, 2, 1)])
+        with pytest.raises(ShapeMismatch) as caught:
+            Orientation(g, (head, 2))
+        assert str(caught.value) == f"head {head!r} is not an integer"
 
     def test_round_trip_identity(self):
         rng = random.Random(43)

@@ -41,7 +41,6 @@ from .lattice import (
     _orbit_size,
     grid_from_affine,
     grid_from_vectors,
-    grid_transpose,
     increasing_maximal_pairs,
 )
 from .parking import (
@@ -198,37 +197,50 @@ class GridConstruction:
 
 
 def _grid_for_case(p: int, q: int, tag: FamilyTag) -> WeightGrid:
-    case, params = tag.case, dict(tag.params)
-    if case in ("i.a", "i.b", "i.c"):
-        return _cycle_case_grid(p, q, params["a"], params.get("b", params["a"]), 0)
-    if case == "ii":
-        return _cycle_case_grid(p, q, params["a"], params["c"], params["b"])
+    """The grid of a matched case, on blocks p and q as the graph is labeled.
+
+    A swapped tag's grid is the transpose of its own grid on (q, p), built
+    directly in one validated construction: vector grids exchange their
+    vectors, case iii exchanges a with e, b with d and c with c', and the
+    cycle formulas are read at (j, i) with u and v exchanged.
+    """
+    case, params, swapped = tag.case, dict(tag.params), tag.swapped
     if case == "iii":
-        return grid_from_affine(p, q, cprime=params["c"], **params)
-    if case in ("iv.a", "iv.b", "v"):
-        # v has no inner A band, iv.b no inner B band: both read as 0
-        return grid_from_vectors(
-            _side_vector(params["a_shape"], p, params["a"], params.get("b", 0)),
-            _side_vector(params["b_shape"], q, params["c"], params.get("d", 0)),
+        a, b, c, d, e = (params[k] for k in ("edcba" if swapped else "abcde"))
+        return grid_from_affine(p, q, a=a, b=b, c=c, cprime=c, d=d, e=e)
+    if case in ("i.a", "i.b", "i.c", "ii"):
+        a, rest, chord = params["a"], params.get("b", params["a"]), 0
+        if case == "ii":
+            rest, chord = params["c"], params["b"]
+        if not swapped:
+            return _cycle_case_grid(p, q, a, rest, chord)
+        return _node_grid(
+            p,
+            q,
+            lambda i, j: 2 * rest if j == q and i >= p - 1 else rest,
+            lambda i, j: a + chord + (rest if i == p else 0) if j >= q - 1 else a,
         )
-    return grid_from_vectors((params["a"],) * p, (params["b"],) * q)  # vi
+    first, second = (q, p) if swapped else (p, q)  # the block sizes the tag reads
+    if case == "vi":
+        u, v = (params["a"],) * first, (params["b"],) * second
+    else:  # iv.a, iv.b and v; v has no inner A band, iv.b no inner B band
+        u = _side_vector(params["a_shape"], first, params["a"], params.get("b", 0))
+        v = _side_vector(params["b_shape"], second, params["c"], params.get("d", 0))
+    return grid_from_vectors(v, u) if swapped else grid_from_vectors(u, v)
 
 
 def construct_u_for_graph(g: RootedWeightedGraph) -> GridConstruction:
     """Grid prescribed by the lowest matching case.
 
-    When the chosen case matched under the swapped labeling, the grid is
-    transposed back so that its east direction always corresponds to the
-    graph's first block as labeled.
+    The grid's east direction always corresponds to the graph's first block
+    as labeled, also when the chosen case matched under the swapped
+    labeling.
     """
     tags = match_theorem61(g)
     if not tags:
         raise NotClassified("graph matches no case of the classification")
     tag = tags[0]
-    if tag.swapped:
-        grid = grid_transpose(_grid_for_case(g.q, g.p, tag))
-    else:
-        grid = _grid_for_case(g.p, g.q, tag)
+    grid = _grid_for_case(g.p, g.q, tag)
     return GridConstruction(grid, tag, tuple(tags), tag.swapped)
 
 
@@ -272,13 +284,15 @@ def _block_leaves(p: int, q: int, max_w: int):
     is pruned, and where it already reads larger it is dropped for the
     subtree.
 
-    nbrs is what graph._masks reads from edges, degree each vertex's
-    weighted degree and total the weight sum. The walk keeps them slot by
-    slot: each weight step adds 1 to both endpoints' degrees and the total,
-    and a slot whose weights run out takes max_w back off. The two lists are
-    the walk's live state, valid only until the next item is requested. The
-    sweep's prefilter and the search's sum test read them, and build graphs
-    only for the leaves that pass.
+    edges lists the present slots (i, j, w) in slot order, nbrs is what
+    graph._masks reads from them, degree each vertex's weighted degree and
+    total the weight sum. The walk keeps them slot by slot: each weight step
+    adds 1 to both endpoints' degrees and the total, a slot whose weights
+    run out takes max_w back off, and the last slot's edge is appended for
+    the yield and popped on resume. The three lists are the walk's live
+    state, valid until the next item is requested; a caller that keeps a
+    leaf copies tuple(edges), as the sweep and the search do only for the
+    leaves that pass their prefilter and sum test.
 
     Deeper slots only add edges, and a weight rising past 1 leaves a slot's
     bits set. So once a leaf's search reaches every vertex, every later leaf
@@ -362,18 +376,19 @@ def _block_leaves(p: int, q: int, max_w: int):
                 state = (perm, wait, t)
             kept.append(state)
         else:  # no relabeling reads smaller
+            if w:
+                edges.append((i, j, w))
             if d < last:
-                if w:
-                    edges.append((i, j, w))
                 undecided[d + 1] = kept
                 d += 1
                 continue
             if connected_at < 0 and _reach(nbrs) == full:
                 # n >= 1 here, so a connected leaf has a present slot
-                connected_at = d if w else index[edges[-1][:2]]
+                connected_at = index[edges[-1][:2]]
             if connected_at >= 0:
-                leaf = (*edges, (i, j, w)) if w else tuple(edges)
-                yield leaf, nbrs, degree, total
+                yield edges, nbrs, degree, total
+            if w:
+                edges.pop()
 
 
 def connected_block_graphs(p: int, q: int, max_w: int):
@@ -385,7 +400,7 @@ def connected_block_graphs(p: int, q: int, max_w: int):
     the leaves of _block_leaves.
     """
     for edges, _, _, _ in _block_leaves(p, q, max_w):
-        yield RootedWeightedGraph(p + q, edges, p, q)
+        yield RootedWeightedGraph(p + q, tuple(edges), p, q)
 
 
 @dataclass
@@ -469,7 +484,7 @@ def _sweep_block(args: tuple[int, int, int]) -> tuple:
         tested += 1
         if not _blocks_level(p, edges, nbrs, degree, plans):
             continue
-        g = RootedWeightedGraph(p + q, edges, p, q)
+        g = RootedWeightedGraph(p + q, tuple(edges), p, q)
         hole, maximal = _first_hole(g, _mpf_walk(g))
         if hole is not None:
             continue
@@ -551,7 +566,7 @@ def search_graph_matching_grid(
         tested += 1
         if not one_sum or total - n not in sums:
             continue
-        g = RootedWeightedGraph(n, edges, grid.p, grid.q)
+        g = RootedWeightedGraph(n, tuple(edges), grid.p, grid.q)
         if _matches_grid(set(enumerate_mpf(g)), grid.p, increasing):
             return g, tested
     return None, tested

@@ -22,7 +22,7 @@ leaf and asks the same questions before it builds one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -327,9 +327,13 @@ def quotient_graph(
 
 
 def swap_blocks(g: RootedWeightedGraph) -> RootedWeightedGraph:
-    """Exchange the two blocks, relabeling so the old B becomes 1..q."""
+    """Exchange the two blocks, relabeling so the old B becomes 1..q.
+
+    The split is g's own, so none of relabel_for_blocks' checks are run.
+    """
     g.require_bipartition()
-    return relabel_for_blocks(g, range(g.p + 1, g.n + 1), range(1, g.p + 1))[0]
+    order = [ROOT, *range(g.p + 1, g.n + 1), *range(1, g.p + 1)]
+    return _relabeled(g, dict(zip(order, g.vertices)), g.n, g.q, g.p)
 
 
 def relabel_for_blocks(
@@ -647,7 +651,7 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
 
     # case vi: a tree entering the first block with one weight, the second
     # block with another
-    tree_bands = two_weight_tree_bands(g)
+    tree_bands = two_weight_tree_bands(g) if len(g.edges) == n else None
     if tree_bands is not None:
         add("vi", {"a": tree_bands[0], "b": tree_bands[1]})
     return tags
@@ -660,9 +664,10 @@ def match_theorem61(g: RootedWeightedGraph) -> list[FamilyTag]:
     touching both blocks can realize a case in either labeling (a cycle
     whose one odd edge meets the root on the second side, for instance), so
     both labelings are matched whenever their root condition holds. Tags
-    found under the swapped labeling carry swapped=True and describe the
-    graph with the blocks exchanged. The case names i.a .. vi sort in case
-    order, so the tags are sorted by name, then unswapped first.
+    found under the swapped labeling, on swap_blocks(g), describe the graph
+    with the blocks exchanged and are marked swapped=True as they are made.
+    The case names i.a .. vi sort in case order, so the tags are sorted by
+    name, then unswapped first.
     """
     g.require_bipartition()
     if g.p == 0 or g.q == 0:
@@ -674,10 +679,8 @@ def match_theorem61(g: RootedWeightedGraph) -> list[FamilyTag]:
     if touches_a:
         tags.extend(matching_invariant_cases(g))
     if touches_b:
-        flipped = swap_blocks(g)
-        tags.extend(
-            replace(t, swapped=True) for t in matching_invariant_cases(flipped)
-        )
+        flipped = matching_invariant_cases(swap_blocks(g))
+        tags.extend(FamilyTag(t.kind, t.case, t.params, True) for t in flipped)
     tags.sort(key=lambda t: (t.case, t.swapped))
     return tags
 

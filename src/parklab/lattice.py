@@ -11,11 +11,12 @@ scan of the C(p+q, p) paths.
 
 Only part of the grid is ever read by a path: u[i][j] with i < p and
 v[i][j] with j < q (a path east of column p cannot step east again). The
-full arrays are stored for uniformity. Every constructor fills every node
-through one builder, _node_grid, from a formula in (i, j): vector and case
-grids repeat their last read entry into the unread row u[p][.] and column
-v[.][q], and affine grids extend their formula there. No builder takes a
-grid of more than _MAX_GRID_NODES (one million) nodes.
+full arrays are stored for uniformity. Vector grids repeat their vectors
+row by row; every other constructor fills every node through _node_grid,
+from a formula in (i, j). Vector and case grids repeat their last read
+entry into the unread row u[p][.] and column v[.][q], and affine grids
+extend their formula there. No builder takes a grid of more than
+_MAX_GRID_NODES (one million) nodes.
 
 Maximal pairs still come from a scan of every path: along any path the east
 weights (and the north weights) are non-decreasing, so subtracting one from
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from operator import le, lt
 from typing import Callable, Iterator, Mapping, Sequence
@@ -145,12 +145,12 @@ def grid_from_vectors(
                 f"{name} must be positive and non-decreasing, got {tuple(vec)}"
             )
     p, q = len(u), len(v)
-    return _node_grid(
-        p,
-        q,
-        lambda i, j: u[min(i, p - 1)] if p else 0,
-        lambda i, j: v[min(j, q - 1)] if q else 0,
-    )
+    _node_guard(p, q)
+    # row i of u repeats u[i], every row of v is v; the unread row u[p] and
+    # column v[.][q] repeat the last entry, or hold 0 for an empty vector
+    east = (*u, u[-1]) if p else (0,)
+    north = (*v, v[-1]) if q else (0,)
+    return WeightGrid(p, q, tuple((x,) * (q + 1) for x in east), (north,) * (p + 1))
 
 
 def grid_from_affine(
@@ -266,26 +266,18 @@ def paths(p: int, q: int) -> list[str]:
     _check_ints((p, q), "grid dimension")
     if p < 0 or q < 0:
         raise ShapeMismatch("grid dimensions must be non-negative")
-    return list(_words(p, q))
-
-
-def _words(p: int, q: int) -> Iterator[str]:
-    """The words of paths(p, q), one at a time."""
+    words = []
     for east in itertools.combinations(range(p + q), p):
         word = ["N"] * (p + q)
         for k in east:
             word[k] = "E"
-        yield "".join(word)
+        words.append("".join(word))
+    return words
 
 
 def step_weights(grid: WeightGrid, path: str) -> tuple[list[int], list[int]]:
     """East and north step weights along a path, in step order."""
     validate_path(path, grid.p, grid.q)
-    return _step_weights(grid, path)
-
-
-def _step_weights(grid: WeightGrid, path: str) -> tuple[list[int], list[int]]:
-    """step_weights on a path already validated."""
     east: list[int] = []
     north: list[int] = []
     x = y = 0
@@ -367,15 +359,23 @@ def increasing_maximal_pairs(grid: WeightGrid) -> list[Pair]:
     Each path prices one candidate, its step weights less one; a path that
     meets a zero weight bounds nothing. The maximal pairs are the candidates
     no other candidate dominates entrywise.
+
+    A path is read from its east-step positions: the east step at position
+    k after x others leaves (x, k - x), after climbing column x to that row.
     """
+    p, q, u, v = grid.p, grid.q, grid.u, grid.v
     candidates = set()
-    for word in _words(grid.p, grid.q):
-        east, north = _step_weights(grid, word)
-        weights = east + north
+    for east in itertools.combinations(range(p + q), p):
+        weights, north, y = [], [], 0
+        for x, k in enumerate(east):
+            north += v[x][y : k - x]
+            y = k - x
+            weights.append(u[x][y])
+        weights += (*north, *v[p][y:q])
         if 0 not in weights:
-            candidates.add(tuple(w - 1 for w in weights))
+            candidates.add(tuple(map((-1).__add__, weights)))
     return [
-        (c[: grid.p], c[grid.p :])
+        (c[:p], c[p:])
         for c in sorted(candidates)
         if not any(o != c and all(map(le, c, o)) for o in candidates)
     ]
@@ -407,10 +407,9 @@ def _orbit_size(pair: Pair) -> int:
     """Number of distinct vectors in the block orbit of a pair."""
     size = 1
     for block in pair:
-        perms = math.factorial(len(block))
-        for mult in Counter(block).values():
-            perms //= math.factorial(mult)
-        size *= perms
+        size *= math.factorial(len(block))
+        for x in set(block):
+            size //= math.factorial(block.count(x))
     return size
 
 

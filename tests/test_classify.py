@@ -46,12 +46,18 @@ from parklab.errors import (
 )
 from parklab import classify, graph
 from parklab.graph import (
+    FamilyTag,
     RootedWeightedGraph,
     is_connected,
     matching_invariant_cases,
     two_weight_tree_bands,
 )
-from parklab.lattice import block_sorted, increasing_maximal_pairs
+from parklab.lattice import (
+    WeightGrid,
+    block_sorted,
+    grid_transpose,
+    increasing_maximal_pairs,
+)
 from parklab.parking import _mpf_walk
 
 FOUR_CYCLE = build_graph(3, ((0, 2, 1), (1, 2, 1), (1, 3, 1), (0, 3, 2)), p=2, q=1)
@@ -791,6 +797,7 @@ class TestBlockGraphGeneration:
         # checked at yield time: nbrs and degree are the walk's live lists
         streamed = []
         for edges, nbrs, degree, total in classify._block_leaves(p, q, max_w):
+            edges = tuple(edges)  # the live list changes when the walk resumes
             g = RootedWeightedGraph(p + q, edges, p, q)
             assert (nbrs, degree) == (graph._masks(g), weighted_degrees(g)), g
             assert total == g.total_weight, g
@@ -1025,7 +1032,7 @@ class TestOneBlockBaseCase:
     def invariant_graphs(n: int, max_w: int):
         for edges, nbrs, degree, _ in classify._block_leaves(n, 0, max_w):
             if classify._blocks_level(n, edges, nbrs, degree):
-                g = RootedWeightedGraph(n, edges, n, 0)
+                g = RootedWeightedGraph(n, tuple(edges), n, 0)
                 hole, maximal = classify._first_hole(g, _mpf_walk(g))
                 if hole is None:
                     yield g, maximal
@@ -1095,6 +1102,84 @@ class TestSearchGraph:
         grid = grid_from_affine(1, 1, a=1, b=0, c=1, cprime=2, d=0, e=1)
         found, tested = search_graph_matching_grid(grid, 2)
         assert found is None and tested == 20
+
+
+class TestKeptLeavesAreCopies:
+    """_block_leaves yields its live edge list; whoever keeps a leaf copies it.
+    A consumer that kept the list would hand out graphs whose edges are a
+    list the walk goes on changing: they would not hash or compare equal."""
+
+    def test_connected_block_graphs_yield_tuples(self) -> None:
+        graphs = list(connected_block_graphs(2, 2, 2))
+        assert all(type(g.edges) is tuple for g in graphs)
+        assert len(set(graphs)) == len(graphs) == count_block_graphs(2, 2, 2)
+
+    def test_a_search_hit_is_the_built_graph(self) -> None:
+        bands = {"a": 1, "b": 0, "c": 1, "cprime": 1, "d": 0, "e": 1}
+        found, tested = search_graph_matching_grid(grid_from_affine(2, 2, **bands), 1)
+        assert found == graph_from_affine_u(2, 2, **bands)
+        assert tested == 215
+
+
+def sweep_invariant_graphs():
+    """The 1,120 invariant graphs of sweep_classification(4, 2), by its route."""
+    for n in range(2, 5):
+        for p in range(1, n):
+            for edges, nbrs, degree, _ in classify._block_leaves(p, n - p, 2):
+                if classify._blocks_level(p, edges, nbrs, degree):
+                    g = RootedWeightedGraph(n, tuple(edges), p, n - p)
+                    if classify._first_hole(g, _mpf_walk(g))[0] is None:
+                        yield g
+
+
+class TestOneGridPerConstruction:
+    """A swapped case's grid is built in the graph's own orientation, in one
+    validated construction, with grid_transpose as the oracle."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self) -> list:
+        return list(sweep_invariant_graphs())
+
+    def test_swapped_grids_are_the_transposed_tag_grids(self, graphs) -> None:
+        cases: Counter[str] = Counter()
+        for g in graphs:
+            for tag in match_theorem61(g):
+                if tag.swapped:
+                    own = FamilyTag(tag.kind, tag.case, tag.params)
+                    want = grid_transpose(classify._grid_for_case(g.q, g.p, own))
+                    assert classify._grid_for_case(g.p, g.q, tag) == want, (g, tag)
+                    cases[tag.case] += 1
+        assert len(graphs) == 1_120
+        assert sorted(cases.items()) == [
+            ("i.a", 20), ("i.b", 6), ("i.c", 4), ("ii", 16), ("iii", 264),
+            ("iv.a", 204), ("iv.b", 36), ("v", 220), ("vi", 292),
+        ]
+
+    def test_each_construction_validates_one_grid(self, graphs, monkeypatch) -> None:
+        validated = 0
+        post_init = WeightGrid.__post_init__
+
+        def counted(grid) -> None:
+            nonlocal validated
+            validated += 1
+            post_init(grid)
+
+        monkeypatch.setattr(WeightGrid, "__post_init__", counted)
+        swapped = 0
+        for g in graphs:
+            before = validated
+            swapped += construct_u_for_graph(g).swapped
+            assert validated == before + 1, g
+        assert swapped == 412
+
+    def test_the_matcher_swaps_without_relabel_for_blocks(self, monkeypatch) -> None:
+        # FOUR_CYCLE's root touches vertex 2 in A and vertex 3 in B, and its
+        # one case lies under the swapped labeling
+        def refuse(*args):
+            raise AssertionError("relabel_for_blocks re-checked the graph's own split")
+
+        monkeypatch.setattr(graph, "relabel_for_blocks", refuse)
+        assert case_list(FOUR_CYCLE) == [("i.b", True)]
 
 
 class TestDegreeEquality:

@@ -48,6 +48,7 @@ from parklab import lattice
 from parklab.lattice import (
     WeightGrid,
     _arrangements,
+    _orbit_size,
     block_sorted,
     increasing_maximal_pairs,
     maximal_upf_sum_witness,
@@ -546,6 +547,16 @@ class TestEnumerate:
             block = tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 6)))
             want = sorted(set(permutations(block)))
             assert list(_arrangements(block)) == want
+
+    def test_orbit_size_counts_the_distinct_block_rearrangements(self) -> None:
+        rng = random.Random(59)
+        for _ in range(300):
+            a, b = (
+                tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 5)))
+                for _ in range(2)
+            )
+            want = len(set(permutations(a))) * len(set(permutations(b)))
+            assert _orbit_size((a, b)) == want, (a, b)
 
 
 def reference_increasing_maximal_pairs(grid):

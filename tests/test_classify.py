@@ -1023,6 +1023,63 @@ class TestSweep:
         json.dumps(data)
 
 
+def walk_canonical(g) -> tuple:
+    """g's least slot weight tuple over the block relabelings, the walk's form.
+
+    Two graphs are equal up to relabeling inside the blocks exactly when
+    their forms are equal, whatever labeling each was built in.
+    """
+    slots = list(itertools.combinations(range(g.n + 1), 2))
+    weight = {(i, j): w for i, j, w in g.edges}
+    return min(
+        tuple(weight.get(tuple(sorted((v[i], v[j]))), 0) for i, j in slots)
+        for v in block_relabelings(g.p, g.q)
+    )
+
+
+class TestSweepDigests:
+    """Each split's invariant graphs, pinned up to relabeling inside the blocks.
+
+    A spy on construct_u_for_graph collects the graphs that reach the case
+    stage; each digest is the sha256 of repr() of the sorted list of
+    (walk_canonical(g), lowest case, swapped) over one split at w = 2.
+    """
+
+    DIGESTS = {
+        (1, 1): "f3f06c9b81725ce87f3cd006d6aa047989cc3c43e7b1d13eefced971065ccd42",
+        (1, 2): "27522dcbd7eaa714e524894c0ab74f5be715345964ff254182ff19e1a3339fd0",
+        (2, 1): "f3b2a17f9cd6722bb9c18a8debdd0f31536d3d56c820e2669e74a62019881475",
+        (1, 3): "76846730ee36197246787926910dcae9e2fdcfbfcd738206379680ac4ef05cff",
+        (2, 2): "b8a5929ab49eaa6fe4f10f9b6a65f430d972a1fa96b3015194a4f121952216a5",
+        (3, 1): "20da5f1c0d9347f414b7d575e1247afcbdf8ceab37d35896f96da5ff475f6751",
+    }
+    # (graphs tested, invariant graphs) per split
+    COUNTS = {
+        (1, 1): (20, 20), (1, 2): (342, 100), (2, 1): (342, 100),
+        (1, 3): (10_164, 186), (2, 2): (14_901, 528), (3, 1): (10_164, 186),
+    }
+
+    @pytest.mark.parametrize(
+        "p, q", [(p, n - p) for n in range(2, 5) for p in range(1, n)]
+    )
+    def test_split_digest_is_pinned(self, p, q, monkeypatch) -> None:
+        rows = []
+        construct = classify.construct_u_for_graph
+
+        def spy(g):
+            built = construct(g)
+            rows.append((walk_canonical(g), built.case.case, built.swapped))
+            return built
+
+        monkeypatch.setattr(classify, "construct_u_for_graph", spy)
+        tested, invariant, _, bad = classify._sweep_block((p, q, 2))
+        assert (tested, invariant) == self.COUNTS[p, q]
+        assert bad == [] and len(rows) == invariant
+        assert len({row[0] for row in rows}) == invariant
+        digest = hashlib.sha256(repr(sorted(rows)).encode()).hexdigest()
+        assert digest == self.DIGESTS.get((p, q)), (p, q, digest)
+
+
 class TestOneBlockBaseCase:
     """With q = 0 the sweep's walk, prefilter and swap-burn check count the
     graphs whose parking functions are invariant under every permutation,

@@ -275,6 +275,25 @@ def verify_equality(g: RootedWeightedGraph, grid: WeightGrid) -> bool:
 # sweeps
 
 
+def _block_relabelings(p: int, q: int) -> tuple[list, dict, list]:
+    """The edge slots on blocks 1..p and p+1..p+q, their index, and each
+    relabeling inside the blocks as a slot permutation perm, identity first.
+
+    The relabeled assignment reads weights[perm[k]] at slot k.
+    """
+    n = p + q
+    slots = list(itertools.combinations(range(n + 1), 2))
+    index = {pair: k for k, pair in enumerate(slots)}
+    perms = []
+    for sigma in itertools.permutations(range(1, p + 1)):
+        for tau in itertools.permutations(range(p + 1, n + 1)):
+            to = (0, *sigma, *tau)
+            perms.append(
+                tuple(index[min(to[i], to[j]), max(to[i], to[j])] for i, j in slots)
+            )
+    return slots, index, perms
+
+
 def _block_leaves(p: int, q: int, max_w: int):
     """The walk behind connected_block_graphs, yielding (edges, nbrs, degree, total).
 
@@ -312,21 +331,17 @@ def _block_leaves(p: int, q: int, max_w: int):
     if p < 0 or q < 0:
         raise ShapeMismatch(f"block sizes {p} and {q} must be non-negative")
     n = p + q
-    slots = list(itertools.combinations(range(n + 1), 2))
+    slots, index, perms = _block_relabelings(p, q)
     if not slots:  # the root alone
         yield (), [0], [0], 0
         return
     last = len(slots) - 1
-    index = {pair: k for k, pair in enumerate(slots)}
     # (perm, wait, t) for the slot permutation perm of each block relabeling:
     # perm agrees with the identity before position t, and position t can be
     # compared once slot wait[t] is assigned
-    relabelings = []
-    for sigma in itertools.permutations(range(1, p + 1)):
-        for tau in itertools.permutations(range(p + 1, n + 1)):
-            to = (0, *sigma, *tau)
-            perm = tuple(index[min(to[i], to[j]), max(to[i], to[j])] for i, j in slots)
-            relabelings.append((perm, tuple(map(max, range(len(slots)), perm)), 0))
+    relabelings = [
+        (perm, tuple(map(max, range(len(slots)), perm)), 0) for perm in perms
+    ]
     weights = [-1] * len(slots)  # -1: slot not assigned yet
     # input states per depth; the identity, the permutations' first, is dropped
     undecided = [relabelings[1:]] + [None] * last
@@ -422,9 +437,7 @@ class SweepReport:
         }
 
 
-def _blocks_level(
-    p: int, edges: tuple, nbrs: list[int], degree: list[int], plans=None
-) -> bool:
+def _blocks_level(p: int, edges: tuple, nbrs: list[int], degree: list[int]) -> bool:
     """Whether the vertices of each block share their largest parking entry.
 
     By Dhar's burning, v's largest entry is w(v, R) - 1, for R the root's
@@ -432,44 +445,232 @@ def _blocks_level(
     with v at w(v, R) - 1 and zeros elsewhere, R burns, then v, then the
     rest. A block permutation moves a largest entry to any vertex of its
     block, so every invariant graph passes; many others pass too, so this
-    only spares _first_hole graphs it would reject. It reads a
-    leaf of _block_leaves whose first block is 1..p, and stops at the first
-    vertex whose entry differs from its block's first.
+    only spares _first_hole graphs it would reject. It reads a leaf of
+    _block_leaves whose first block is 1..p, and stops at the first vertex
+    whose entry differs from its block's first.
 
     w(v, R) is degree[v] when v is no cut vertex, and otherwise the sum of
-    the weights at _root_side_edges' positions in edges. Those positions
-    depend on the masks alone, since _block_leaves lists the present slots
-    in slot order. A plan lists them by vertex, None until a leaf reads the
-    vertex and empty for no cut vertex. plans, a dict keyed by tuple(nbrs),
-    keeps one split's plan of each edge pattern, so later leaves of a
-    pattern read only weights and degrees; without it the plan lives for
-    one leaf.
+    the weights at _root_side_edges' positions in edges. The sweep solves
+    these equalities per edge pattern in _level_solutions; this reads one
+    graph, and with the walk it is that solver's oracle.
     """
-    if plans is None:
-        plan = [None] * len(nbrs)
-    else:
-        key = tuple(nbrs)
-        plan = plans.get(key)
-        if plan is None:
-            plan = plans[key] = [None] * len(nbrs)
     for first, last in ((1, p), (p + 1, len(nbrs) - 1)):
         if first < last:
             top = None
             for v in range(first, last + 1):
-                at = plan[v]
-                if at is None:
-                    at = plan[v] = _root_side_edges(edges, v, nbrs) or ()
-                if at:
-                    level = 0
-                    for k in at:
-                        level += edges[k][2]
-                else:
-                    level = degree[v]
+                at = _root_side_edges(edges, v, nbrs)
+                level = degree[v] if at is None else sum(edges[k][2] for k in at)
                 if top is None:
                     top = level
                 elif level != top:
                     return False
     return True
+
+
+def _level_plans(
+    p: int, edges: list, nbrs: list[int], degree: list[int], max_w: int
+) -> list | None:
+    """Each block vertex's plan in one edge pattern; None if no weighting levels it.
+
+    edges, nbrs and degree are a leaf of _block_leaves(p, q, 1), so degree[v]
+    counts v's edges. v's level, w(v, R) in _blocks_level, is the weight sum
+    over its plan: the positions in edges that _root_side_edges lists, or
+    all of v's edges when v is no cut vertex (ats[v] is None then). The
+    plans depend on the pattern alone. With weights in 1..max_w a plan of k
+    positions reads a level in k..k * max_w, so a block whose intervals
+    share no value is level under no weighting. The vertices are read in
+    order, and the first such block stops the reads, as _blocks_level stops
+    at its first differing vertex. With max_w = 1 each interval is the one
+    level its vertex reads, so the test is exact.
+    """
+    ats = [None] * len(nbrs)
+    for first, last in ((1, p), (p + 1, len(nbrs) - 1)):
+        if first >= last:  # one vertex is level with itself
+            continue
+        least, most = len(edges), 0
+        for v in range(first, last + 1):
+            at = ats[v] = _root_side_edges(edges, v, nbrs)
+            size = degree[v] if at is None else len(at)
+            if size > most:
+                most = size
+            if size < least:
+                least = size
+            if most > least * max_w:
+                return None
+    return ats
+
+
+def _level_steps(p: int, edges: list, ats: list, max_w: int) -> list[list]:
+    """The level equalities of one edge pattern, listed by position.
+
+    ats is _level_plans' result. Each vertex's level must equal that of its
+    block's first vertex. Each such equality c reads the weights at its
+    support, the positions in one plan and not the other, with coefficient
+    +1 or -1, and sums to 0. steps[d] lists a tuple (c, coef, lo, hi) for
+    each equality whose support holds position d: coef is d's coefficient,
+    and lo..hi the range of coef times what the support's later positions
+    can add. At its last position lo = hi = 0, so there the equality closes
+    exactly; before it the open level is bounded.
+    """
+    incident: list[list[int]] = [[] for _ in ats]
+    for k, (i, j, _) in enumerate(edges):
+        incident[i].append(k)
+        incident[j].append(k)
+    steps: list[list] = [[] for _ in edges]
+    c = 0
+    for first, last in ((1, p), (p + 1, len(ats) - 1)):
+        if first >= last:
+            continue
+        base, *plans = (
+            set(incident[v] if ats[v] is None else ats[v])
+            for v in range(first, last + 1)
+        )
+        for plan in plans:
+            lo = hi = 0
+            for d in sorted(plan ^ base, reverse=True):
+                if d in plan:
+                    steps[d].append((c, 1, lo, hi))
+                    lo, hi = lo + 1, hi + max_w
+                else:
+                    steps[d].append((c, -1, -hi, -lo))
+                    lo, hi = lo - max_w, hi - 1
+            c += 1
+    return steps
+
+
+def _level_weightings(steps: list[list], group: list, max_w: int):
+    """The weightings in 1..max_w that meet every equality in steps, lex-least
+    in their orbit under group, in lexicographic order.
+
+    A depth-first walk sets one position at a time, each to the values that
+    every equality there still allows, and prunes a prefix that a member of
+    group reads smaller with the undecided relabeling states of
+    _block_leaves. group lists permutations of the positions; the relabeled
+    weighting reads weights[pi[t]] at t. The weights list yielded is the
+    walk's live state.
+    """
+    m = len(steps)
+    weights = [0] * m
+    top = [0] * m  # the largest weight the bounds allow at each position
+    gap = [0] * m  # each equality's sum so far; there are fewer than m
+    undecided = [[(pi, list(map(max, range(m), pi)), 0) for pi in group]]
+    undecided += [None] * (m - 1)
+    d = 0
+    while d >= 0:
+        w = weights[d]
+        if w:  # the next value, if the bounds allow it
+            if w == top[d]:
+                for c, coef, _, _ in steps[d]:
+                    gap[c] -= coef * w
+                weights[d] = 0
+                d -= 1
+                continue
+            w += 1
+            for c, coef, _, _ in steps[d]:
+                gap[c] += coef
+        else:  # the values every equality at d still allows
+            low, high = 1, max_w
+            for c, coef, lo, hi in steps[d]:
+                g = gap[c] * coef  # coef is +1 or -1
+                if -g - hi > low:
+                    low = -g - hi
+                if -g - lo < high:
+                    high = -g - lo
+            if low > high:
+                d -= 1
+                continue
+            w, top[d] = low, high
+            for c, coef, _, _ in steps[d]:
+                gap[c] += coef * w
+        weights[d] = w
+        kept = []
+        for state in undecided[d]:
+            pi, wait, t = state
+            if wait[t] == d:
+                while t < m and wait[t] <= d and weights[pi[t]] == weights[t]:
+                    t += 1
+                if t == m:
+                    continue  # pi fixes the weighting
+                if wait[t] <= d:
+                    if weights[pi[t]] < weights[t]:
+                        break  # a relabeling reads smaller: prune
+                    continue  # it reads larger for good
+                state = (pi, wait, t)
+            kept.append(state)
+        else:
+            if d < m - 1:
+                undecided[d + 1] = kept
+                d += 1
+                continue
+            yield weights
+
+
+def _cycle_count(perm: list[int]) -> int:
+    """The number of cycles of a permutation of range(len(perm))."""
+    seen = [False] * len(perm)
+    count = 0
+    for t in range(len(perm)):
+        if not seen[t]:
+            count += 1
+            while not seen[t]:
+                seen[t] = True
+                t = perm[t]
+    return count
+
+
+def _level_solutions(p: int, q: int, max_w: int):
+    """The sweep's graphs of one split, solved per edge pattern: (tested, graphs).
+
+    Each canonical edge pattern P, a leaf of _block_leaves(p, q, 1), is read
+    once. The weighted graphs whose support lies in P's orbit correspond one
+    to one with the orbits of weightings of P in 1..max_w under Stab(P), the
+    block relabelings that fix P, and Burnside's lemma counts those orbits:
+    the mean of max_w ** (cycles of g on P) over Stab(P). With max_w <= 1 a
+    pattern has at most one weighting, so the group is left trivial: it
+    counts the same and prunes nothing. tested sums that count over the
+    patterns read since the previous item, so the items' tested add up to
+    the split's number of graphs; an item is yielded for each pattern with
+    graphs to test, and once at the end.
+
+    graphs lists, as edge tuples, the lex-least weighting of each orbit
+    whose block levels are equal, the exact largest-entry criterion of
+    _blocks_level (_level_plans, _level_steps, _level_weightings). With
+    max_w = 1 the pattern's one weighting passes exactly when _level_plans
+    finds its intervals level, so nothing is left to search. Every other
+    graph of the orbits is rejected by a level equality that fails, and is
+    never built.
+    """
+    _, index, perms = _block_relabelings(p, q)
+    tested = 0
+    for edges, nbrs, degree, _ in _block_leaves(p, q, 1):
+        m = len(edges)
+        orbits = max_w**m
+        group = []  # Stab(P) less the identity, as permutations of positions
+        if max_w > 1:
+            at = [index[i, j] for i, j, _ in edges]
+            position = dict(zip(at, range(m)))
+            for perm in perms[1:]:
+                if position.keys() >= set(map(perm.__getitem__, at)):
+                    group.append([position[perm[k]] for k in at])
+            orbits += sum(max_w ** _cycle_count(pi) for pi in group)
+            orbits //= len(group) + 1
+        tested += orbits
+        ats = _level_plans(p, edges, nbrs, degree, max_w)
+        if ats is None:
+            continue
+        if max_w == 1:
+            graphs = [tuple(edges)]
+        else:
+            steps = _level_steps(p, edges, ats, max_w)
+            heads, tails = [i for i, _, _ in edges], [j for _, j, _ in edges]
+            graphs = [
+                tuple(zip(heads, tails, w))
+                for w in _level_weightings(steps, group, max_w)
+            ]
+        if graphs:
+            yield tested, graphs
+            tested = 0
+    yield tested, ()
 
 
 def _sweep_block(args: tuple[int, int, int]) -> tuple:
@@ -478,26 +679,25 @@ def _sweep_block(args: tuple[int, int, int]) -> tuple:
     tested = invariant = 0
     counts: Counter[str] = Counter()
     bad: list[dict] = []
-    # with weights up to 1 each leaf is its own edge pattern: keep no plans
-    plans = {} if max_w >= 2 else None
-    for edges, nbrs, degree, _ in _block_leaves(p, q, max_w):
-        tested += 1
-        if not _blocks_level(p, edges, nbrs, degree, plans):
-            continue
-        g = RootedWeightedGraph(p + q, tuple(edges), p, q)
-        hole, maximal = _first_hole(g, _mpf_walk(g))
-        if hole is not None:
-            continue
-        invariant += 1
-        try:
-            built = construct_u_for_graph(g)
-        except NotClassified:
-            bad.append({"graph": g.to_json(), "reason": "no-case-matches"})
-            continue
-        case = built.case.case
-        counts[case] += 1
-        if not _matches_grid(maximal, p, increasing_maximal_pairs(built.grid)):
-            bad.append({"graph": g.to_json(), "reason": "grid-mismatch", "case": case})
+    for count, graphs in _level_solutions(p, q, max_w):
+        tested += count
+        for edges in graphs:
+            g = RootedWeightedGraph(p + q, edges, p, q)
+            hole, maximal = _first_hole(g, _mpf_walk(g))
+            if hole is not None:
+                continue
+            invariant += 1
+            try:
+                built = construct_u_for_graph(g)
+            except NotClassified:
+                bad.append({"graph": g.to_json(), "reason": "no-case-matches"})
+                continue
+            case = built.case.case
+            counts[case] += 1
+            if not _matches_grid(maximal, p, increasing_maximal_pairs(built.grid)):
+                bad.append(
+                    {"graph": g.to_json(), "reason": "grid-mismatch", "case": case}
+                )
     return tested, invariant, counts, bad
 
 

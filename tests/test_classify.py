@@ -351,11 +351,15 @@ class TestLazyInvariance:
         assert not verify_equality(g, grid)
 
     def test_swap_burn_gates_the_verdict(self, monkeypatch) -> None:
-        # with the largest-entry prefilter off, a burn that accepts every
-        # swap lets every graph through; the non-invariant ones then match
-        # no case (n = 2 has no in-block swap)
+        # with the solver's level check off, every weighting of each pattern
+        # is built, and a burn that accepts every swap lets every graph
+        # through; the non-invariant ones then match no case (n = 2 has no
+        # in-block swap)
         monkeypatch.setattr(
-            classify, "_blocks_level", lambda p, edges, nbrs, degree, plans: True
+            classify, "_level_plans", lambda p, edges, nbrs, degree, max_w: []
+        )
+        monkeypatch.setattr(
+            classify, "_level_steps", lambda p, edges, ats, max_w: [[] for _ in edges]
         )
         monkeypatch.setattr(classify, "_burn_order", lambda g, b: [0])
         report = sweep_classification(3, 2)
@@ -433,63 +437,53 @@ class TestLargestEntryFilter:
         assert classify._first_hole(g, _mpf_walk(g)) == (None, {(0, 0, 0)})
         assert match_theorem61(g)[0].case == "v"
 
-    def test_shared_plans_give_the_direct_verdict(self) -> None:
-        # one plan dict per split, as the sweep shares it; the direct verdict
-        # compares the root-side weights of each block's vertices
+    def test_the_filter_gives_the_direct_verdict(self) -> None:
+        # the direct verdict compares the root-side weights of each block's
+        # vertices
         shapes = [
             (p, n - p, w) for n in range(2, 5) for p in range(1, n) for w in (1, 2)
         ]
         passed = 0
         for p, q, max_w in shapes + [(2, 2, 3)]:
-            plans: dict = {}
-            leaves = 0
             for edges, nbrs, degree, _ in classify._block_leaves(p, q, max_w):
-                leaves += 1
                 levels = []
                 for v in range(1, p + q + 1):
                     at = graph._root_side_edges(edges, v, nbrs)
                     level = degree[v] if at is None else sum(edges[k][2] for k in at)
                     levels.append(level)
                 direct = len(set(levels[:p])) == 1 == len(set(levels[p:]))
-                shared = classify._blocks_level(p, edges, nbrs, degree, plans)
                 alone = classify._blocks_level(p, edges, nbrs, degree)
-                assert shared == direct == alone, edges
-                passed += shared
-            assert len(plans) <= leaves
+                assert direct == alone, edges
+                passed += alone
         # the sweep's 225 and 2,878 survivors at w <= 1 and 2, and the a09 shape's
         assert passed == 225 + 2_878 + 7_856
 
     def test_plans_are_built_once_per_edge_pattern(self, monkeypatch) -> None:
-        built, seen, shared = [], set(), []
-        root_side_edges, blocks_level = (
-            classify._root_side_edges,
-            classify._blocks_level,
-        )
+        built, read = [], []
+        root_side_edges, level_plans = classify._root_side_edges, classify._level_plans
 
         def count_plans(edges, v, nbrs):
             built.append((tuple(nbrs), v))
             return root_side_edges(edges, v, nbrs)
 
-        def spy(p, edges, nbrs, degree, plans=None):
-            seen.add(tuple(nbrs))
-            shared.append(plans)
-            return blocks_level(p, edges, nbrs, degree, plans)
+        def spy(p, edges, nbrs, degree, max_w):
+            read.append(tuple(nbrs))
+            return level_plans(p, edges, nbrs, degree, max_w)
 
         monkeypatch.setattr(classify, "_root_side_edges", count_plans)
-        monkeypatch.setattr(classify, "_blocks_level", spy)
+        monkeypatch.setattr(classify, "_level_plans", spy)
         tested, invariant, _, _ = classify._sweep_block((2, 2, 2))
         assert (tested, invariant) == (14_901, 528)
-        # one dict for the split, one plan per pattern, each vertex planned
-        # at most once: 1,238 of the 346 patterns' 1,384 vertices are read
-        plans = shared[0]
-        assert plans is not None and len({id(d) for d in shared}) == 1
-        assert set(plans) == seen and len(seen) == 346
-        assert len(built) == len(set(built)) == 1_238
-        assert sum(at is not None for plan in plans.values() for at in plan) == 1_238
-        # with weights up to 1 each leaf is its own pattern: nothing is kept
-        shared.clear()
-        classify._sweep_block((2, 2, 1))
-        assert set(shared) == {None}
+        # one read per canonical pattern, not one per each of the walk's 346
+        # supports, and each vertex planned at most once: 894 of the 230
+        # patterns' 920 vertices are read before a block's intervals part
+        assert len(read) == len(set(read)) == 230
+        assert len(built) == len(set(built)) == 894
+        assert {nbrs for nbrs, _ in built} == set(read)
+        # with weights up to 1 each pattern is one graph
+        read.clear()
+        tested, _, _, _ = classify._sweep_block((2, 2, 1))
+        assert len(read) == len(set(read)) == tested == 230
 
     def test_rejected_graphs_count_as_tested(self, monkeypatch) -> None:
         # the burn accepts every swap, so only the prefilter rejects: 278 of
@@ -1078,6 +1072,46 @@ class TestSweepDigests:
         assert len({row[0] for row in rows}) == invariant
         digest = hashlib.sha256(repr(sorted(rows)).encode()).hexdigest()
         assert digest == self.DIGESTS.get((p, q)), (p, q, digest)
+
+
+class TestLevelSolver:
+    """The sweep's per-pattern solver against the walk plus _blocks_level."""
+
+    @pytest.mark.parametrize(
+        "p, q, max_w",
+        [(p, n - p, w) for n in range(1, 5) for p in range(n + 1) for w in (1, 2)]
+        + [(2, 2, 3)],
+    )
+    def test_solutions_are_the_walks_survivors(self, p, q, max_w) -> None:
+        tested, solved = 0, []
+        for count, graphs in classify._level_solutions(p, q, max_w):
+            tested += count
+            solved += [RootedWeightedGraph(p + q, edges, p, q) for edges in graphs]
+        leaves, survivors = 0, []
+        for edges, nbrs, degree, _ in classify._block_leaves(p, q, max_w):
+            leaves += 1
+            if classify._blocks_level(p, edges, nbrs, degree):
+                survivors.append(RootedWeightedGraph(p + q, tuple(edges), p, q))
+        # one graph per orbit, each under its own labeling, and no other
+        assert sorted(map(walk_canonical, solved)) == sorted(
+            map(walk_canonical, survivors)
+        )
+        assert tested == leaves == count_block_graphs(p, q, max_w)
+
+    def test_each_solution_is_least_under_its_patterns_stabilizer(self) -> None:
+        # exchanging 1 and 2 fixes this 4-cycle at (2, 1); its weightings
+        # level both first-block vertices when w01 + w13 = w02 + w23, and of
+        # the orbit {1221, 2112} only the lex-least is kept
+        cycle = [(0, 1), (0, 2), (1, 3), (2, 3)]
+        kept = [
+            tuple(w for _, _, w in edges)
+            for _, graphs in classify._level_solutions(2, 1, 2)
+            for edges in graphs
+            if [e[:2] for e in edges] == cycle
+        ]
+        assert kept == [
+            (1, 1, 1, 1), (1, 1, 2, 2), (1, 2, 2, 1), (2, 2, 1, 1), (2, 2, 2, 2)
+        ]
 
 
 class TestOneBlockBaseCase:

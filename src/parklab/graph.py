@@ -412,9 +412,14 @@ def two_weight_tree_bands(g: RootedWeightedGraph) -> tuple[int, int] | None:
     vertices reports band 0.
     """
     g.require_bipartition()
-    if not is_tree(g):
-        return None
     nbrs = _masks(g)
+    if len(g.edges) != g.n or _reach(nbrs) != (1 << (g.n + 1)) - 1:
+        return None
+    return _tree_bands(g, nbrs)
+
+
+def _tree_bands(g: RootedWeightedGraph, nbrs: list[int]) -> tuple[int, int] | None:
+    """two_weight_tree_bands of g, a tree with blocks and neighbour masks nbrs."""
     parent = []
     for v in range(1, g.n + 1):
         at = _root_side_edges(g.edges, v, nbrs)
@@ -651,7 +656,7 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
 
     # case vi: a tree entering the first block with one weight, the second
     # block with another
-    tree_bands = two_weight_tree_bands(g) if len(g.edges) == n else None
+    tree_bands = _tree_bands(g, nbrs) if len(g.edges) == n else None
     if tree_bands is not None:
         add("vi", {"a": tree_bands[0], "b": tree_bands[1]})
     return tags

@@ -14,7 +14,9 @@ matched case prescribes a weight grid whose parking pairs reproduce the
 graph's parking functions; verify_equality checks that claim exactly.
 sweep_classification checks the classification by brute force on every
 block graph within a budget, up to relabeling inside the blocks, through
-construct_u_for_graph, the route the construct-u command prints.
+construct_u_for_graph, the route the construct-u command prints. It counts
+the graphs per edge pattern and builds only those whose blocks are level;
+each other graph is rejected by a level equality that fails.
 """
 
 from __future__ import annotations
@@ -310,8 +312,9 @@ def _block_leaves(p: int, q: int, max_w: int):
     run out takes max_w back off, and the last slot's edge is appended for
     the yield and popped on resume. The three lists are the walk's live
     state, valid until the next item is requested; a caller that keeps a
-    leaf copies tuple(edges), as the sweep and the search do only for the
-    leaves that pass their prefilter and sum test.
+    leaf copies tuple(edges), as the search does only for the leaves that
+    pass its sum test, and the sweep only for the edge patterns whose
+    levels it can meet.
 
     Deeper slots only add edges, and a weight rising past 1 leaves a slot's
     bits set. So once a leaf's search reaches every vertex, every later leaf
@@ -709,16 +712,20 @@ def sweep_classification(
     Every connected bipartitioned graph with both blocks non-empty, at most
     max_n non-root vertices, and weights up to max_w is tested for closure
     under block permutations. An exact prefilter first rejects each graph
-    whose vertices in one block differ in their largest parking entry; the
-    rest are tested while their maximal parking set is walked, and the walk
-    stops at the first adjacent in-block swap that does not park. Rejected
-    graphs count in graphs_tested like any other non-invariant graph. Only
-    invariant graphs are matched against the case list; each must match a
-    case whose grid has the same maximal set. Failures are reported as
-    counterexamples. Each block split (p, q) is one task whose graphs are
-    generated once; jobs worker processes, at most os.cpu_count(), take the
-    tasks in turn. The max_n - 1 splits of the largest n hold most graphs,
-    so more workers than that gain nothing.
+    whose vertices in one block differ in their largest parking entry. It
+    works per edge pattern (_level_solutions): the pattern's graphs are
+    counted by Burnside's lemma, and only those whose entries agree within
+    each block are built. The rejected graphs are never built, and each
+    fails a level equality; they count in graphs_tested like any other
+    non-invariant graph. The rest are tested while their maximal parking
+    set is walked, and the walk stops at the first adjacent in-block swap
+    that does not park. Only invariant graphs are matched against the case
+    list; each must match a case whose grid has the same maximal set.
+    Failures are reported as counterexamples, in the labeling of their
+    pattern's lex-least weighting. Each block split (p, q) is one task whose
+    graphs are generated once; jobs worker processes, at most
+    os.cpu_count(), take the tasks in turn. The max_n - 1 splits of the
+    largest n hold most graphs, so more workers than that gain nothing.
     """
     for name, value, least in (
         ("max_n", max_n, 0),

@@ -476,7 +476,8 @@ class TestLargestEntryFilter:
         assert (tested, invariant) == (14_901, 528)
         # one read per canonical pattern, not one per each of the walk's 346
         # supports, and each vertex planned at most once: 894 of the 230
-        # patterns' 920 vertices are read before a block's intervals part
+        # patterns' 920 vertices, since a read stops at the first block
+        # whose level intervals share no value
         assert len(read) == len(set(read)) == 230
         assert len(built) == len(set(built)) == 894
         assert {nbrs for nbrs, _ in built} == set(read)

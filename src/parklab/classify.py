@@ -482,7 +482,8 @@ def _level_plans(
     plans depend on the pattern alone. With weights in 1..max_w a plan of k
     positions reads a level in k..k * max_w, so a block whose intervals
     share no value is level under no weighting. The vertices are read in
-    order, and the first such block stops the reads, as _blocks_level stops
+    order, and the reads stop at the first vertex whose interval misses
+    the common part of those before it in its block, as _blocks_level stops
     at its first differing vertex. With max_w = 1 each interval is the one
     level its vertex reads, so the test is exact.
     """

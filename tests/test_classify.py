@@ -1426,3 +1426,20 @@ class TestRecognizerCounts:
                 digest.update(repr(tags).encode())
         assert graphs == 25_669
         assert digest.hexdigest() == self.MATCHER_DIGEST
+
+    # sha256 over repr(recognize_family(h).to_json()) of every graph below,
+    # with its blocks and then without, in generation order
+    FAMILY_DIGEST = "aa2aa65bc1e50380a8b24d9a5fad4a7758d2d88714e9f543e462128383321abb"
+
+    def test_families_are_pinned(self) -> None:
+        digest = hashlib.sha256()
+        graphs = 0
+        for n in range(1, 5):
+            for p in range(n + 1):
+                for g in connected_block_graphs(p, n - p, 2):
+                    graphs += 1
+                    for h in (g, build_graph(g.n, g.edges)):
+                        tag = recognize_family(h).to_json()
+                        digest.update(repr(tag).encode() + b"\n")
+        assert graphs == 41_977
+        assert digest.hexdigest() == self.FAMILY_DIGEST

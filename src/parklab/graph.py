@@ -399,10 +399,6 @@ def uniform_weight(weights: Iterable[int]) -> int | None:
     return None
 
 
-def is_tree(g: RootedWeightedGraph) -> bool:
-    return len(g.edges) == g.n and is_connected(g)
-
-
 def two_weight_tree_bands(g: RootedWeightedGraph) -> tuple[int, int] | None:
     """Bands (a, b) of a tree whose root-away edges enter A with weight a, B with b.
 
@@ -699,7 +695,8 @@ def recognize_family(g: RootedWeightedGraph) -> FamilyTag:
     come next, then the lowest case match_theorem61 finds, and
     "unclassified" as the fallback.
     """
-    if is_tree(g):
+    nbrs = _masks(g)
+    if len(g.edges) == g.n and _reach(nbrs) == (1 << (g.n + 1)) - 1:
         a = uniform_weight(w for _, _, w in g.edges)
         if a is not None:  # a uniform tree has an edge, so n >= 1
             if all(i == ROOT for i, _, _ in g.edges):
@@ -710,14 +707,14 @@ def recognize_family(g: RootedWeightedGraph) -> FamilyTag:
                 family = "uniform_tree"
             return FamilyTag(family, params=_params({"a": a}))
         if g.has_bipartition:
-            bands = two_weight_tree_bands(g)
+            bands = _tree_bands(g, nbrs)
             if bands is not None:
                 params = _params(dict(zip("ab", bands)))
                 return FamilyTag("two_weight_tree", params=params)
     # a uniform cycle through every vertex, else a banded complete graph
     bands = _census(g, g.n)[0]
     others = (1 << (g.n + 1)) - 2
-    side = _side_family(_masks(g), ROOT, others, bands["a"], bands["b"])
+    side = _side_family(nbrs, ROOT, others, bands["a"], bands["b"])
     if side is not None and side[0] == "cycle":
         return FamilyTag("uniform_cycle", params=_params({"a": side[1]}))
     if side is not None and g.n >= 2:

@@ -296,25 +296,59 @@ def _block_relabelings(p: int, q: int) -> tuple[list, dict, list]:
     return slots, index, perms
 
 
+def _relabeling_states(perms: list, m: int) -> list:
+    """The starting state (perm, wait, 0) of each permutation of m positions.
+
+    An orderly walk sets positions 0..m-1 in order, and a relabeled
+    assignment reads weights[perm[t]] at t. A state (perm, wait, t) records
+    that perm agrees with the identity before position t; position t can be
+    compared once position wait[t] = max(t, perm[t]) is set.
+    """
+    return [(perm, tuple(map(max, range(m), perm)), 0) for perm in perms]
+
+
+def _still_least(states: list, weights: list, d: int, m: int) -> list | None:
+    """The states still undecided once position d is set, or None when a
+    relabeling reads the prefix smaller.
+
+    A relabeling is compared with the identity on positions 0..d only.
+    Where it reads smaller, the prefix starts no orbit's least member and
+    its subtree is pruned; where it reads larger, or fixes all m positions,
+    it is dropped for the subtree.
+    """
+    kept = []
+    for state in states:
+        perm, wait, t = state
+        if wait[t] == d:
+            while t < m and wait[t] <= d and weights[perm[t]] == weights[t]:
+                t += 1
+            if t == m:
+                continue  # perm fixes the assignment
+            if wait[t] <= d:
+                if weights[perm[t]] < weights[t]:
+                    return None  # a relabeling reads smaller: prune
+                continue  # it reads larger for good
+            state = (perm, wait, t)
+        kept.append(state)
+    return kept
+
+
 def _block_leaves(p: int, q: int, max_w: int):
-    """The walk behind connected_block_graphs, yielding (edges, nbrs, degree, total).
+    """The walk behind connected_block_graphs, yielding (edges, nbrs, total).
 
     The walk assigns the slots depth first, in order (orderly generation,
-    after Read 1978). A relabeling is compared with the identity on the
-    assigned prefix only: where it already reads smaller the whole subtree
-    is pruned, and where it already reads larger it is dropped for the
-    subtree.
+    after Read 1978), and keeps a prefix only while no block relabeling
+    reads it smaller (_still_least).
 
     edges lists the present slots (i, j, w) in slot order, nbrs is what
-    graph._masks reads from them, degree each vertex's weighted degree and
-    total the weight sum. The walk keeps them slot by slot: each weight step
-    adds 1 to both endpoints' degrees and the total, a slot whose weights
-    run out takes max_w back off, and the last slot's edge is appended for
-    the yield and popped on resume. The three lists are the walk's live
-    state, valid until the next item is requested; a caller that keeps a
-    leaf copies tuple(edges), as the search does only for the leaves that
-    pass its sum test, and the sweep only for the edge patterns whose
-    levels it can meet.
+    graph._masks reads from them, and total is the weight sum. The walk
+    keeps them slot by slot: each weight step adds 1 to the total, a slot
+    whose weights run out takes max_w back off, and the last slot's edge is
+    appended for the yield and popped on resume. The two lists are the
+    walk's live state, valid until the next item is requested; a caller
+    that keeps a leaf copies tuple(edges), as the search does only for the
+    leaves that pass its sum test, and the sweep only for the edge patterns
+    whose levels it can meet.
 
     Deeper slots only add edges, and a weight rising past 1 leaves a slot's
     bits set. So once a leaf's search reaches every vertex, every later leaf
@@ -322,7 +356,7 @@ def _block_leaves(p: int, q: int, max_w: int):
     walk searches once per connected prefix, not once per leaf.
     """
     # the walk steps weights by 1 and takes max_w back off, so a float
-    # max_w corrupts its degrees and total; bool is refused as in build_graph
+    # max_w corrupts its total; bool is refused as in build_graph
     if type(max_w) is not int:
         raise InvalidParameters(f"max_w must be an integer, got {max_w!r}")
     if max_w < 0:
@@ -336,20 +370,13 @@ def _block_leaves(p: int, q: int, max_w: int):
     n = p + q
     slots, index, perms = _block_relabelings(p, q)
     if not slots:  # the root alone
-        yield (), [0], [0], 0
+        yield (), [0], 0
         return
-    last = len(slots) - 1
-    # (perm, wait, t) for the slot permutation perm of each block relabeling:
-    # perm agrees with the identity before position t, and position t can be
-    # compared once slot wait[t] is assigned
-    relabelings = [
-        (perm, tuple(map(max, range(len(slots)), perm)), 0) for perm in perms
-    ]
-    weights = [-1] * len(slots)  # -1: slot not assigned yet
+    m = len(slots)
+    weights = [-1] * m  # -1: slot not assigned yet
     # input states per depth; the identity, the permutations' first, is dropped
-    undecided = [relabelings[1:]] + [None] * last
+    undecided = [_relabeling_states(perms[1:], m)] + [None] * (m - 1)
     nbrs = [0] * (n + 1)
-    degree = [0] * (n + 1)
     total = 0
     full = (1 << (n + 1)) - 1
     edges = []
@@ -364,8 +391,6 @@ def _block_leaves(p: int, q: int, max_w: int):
             weights[d] = -1
             nbrs[i] &= ~(1 << j)
             nbrs[j] &= ~(1 << i)
-            degree[i] -= max_w
-            degree[j] -= max_w
             total -= max_w
             d -= 1
             if d >= 0 and weights[d]:
@@ -373,40 +398,27 @@ def _block_leaves(p: int, q: int, max_w: int):
             continue
         weights[d] = w
         if w:
-            degree[i] += 1
-            degree[j] += 1
             total += 1
             if w == 1:  # slot d's bits stay set until its weights run out
                 nbrs[i] |= 1 << j
                 nbrs[j] |= 1 << i
-        kept = []
-        for state in undecided[d]:
-            perm, wait, t = state
-            if wait[t] == d:
-                while t <= last and wait[t] <= d and weights[perm[t]] == weights[t]:
-                    t += 1
-                if t > last:
-                    continue  # perm fixes the assignment
-                if wait[t] <= d:
-                    if weights[perm[t]] < weights[t]:
-                        break  # a relabeling reads smaller: prune
-                    continue  # it reads larger for good
-                state = (perm, wait, t)
-            kept.append(state)
-        else:  # no relabeling reads smaller
-            if w:
-                edges.append((i, j, w))
-            if d < last:
-                undecided[d + 1] = kept
-                d += 1
-                continue
-            if connected_at < 0 and _reach(nbrs) == full:
-                # n >= 1 here, so a connected leaf has a present slot
-                connected_at = index[edges[-1][:2]]
-            if connected_at >= 0:
-                yield edges, nbrs, degree, total
-            if w:
-                edges.pop()
+        # most prefixes have no relabeling left undecided
+        kept = undecided[d] and _still_least(undecided[d], weights, d, m)
+        if kept is None:
+            continue
+        if w:
+            edges.append((i, j, w))
+        if d < m - 1:
+            undecided[d + 1] = kept
+            d += 1
+            continue
+        if connected_at < 0 and _reach(nbrs) == full:
+            # n >= 1 here, so a connected leaf has a present slot
+            connected_at = index[edges[-1][:2]]
+        if connected_at >= 0:
+            yield edges, nbrs, total
+        if w:
+            edges.pop()
 
 
 def connected_block_graphs(p: int, q: int, max_w: int):
@@ -417,7 +429,7 @@ def connected_block_graphs(p: int, q: int, max_w: int):
     yielded, in lexicographic order, when it is connected. The graphs are
     the leaves of _block_leaves.
     """
-    for edges, _, _, _ in _block_leaves(p, q, max_w):
+    for edges, _, _ in _block_leaves(p, q, max_w):
         yield RootedWeightedGraph(p + q, tuple(edges), p, q)
 
 
@@ -440,7 +452,7 @@ class SweepReport:
         }
 
 
-def _blocks_level(p: int, edges: tuple, nbrs: list[int], degree: list[int]) -> bool:
+def _blocks_level(p: int, edges: tuple, nbrs: list[int]) -> bool:
     """Whether the vertices of each block share their largest parking entry.
 
     By Dhar's burning, v's largest entry is w(v, R) - 1, for R the root's
@@ -452,17 +464,19 @@ def _blocks_level(p: int, edges: tuple, nbrs: list[int], degree: list[int]) -> b
     _block_leaves whose first block is 1..p, and stops at the first vertex
     whose entry differs from its block's first.
 
-    w(v, R) is degree[v] when v is no cut vertex, and otherwise the sum of
-    the weights at _root_side_edges' positions in edges. The sweep solves
-    these equalities per edge pattern in _level_solutions; this reads one
-    graph, and with the walk it is that solver's oracle.
+    w(v, R) is the weight sum of v's edges when v is no cut vertex, and
+    otherwise that of the edges at _root_side_edges' positions. The sweep
+    solves these equalities per edge pattern in _level_solutions; this
+    reads one graph, and with the walk it is that solver's oracle.
     """
     for first, last in ((1, p), (p + 1, len(nbrs) - 1)):
         if first < last:
             top = None
             for v in range(first, last + 1):
                 at = _root_side_edges(edges, v, nbrs)
-                level = degree[v] if at is None else sum(edges[k][2] for k in at)
+                if at is None:
+                    at = [k for k, (i, j, _) in enumerate(edges) if v in (i, j)]
+                level = sum(edges[k][2] for k in at)
                 if top is None:
                     top = level
                 elif level != top:
@@ -470,13 +484,11 @@ def _blocks_level(p: int, edges: tuple, nbrs: list[int], degree: list[int]) -> b
     return True
 
 
-def _level_plans(
-    p: int, edges: list, nbrs: list[int], degree: list[int], max_w: int
-) -> list | None:
+def _level_plans(p: int, edges: list, nbrs: list[int], max_w: int) -> list | None:
     """Each block vertex's plan in one edge pattern; None if no weighting levels it.
 
-    edges, nbrs and degree are a leaf of _block_leaves(p, q, 1), so degree[v]
-    counts v's edges. v's level, w(v, R) in _blocks_level, is the weight sum
+    edges and nbrs are a leaf of _block_leaves(p, q, 1), so nbrs[v] has one
+    bit per edge of v. v's level, w(v, R) in _blocks_level, is the weight sum
     over its plan: the positions in edges that _root_side_edges lists, or
     all of v's edges when v is no cut vertex (ats[v] is None then). The
     plans depend on the pattern alone. With weights in 1..max_w a plan of k
@@ -494,7 +506,7 @@ def _level_plans(
         least, most = len(edges), 0
         for v in range(first, last + 1):
             at = ats[v] = _root_side_edges(edges, v, nbrs)
-            size = degree[v] if at is None else len(at)
+            size = nbrs[v].bit_count() if at is None else len(at)
             if size > most:
                 most = size
             if size < least:
@@ -548,17 +560,15 @@ def _level_weightings(steps: list[list], group: list, max_w: int):
 
     A depth-first walk sets one position at a time, each to the values that
     every equality there still allows, and prunes a prefix that a member of
-    group reads smaller with the undecided relabeling states of
-    _block_leaves. group lists permutations of the positions; the relabeled
-    weighting reads weights[pi[t]] at t. The weights list yielded is the
-    walk's live state.
+    group reads smaller (_still_least, as in _block_leaves). group lists
+    permutations of the positions; the relabeled weighting reads
+    weights[pi[t]] at t. The weights list yielded is the walk's live state.
     """
     m = len(steps)
     weights = [0] * m
     top = [0] * m  # the largest weight the bounds allow at each position
     gap = [0] * m  # each equality's sum so far; there are fewer than m
-    undecided = [[(pi, list(map(max, range(m), pi)), 0) for pi in group]]
-    undecided += [None] * (m - 1)
+    undecided = [_relabeling_states(group, m)] + [None] * (m - 1)
     d = 0
     while d >= 0:
         w = weights[d]
@@ -587,26 +597,14 @@ def _level_weightings(steps: list[list], group: list, max_w: int):
             for c, coef, _, _ in steps[d]:
                 gap[c] += coef * w
         weights[d] = w
-        kept = []
-        for state in undecided[d]:
-            pi, wait, t = state
-            if wait[t] == d:
-                while t < m and wait[t] <= d and weights[pi[t]] == weights[t]:
-                    t += 1
-                if t == m:
-                    continue  # pi fixes the weighting
-                if wait[t] <= d:
-                    if weights[pi[t]] < weights[t]:
-                        break  # a relabeling reads smaller: prune
-                    continue  # it reads larger for good
-                state = (pi, wait, t)
-            kept.append(state)
-        else:
-            if d < m - 1:
-                undecided[d + 1] = kept
-                d += 1
-                continue
-            yield weights
+        kept = undecided[d] and _still_least(undecided[d], weights, d, m)
+        if kept is None:
+            continue
+        if d < m - 1:
+            undecided[d + 1] = kept
+            d += 1
+            continue
+        yield weights
 
 
 def _cycle_count(perm: list[int]) -> int:
@@ -646,7 +644,7 @@ def _level_solutions(p: int, q: int, max_w: int):
     """
     _, index, perms = _block_relabelings(p, q)
     tested = 0
-    for edges, nbrs, degree, _ in _block_leaves(p, q, 1):
+    for edges, nbrs, _ in _block_leaves(p, q, 1):
         m = len(edges)
         orbits = max_w**m
         group = []  # Stab(P) less the identity, as permutations of positions
@@ -659,7 +657,7 @@ def _level_solutions(p: int, q: int, max_w: int):
             orbits += sum(max_w ** _cycle_count(pi) for pi in group)
             orbits //= len(group) + 1
         tested += orbits
-        ats = _level_plans(p, edges, nbrs, degree, max_w)
+        ats = _level_plans(p, edges, nbrs, max_w)
         if ats is None:
             continue
         if max_w == 1:
@@ -770,7 +768,7 @@ def search_graph_matching_grid(
     n = grid.p + grid.q
     one_sum = len(sums) == 1
     tested = 0
-    for edges, _, _, total in _block_leaves(grid.p, grid.q, max_w):
+    for edges, _, total in _block_leaves(grid.p, grid.q, max_w):
         tested += 1
         if not one_sum or total - n not in sums:
             continue

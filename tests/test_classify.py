@@ -356,7 +356,7 @@ class TestLazyInvariance:
         # through; the non-invariant ones then match no case (n = 2 has no
         # in-block swap)
         monkeypatch.setattr(
-            classify, "_level_plans", lambda p, edges, nbrs, degree, max_w: []
+            classify, "_level_plans", lambda p, edges, nbrs, max_w: []
         )
         monkeypatch.setattr(
             classify, "_level_steps", lambda p, edges, ats, max_w: [[] for _ in edges]
@@ -416,8 +416,8 @@ class TestLargestEntryFilter:
         passed = invariant = 0
         for n in range(2, 5):
             for p in range(1, n):
-                for edges, nbrs, degree, _ in classify._block_leaves(p, n - p, 2):
-                    level = classify._blocks_level(p, edges, nbrs, degree)
+                for edges, nbrs, _ in classify._block_leaves(p, n - p, 2):
+                    level = classify._blocks_level(p, edges, nbrs)
                     g = RootedWeightedGraph(n, edges, p, n - p)
                     closed = classify._first_hole(g, _mpf_walk(g))[0] is None
                     assert level or not closed, g
@@ -433,7 +433,7 @@ class TestLargestEntryFilter:
         degree = weighted_degrees(g)
         assert degree[2:] == [1, 3]
         assert largest_entries(g) == [0, 0, 0]
-        assert classify._blocks_level(g.p, g.edges, graph._masks(g), degree)
+        assert classify._blocks_level(g.p, g.edges, graph._masks(g))
         assert classify._first_hole(g, _mpf_walk(g)) == (None, {(0, 0, 0)})
         assert match_theorem61(g)[0].case == "v"
 
@@ -445,14 +445,15 @@ class TestLargestEntryFilter:
         ]
         passed = 0
         for p, q, max_w in shapes + [(2, 2, 3)]:
-            for edges, nbrs, degree, _ in classify._block_leaves(p, q, max_w):
+            for edges, nbrs, _ in classify._block_leaves(p, q, max_w):
+                degree = weighted_degrees(RootedWeightedGraph(p + q, edges, p, q))
                 levels = []
                 for v in range(1, p + q + 1):
                     at = graph._root_side_edges(edges, v, nbrs)
                     level = degree[v] if at is None else sum(edges[k][2] for k in at)
                     levels.append(level)
                 direct = len(set(levels[:p])) == 1 == len(set(levels[p:]))
-                alone = classify._blocks_level(p, edges, nbrs, degree)
+                alone = classify._blocks_level(p, edges, nbrs)
                 assert direct == alone, edges
                 passed += alone
         # the sweep's 225 and 2,878 survivors at w <= 1 and 2, and the a09 shape's
@@ -466,9 +467,9 @@ class TestLargestEntryFilter:
             built.append((tuple(nbrs), v))
             return root_side_edges(edges, v, nbrs)
 
-        def spy(p, edges, nbrs, degree, max_w):
+        def spy(p, edges, nbrs, max_w):
             read.append(tuple(nbrs))
-            return level_plans(p, edges, nbrs, degree, max_w)
+            return level_plans(p, edges, nbrs, max_w)
 
         monkeypatch.setattr(classify, "_root_side_edges", count_plans)
         monkeypatch.setattr(classify, "_level_plans", spy)
@@ -789,12 +790,12 @@ class TestBlockGraphGeneration:
 
     @pytest.mark.parametrize("p, q, max_w", SMALL_SHAPES)  # (2, 2, 2) included
     def test_leaf_records_match_the_built_graph(self, p, q, max_w) -> None:
-        # checked at yield time: nbrs and degree are the walk's live lists
+        # checked at yield time: nbrs is the walk's live list
         streamed = []
-        for edges, nbrs, degree, total in classify._block_leaves(p, q, max_w):
+        for edges, nbrs, total in classify._block_leaves(p, q, max_w):
             edges = tuple(edges)  # the live list changes when the walk resumes
             g = RootedWeightedGraph(p + q, edges, p, q)
-            assert (nbrs, degree) == (graph._masks(g), weighted_degrees(g)), g
+            assert nbrs == graph._masks(g), g
             assert total == g.total_weight, g
             streamed.append((p, q, edges))
         assert streamed == self.stream(connected_block_graphs(p, q, max_w))
@@ -1018,6 +1019,18 @@ class TestSweep:
         json.dumps(data)
 
 
+def cycles(pi: list[int]) -> set[frozenset]:
+    """The cycles of a permutation of range(len(pi)), each as a set."""
+    found = set()
+    for t in range(len(pi)):
+        cycle = {t}
+        while pi[t] not in cycle:
+            t = pi[t]
+            cycle.add(t)
+        found.add(frozenset(cycle))
+    return found
+
+
 def walk_canonical(g) -> tuple:
     """g's least slot weight tuple over the block relabelings, the walk's form.
 
@@ -1089,9 +1102,9 @@ class TestLevelSolver:
             tested += count
             solved += [RootedWeightedGraph(p + q, edges, p, q) for edges in graphs]
         leaves, survivors = 0, []
-        for edges, nbrs, degree, _ in classify._block_leaves(p, q, max_w):
+        for edges, nbrs, _ in classify._block_leaves(p, q, max_w):
             leaves += 1
-            if classify._blocks_level(p, edges, nbrs, degree):
+            if classify._blocks_level(p, edges, nbrs):
                 survivors.append(RootedWeightedGraph(p + q, tuple(edges), p, q))
         # one graph per orbit, each under its own labeling, and no other
         assert sorted(map(walk_canonical, solved)) == sorted(
@@ -1115,6 +1128,38 @@ class TestLevelSolver:
         ]
 
 
+    @pytest.mark.parametrize(
+        "p, q, max_w, patterns",
+        [(2, 2, 2, 230), (2, 2, 3, 230), (3, 1, 2, 162), (3, 1, 3, 162)],
+    )
+    def test_free_weightings_are_the_orbit_minima(self, p, q, max_w, patterns) -> None:
+        # with no equality to meet, the solver's walk prunes by the shared
+        # relabeling step alone, over Stab(P) built here from the slot maps
+        _, index, perms = classify._block_relabelings(p, q)
+        read = 0
+        for g in connected_block_graphs(p, q, 1):
+            read += 1
+            at = [index[i, j] for i, j, _ in g.edges]
+            position = {k: t for t, k in enumerate(at)}
+            stab = [  # the identity first
+                [position[perm[k]] for k in at]
+                for perm in perms
+                if {perm[k] for k in at} == position.keys()
+            ]
+            steps = [[] for _ in at]
+            walked = [
+                tuple(w) for w in classify._level_weightings(steps, stab[1:], max_w)
+            ]
+            least = {
+                min(tuple(x[t] for t in pi) for pi in stab)
+                for x in itertools.product(range(1, max_w + 1), repeat=len(at))
+            }
+            assert walked == sorted(least), g
+            burnside = sum(max_w ** len(cycles(pi)) for pi in stab)
+            assert len(walked) * len(stab) == burnside, g
+        assert read == patterns
+
+
 class TestOneBlockBaseCase:
     """With q = 0 the sweep's walk, prefilter and swap-burn check count the
     graphs whose parking functions are invariant under every permutation,
@@ -1122,8 +1167,8 @@ class TestOneBlockBaseCase:
 
     @staticmethod
     def invariant_graphs(n: int, max_w: int):
-        for edges, nbrs, degree, _ in classify._block_leaves(n, 0, max_w):
-            if classify._blocks_level(n, edges, nbrs, degree):
+        for edges, nbrs, _ in classify._block_leaves(n, 0, max_w):
+            if classify._blocks_level(n, edges, nbrs):
                 g = RootedWeightedGraph(n, tuple(edges), n, 0)
                 hole, maximal = classify._first_hole(g, _mpf_walk(g))
                 if hole is None:
@@ -1217,8 +1262,8 @@ def sweep_invariant_graphs():
     """The 1,120 invariant graphs of sweep_classification(4, 2), by its route."""
     for n in range(2, 5):
         for p in range(1, n):
-            for edges, nbrs, degree, _ in classify._block_leaves(p, n - p, 2):
-                if classify._blocks_level(p, edges, nbrs, degree):
+            for edges, nbrs, _ in classify._block_leaves(p, n - p, 2):
+                if classify._blocks_level(p, edges, nbrs):
                     g = RootedWeightedGraph(n, tuple(edges), p, n - p)
                     if classify._first_hole(g, _mpf_walk(g))[0] is None:
                         yield g

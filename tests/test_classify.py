@@ -1127,7 +1127,6 @@ class TestLevelSolver:
             (1, 1, 1, 1), (1, 1, 2, 2), (1, 2, 2, 1), (2, 2, 1, 1), (2, 2, 2, 2)
         ]
 
-
     @pytest.mark.parametrize(
         "p, q, max_w, patterns",
         [(2, 2, 2, 230), (2, 2, 3, 230), (3, 1, 2, 162), (3, 1, 3, 162)],

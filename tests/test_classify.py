@@ -1471,6 +1471,21 @@ class TestRecognizerCounts:
         assert graphs == 25_669
         assert digest.hexdigest() == self.MATCHER_DIGEST
 
+    # sha256 over repr([t.to_json() for t in f(g)]) for f = matching_invariant_cases
+    # and then match_theorem61, of every graph of the split that
+    # MATCHER_DIGEST leaves out at w = 2, in generation order
+    SPLIT_13_DIGEST = "e14aca29c08c10ae71aa416fb98324907c4dc52f84365be0edb9e41af531523b"
+
+    def test_matcher_tags_on_split_one_three_are_pinned(self) -> None:
+        digest = hashlib.sha256()
+        graphs = 0
+        for g in connected_block_graphs(1, 3, 2):
+            graphs += 1
+            for f in (matching_invariant_cases, match_theorem61):
+                digest.update(repr([t.to_json() for t in f(g)]).encode())
+        assert graphs == 10_164
+        assert digest.hexdigest() == self.SPLIT_13_DIGEST
+
     # sha256 over repr(recognize_family(h).to_json()) of every graph below,
     # with its blocks and then without, in generation order
     FAMILY_DIGEST = "aa2aa65bc1e50380a8b24d9a5fad4a7758d2d88714e9f543e462128383321abb"

@@ -5,18 +5,21 @@ maps parking functions to parking functions. Invariance of the full parking
 set is equivalent to invariance of its maximal elements, so every test here
 reads the maximal set only.
 
-Invariant graphs are matched by graph.match_theorem61, the one dispatcher
-from a graph to its cases, against the structural case list (cycles with
-up to two marked vertices, a cycle with a chord, banded complete graphs,
-a cycle or complete first side with restricted attachments, uniform forests
-carrying one cycle or complete second side, and two-weight trees). Each
-matched case prescribes a weight grid whose parking pairs reproduce the
-graph's parking functions; verify_equality checks that claim exactly.
+Invariant graphs are matched against the structural case list (cycles
+with up to two marked vertices, a cycle with a chord, banded complete
+graphs, a cycle or complete first side with restricted attachments,
+uniform forests carrying one cycle or complete second side, and two-weight
+trees) by graph's one matcher: a plan of the cases an edge pattern's
+structure leaves open, and a read of a weighting against it. Each matched
+case prescribes a weight grid whose parking pairs reproduce the graph's
+parking functions; verify_equality checks that claim exactly, and
+construct_u_for_graph builds the grid of a graph's lowest case.
 sweep_classification checks the classification by brute force on every
-block graph within a budget, up to relabeling inside the blocks, through
-construct_u_for_graph, the route the construct-u command prints. It counts
+block graph within a budget, up to relabeling inside the blocks. It counts
 the graphs per edge pattern and builds only those whose blocks are level;
-each other graph is rejected by a level equality that fails.
+each other graph is rejected by a level equality that fails. It plans each
+pattern's cases once and reads each invariant graph's lowest case from
+that plan, the case construct_u_for_graph would use.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ from .errors import InvalidParameters, NotClassified, ShapeMismatch
 from .graph import (
     FamilyTag,
     RootedWeightedGraph,
+    _case_plan,
     _reach,
+    _read_cases,
     _root_side_edges,
     build_graph,
     match_theorem61,
@@ -631,16 +636,15 @@ def _level_solutions(p: int, q: int, max_w: int):
     pattern has at most one weighting, so the group is left trivial: it
     counts the same and prunes nothing. tested sums that count over the
     patterns read since the previous item, so the items' tested add up to
-    the split's number of graphs; an item is yielded for each pattern with
-    graphs to test, and once at the end.
+    the split's number of graphs; an item is yielded for each pattern that
+    _level_plans finds possibly level, and once at the end.
 
-    graphs lists, as edge tuples, the lex-least weighting of each orbit
-    whose block levels are equal, the exact largest-entry criterion of
-    _blocks_level (_level_plans, _level_steps, _level_weightings). With
-    max_w = 1 the pattern's one weighting passes exactly when _level_plans
-    finds its intervals level, so nothing is left to search. Every other
-    graph of the orbits is rejected by a level equality that fails, and is
-    never built.
+    graphs is a lazy iterator over the edge tuples of the lex-least
+    weighting of each orbit whose block levels are equal, the exact
+    largest-entry criterion of _blocks_level (_level_plans, _level_steps,
+    _level_weightings), so memory does not grow with a pattern's
+    weightings. Every other graph of the orbits is rejected by a level
+    equality that fails, and is never built.
     """
     _, index, perms = _block_relabelings(p, q)
     tested = 0
@@ -660,45 +664,50 @@ def _level_solutions(p: int, q: int, max_w: int):
         ats = _level_plans(p, edges, nbrs, max_w)
         if ats is None:
             continue
-        if max_w == 1:
-            graphs = [tuple(edges)]
-        else:
-            steps = _level_steps(p, edges, ats, max_w)
-            heads, tails = [i for i, _, _ in edges], [j for _, j, _ in edges]
-            graphs = [
-                tuple(zip(heads, tails, w))
-                for w in _level_weightings(steps, group, max_w)
-            ]
-        if graphs:
-            yield tested, graphs
-            tested = 0
+        weightings = _level_weightings(_level_steps(p, edges, ats, max_w), group, max_w)
+        heads, tails = [i for i, _, _ in edges], [j for _, j, _ in edges]
+        # map binds this pattern's heads and tails now, where a generator
+        # expression would read them once the next pattern has replaced them
+        graphs = map(zip, itertools.repeat(heads), itertools.repeat(tails), weightings)
+        yield tested, map(tuple, graphs)
+        tested = 0
     yield tested, ()
 
 
 def _sweep_block(args: tuple[int, int, int]) -> tuple:
-    """Test each graph of one split once: (tested, invariant, counts, bad)."""
+    """Test each graph of one split once: (tested, invariant, counts, bad).
+
+    The case stage works per edge pattern: its structure is planned once,
+    on the first invariant graph (graph._case_plan), and each invariant
+    graph's weights are read against that plan up to the lowest case. The
+    lowest case's grid is priced once per distinct tag in the split.
+    """
     p, q, max_w = args
     tested = invariant = 0
     counts: Counter[str] = Counter()
     bad: list[dict] = []
+    priced: dict[FamilyTag, list[Pair]] = {}  # each tag's increasing pairs
     for count, graphs in _level_solutions(p, q, max_w):
         tested += count
+        plan = None
         for edges in graphs:
             g = RootedWeightedGraph(p + q, edges, p, q)
             hole, maximal = _first_hole(g, _mpf_walk(g))
             if hole is not None:
                 continue
             invariant += 1
-            try:
-                built = construct_u_for_graph(g)
-            except NotClassified:
+            if plan is None:
+                plan = _case_plan(p, q, [e[:2] for e in edges])
+            tag = next(_read_cases(plan, [w for _, _, w in edges]), None)
+            if tag is None:
                 bad.append({"graph": g.to_json(), "reason": "no-case-matches"})
                 continue
-            case = built.case.case
-            counts[case] += 1
-            if not _matches_grid(maximal, p, increasing_maximal_pairs(built.grid)):
+            counts[tag.case] += 1
+            if tag not in priced:
+                priced[tag] = increasing_maximal_pairs(_grid_for_case(p, q, tag))
+            if not _matches_grid(maximal, p, priced[tag]):
                 bad.append(
-                    {"graph": g.to_json(), "reason": "grid-mismatch", "case": case}
+                    {"graph": g.to_json(), "reason": "grid-mismatch", "case": tag.case}
                 )
     return tested, invariant, counts, bad
 
@@ -719,7 +728,10 @@ def sweep_classification(
     non-invariant graph. The rest are tested while their maximal parking
     set is walked, and the walk stops at the first adjacent in-block swap
     that does not park. Only invariant graphs are matched against the case
-    list; each must match a case whose grid has the same maximal set.
+    list; each must match a case whose grid has the same maximal set. The
+    lowest case is read from a plan made once per edge pattern, and its
+    grid is priced once per split (_sweep_block); both are the case and the
+    grid that construct_u_for_graph gives the graph.
     Failures are reported as counterexamples, in the labeling of their
     pattern's lex-least weighting. Each block split (p, q) is one task whose
     graphs are generated once; jobs worker processes, at most

@@ -10,13 +10,18 @@ the convention, so changing the blocks means relabeling the graph.
 Besides construction and validation the module answers the structural
 questions the classification asks: weights into a subset, cut vertices and
 the root's side of a vertex, induced subgraphs, quotients and relabelings,
-recognizers for the named families, the matcher of the invariance cases,
-and match_theorem61, the one route from a graph to its cases. One table
-of the five bands of a complete block graph serves both case iii's
-matcher and its builder, graph_from_affine_u. The searches
-run on per-vertex neighbour bitmasks and take edges and masks rather than a
-graph, because classify's block-graph generator keeps those masks at each
-leaf and asks the same questions before it builds one.
+recognizers for the named families, and the matcher of the invariance
+cases. The matcher has two halves: a plan of an edge pattern
+(_case_plan), holding everything the structure decides, and a read of one
+weighting against it (_read_cases), checking only conditions on weights.
+match_theorem61, matching_invariant_cases and recognize_family plan and
+read one graph; the classification sweep plans each pattern once and
+reads every weighting of it. One table of the five bands of a complete
+block graph serves both case iii's matcher and its builder,
+graph_from_affine_u. The searches run on per-vertex neighbour bitmasks
+and take edges and masks rather than a graph, because classify's
+block-graph generator keeps those masks at each leaf and asks the same
+questions before it builds one.
 """
 
 from __future__ import annotations
@@ -408,21 +413,44 @@ def two_weight_tree_bands(g: RootedWeightedGraph) -> tuple[int, int] | None:
     vertices reports band 0.
     """
     g.require_bipartition()
-    nbrs = _masks(g)
-    if len(g.edges) != g.n or _reach(nbrs) != (1 << (g.n + 1)) - 1:
+    if len(g.edges) != g.n or not is_connected(g):
         return None
-    return _tree_bands(g, nbrs)
+    up = _tree_plan([e[:2] for e in g.edges], g.n)
+    return _read_tree_bands(up, g.p, [w for _, _, w in g.edges])
 
 
-def _tree_bands(g: RootedWeightedGraph, nbrs: list[int]) -> tuple[int, int] | None:
-    """two_weight_tree_bands of g, a tree with blocks and neighbour masks nbrs."""
-    parent = []
-    for v in range(1, g.n + 1):
-        at = _root_side_edges(g.edges, v, nbrs)
-        # in a tree a vertex that cuts nothing is a leaf: its one edge counts
-        parent.append(sum(g.edges[k][2] for k in at) if at else g.adjacency[v][0][1])
-    a = uniform_weight(parent[: g.p]) if g.p else 0
-    b = uniform_weight(parent[g.p :]) if g.q else 0
+def _uniform_at(weights: Sequence[int], at: Iterable[int]) -> int | None:
+    """The one weight at the positions at, else None, also when at is empty."""
+    return uniform_weight(weights[k] for k in at)
+
+
+def _tree_plan(pairs: Sequence[tuple[int, int]], n: int) -> list[int]:
+    """The position in pairs of each non-root vertex's parent edge, vertex v's
+    at index v - 1, in the tree on vertices 0..n with these pairs.
+    """
+    incident: list[list[int]] = [[] for _ in range(n + 1)]
+    for k, (i, j) in enumerate(pairs):
+        incident[i].append(k)
+        incident[j].append(k)
+    up = [-1] * (n + 1)
+    order = [ROOT]
+    for u in order:  # breadth first from the root
+        for k in incident[u]:
+            v = sum(pairs[k]) - u
+            if v != ROOT and up[v] < 0:
+                up[v] = k
+                order.append(v)
+    return up[1:]
+
+
+def _read_tree_bands(
+    up: list[int], p: int, weights: Sequence[int]
+) -> tuple[int, int] | None:
+    """The bands (a, b) of a tree whose parent edges are at the positions up:
+    one weight entering A = 1..p, one entering B; 0 for an empty block.
+    """
+    a = _uniform_at(weights, up[:p]) if p else 0
+    b = _uniform_at(weights, up[p:]) if len(up) > p else 0
     if a is None or b is None:
         return None
     return a, b
@@ -506,55 +534,255 @@ def graph_from_affine_u(
 
 
 def _census(
-    g: RootedWeightedGraph, p: int
+    pairs: Sequence[tuple[int, int]], p: int
 ) -> tuple[dict[str, list[int]], list[list[int]]]:
-    """One pass over g.edges with A = 1..p and B the vertices above p.
+    """One pass over the pairs (i, j), i < j, with A = 1..p and B the vertices above p.
 
-    Returns the weights of each band (the names of _band_table) and, for
-    each vertex of {0} | A, the weights of its edges into B.
+    Returns the positions in pairs of each band (the names of _band_table)
+    and, for each vertex of {0} | A, the positions of its edges into B.
     """
     bands: dict[str, list[int]] = {name: [] for name in "abcde"}
     into_b: list[list[int]] = [[] for _ in range(p + 1)]
-    for i, j, w in g.edges:
+    for k, (i, j) in enumerate(pairs):
         if j <= p:
-            bands["b" if i else "a"].append(w)
+            bands["b" if i else "a"].append(k)
         elif i > p:
-            bands["d"].append(w)
+            bands["d"].append(k)
         else:
-            bands["c" if i else "e"].append(w)
-            into_b[i].append(w)
+            bands["c" if i else "e"].append(k)
+            into_b[i].append(k)
     return bands, into_b
 
 
-def _full_band(weights: list[int], pairs: int) -> int | None:
-    """Uniform weight of a band of this many pairs, 0 when absent, else None."""
-    if not weights:
-        return 0
-    return uniform_weight(weights) if len(weights) == pairs else None
-
-
-def _side_family(
+def _side_plan(
     nbrs: list[int], root: int, others: int, spokes: list[int], rim: list[int]
-) -> tuple[str, int, int] | None:
-    """Family of the subgraph induced on root and the vertex bitmask others.
+) -> tuple | None:
+    """The shapes the subgraph induced on root and the vertex bitmask others
+    can take under some weighting: (cycle, complete), or None for neither.
 
-    spokes holds the weights of root's edges into others, rim those of the
-    edges inside others, and nbrs the graph's neighbour bitmasks. Returns
-    (shape, first_band, second_band) where shape is "cycle" or "complete";
-    a cycle reports its uniform weight as first_band and 0 as second_band.
+    spokes holds the positions of root's edges into others, rim those of the
+    edges inside others, and nbrs the graph's neighbour bitmasks. cycle
+    lists every position when the subgraph is one cycle, and complete is
+    (spokes, rim) when root joins every vertex of others and every pair
+    inside others is an edge (a lone leaf has no inner pair); each is None
+    otherwise.
     """
     k = others.bit_count()
+    cycle = complete = None
     # a cycle on k + 1 vertices has k + 1 edges
     if len(spokes) + len(rim) == k + 1 and _is_cycle_on(nbrs, others | 1 << root):
-        weight = uniform_weight(spokes + rim)
+        cycle = spokes + rim
+    if len(spokes) == k and len(rim) == k * (k - 1) // 2:
+        complete = spokes, rim
+    if cycle is None and complete is None:
+        return None
+    return cycle, complete
+
+
+def _read_side(side: tuple, weights: Sequence[int]) -> tuple[str, int, int] | None:
+    """A side's family under these weights: (shape, first_band, second_band).
+
+    side is _side_plan's result. A cycle of one weight reads first, with its
+    weight as first_band and 0 as second_band; else a complete side whose
+    spokes share one weight and whose inner pairs share another.
+    """
+    cycle, complete = side
+    if cycle is not None:
+        weight = _uniform_at(weights, cycle)
         if weight is not None:
             return "cycle", weight, 0
-    a = _full_band(spokes, k)
-    b = _full_band(rim, k * (k - 1) // 2)
-    # a lone leaf has no inner pairs; otherwise every inner pair is an edge
-    if a and (b or k == 1):
-        return "complete", a, b
+    if complete is not None:
+        spokes, rim = complete
+        a = _uniform_at(weights, spokes)
+        b = _uniform_at(weights, rim) if rim else 0
+        if a is not None and b is not None:
+            return "complete", a, b
     return None
+
+
+def _labeling_plan(
+    p: int, q: int, pairs: Sequence[tuple[int, int]], swapped: bool
+) -> list[tuple]:
+    """The checks of the cases that one labeling's structure leaves open.
+
+    pairs lists the edges (i, j), i < j, of a graph on A = 1..p and B =
+    p+1..p+q, in any order: each check reads a weighting by position in
+    pairs, and nothing else here depends on their order. A check is
+    (case, swapped, data), in case order, and _read_cases decides it from
+    the weights. Everything the structure decides is settled here once:
+    connectivity, the band positions, the cycle and side shapes, the tree's
+    parent edges and the attachments. An empty block or a disconnected
+    graph leaves no case open.
+    """
+    n = p + q
+    full = (1 << (n + 1)) - 1
+    nbrs = [0] * (n + 1)
+    for i, j in pairs:
+        nbrs[i] |= 1 << j
+        nbrs[j] |= 1 << i
+    checks: list[tuple] = []
+    if p == 0 or q == 0 or _reach(nbrs) != full:
+        return checks
+    b_bits = full ^ ((1 << (p + 1)) - 1)
+    bands, into_b = _census(pairs, p)
+    # the root's A-edges, and the edges meeting B; with p <= 2 the two lists
+    # hold every edge but the chord {1, 2}
+    root_a, chord, inner_b = bands["a"], bands["b"], bands["d"]
+    meet_b = bands["c"] + inner_b + bands["e"]
+
+    def check(case: str, *data) -> None:
+        checks.append((case, swapped, data))
+
+    # cases i.a / i.b / i.c: the whole graph is one cycle; in i.b (p = 1) and
+    # i.c (p = 2) the root joins all of A with one weight, the rest another
+    if len(pairs) == n + 1 and _is_cycle_on(nbrs, full):
+        check("i.a")
+        if p <= 2 and len(root_a) == p:
+            check("i.b" if p == 1 else "i.c", root_a, meet_b)
+
+    # case ii: two first-block vertices, both joined to the root, and a full
+    # cycle plus the chord {1, 2}, the one pair of band b
+    if len(pairs) == n + 2 and p == 2 and len(root_a) == 2 and chord:
+        chordless = [nbrs[0], nbrs[1] ^ 1 << 2, nbrs[2] ^ 1 << 1, *nbrs[3:]]
+        if _is_cycle_on(chordless, full):
+            check("ii", root_a, chord[0], meet_b)
+
+    # case iii: complete up to absent bands, constant weight per band
+    table = _band_table(p, q)
+    if bands["a"] and bands["c"]:
+        if all(len(at) in (0, table[name][0]) for name, at in bands.items()):
+            check("iii", bands)
+
+    # cases iv.a / iv.b: first side is a cycle or complete, second side hangs
+    # off a limited attachment set: one vertex carrying a tree, cycle or
+    # complete side (iv.a), or several carrying a uniform forest (iv.b). The
+    # edges meeting B hang a tree off {0} | A exactly when there are q of
+    # them, since merging {0} | A into one vertex keeps the graph connected.
+    side_a = _side_plan(nbrs, ROOT, full ^ b_bits ^ 1, root_a, chord)
+    tree = meet_b if len(meet_b) == q else None
+    if side_a is not None:
+        attach = [v for v in range(p + 1) if into_b[v]]
+        if len(attach) == 1:
+            side_b = _side_plan(nbrs, attach[0], b_bits, into_b[attach[0]], inner_b)
+            if tree or side_b:
+                check("iv.a", side_a, attach[0], tree, side_b)
+        elif tree:
+            check("iv.b", side_a, ",".join(map(str, attach)), tree)
+
+    # case v: a cycle or complete second side on one vertex i that the root
+    # reaches inside {0} | A; every other edge, at least one of them inside
+    # {0} | A, hangs a uniform tree off {i} | B, so there are p of them
+    inside = root_a + chord
+    if inside:
+        reached = _reach(nbrs, b_bits | 1)
+        hangs = []
+        for i in (i for i in range(p + 1) if reached >> i & 1):
+            hanging = inside + [k for v in range(p + 1) if v != i for k in into_b[v]]
+            if len(hanging) == p:
+                side_b = _side_plan(nbrs, i, b_bits, into_b[i], inner_b)
+                if side_b is not None:
+                    hangs.append((i, hanging, side_b))
+        if hangs:
+            check("v", hangs)
+
+    # case vi: a tree entering the first block with one weight, the second
+    # block with another
+    if len(pairs) == n:
+        check("vi", _tree_plan(pairs, n), p)
+    return checks
+
+
+def _case_plan(p: int, q: int, pairs: Sequence[tuple[int, int]]) -> list[tuple]:
+    """match_theorem61's checks on blocks p and q, both non-empty, for these pairs.
+
+    The case list is stated for a root touching the first block, but a root
+    touching both blocks can realize a case in either labeling (a cycle
+    whose one odd edge meets the root on the second side, for instance), so
+    each labeling whose root condition holds is planned. The swapped one is
+    swap_blocks' labeling, B as 1..q and A as q+1..q+p, with its pairs kept
+    in the graph's edge order, so that one weighting reads both labelings.
+    The case names i.a .. vi sort in case order, so the checks are sorted by
+    name, then unswapped first.
+    """
+    ends = [j for i, j in pairs if i == ROOT]
+    plan = []
+    if any(j <= p for j in ends):
+        plan += _labeling_plan(p, q, pairs, False)
+    if any(j > p for j in ends):
+        label = [ROOT, *range(q + 1, p + q + 1), *range(1, q + 1)]
+        flipped = [tuple(sorted((label[i], label[j]))) for i, j in pairs]
+        plan += _labeling_plan(q, p, flipped, True)
+    plan.sort(key=lambda check: check[:2])
+    return plan
+
+
+_A_SIDE, _B_SIDE = ("a_shape", "a", "b"), ("b_shape", "c", "d")
+
+
+def _read_cases(plan: list[tuple], weights: Sequence[int]) -> Iterator[FamilyTag]:
+    """The tags of the plan's checks that a weighting meets, in the plan's order.
+
+    weights[k] is the weight of the plan's k-th pair. Only conditions on
+    weights are read: which position groups share one weight, the tree's
+    parent weights, the two distinct weights of i.b and i.c, and the
+    ordered alternatives (a cycle before a complete side, a tree before a
+    side in iv.a, the first attachment that reads in v). The tags are made
+    one at a time, so a caller that wants the lowest case reads only up to
+    it.
+    """
+    for case, swapped, data in plan:
+        groups: tuple[dict, ...] = ()
+        if case == "i.a":
+            a = uniform_weight(weights)
+            if a is not None:
+                groups = ({"a": a},)
+        elif case in ("i.b", "i.c"):
+            a, rest = (_uniform_at(weights, at) for at in data)
+            if None not in (a, rest) and a != rest:
+                groups = ({"a": a, "b": rest},)
+        elif case == "ii":
+            root_a, chord, meet_b = data
+            a, rest = _uniform_at(weights, root_a), _uniform_at(weights, meet_b)
+            if None not in (a, rest):
+                groups = ({"a": a, "b": weights[chord], "c": rest},)
+        elif case == "iii":
+            banded = {
+                name: _uniform_at(weights, at) if at else 0
+                for name, at in data[0].items()
+            }
+            if None not in banded.values():
+                groups = (banded,)
+        elif case == "iv.a":
+            side_a, attachment, tree, side_b = data
+            first = _read_side(side_a, weights)
+            weight = tree and _uniform_at(weights, tree)
+            if weight:
+                second = "tree", weight, 0
+            else:
+                second = side_b and _read_side(side_b, weights)
+            if first and second:
+                params_b = {"attachment": attachment, **dict(zip(_B_SIDE, second))}
+                groups = (dict(zip(_A_SIDE, first)), params_b)
+        elif case == "iv.b":
+            side_a, joined, tree = data
+            first, weight = _read_side(side_a, weights), _uniform_at(weights, tree)
+            if first and weight:
+                params_b = {"attachments": joined, "b_shape": "forest", "c": weight}
+                groups = (dict(zip(_A_SIDE, first)), params_b)
+        elif case == "v":
+            for i, hanging, side_b in data[0]:
+                weight = _uniform_at(weights, hanging)
+                second = weight and _read_side(side_b, weights)
+                if second:
+                    side_a = {"a_shape": "forest", "a": weight, "attachment": i}
+                    groups = ({**side_a, **dict(zip(_B_SIDE, second))},)
+                    break
+        else:  # vi
+            tree_bands = _read_tree_bands(*data, weights)
+            if tree_bands is not None:
+                groups = (dict(zip("ab", tree_bands)),)
+        if groups:
+            yield FamilyTag("invariant_case", case, _params(*groups), swapped)
 
 
 def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
@@ -563,127 +791,32 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
     The graph must carry a bipartition; an empty block or a disconnected
     graph matches no case. Matching is purely structural, with no root
     condition and no block swap: callers reach it through match_theorem61,
-    which adds both. The cases are tried in case order, i.a to vi, which is
-    also the order their names sort in, so the results come sorted by case.
+    which adds both. It plans g's own labeling (_labeling_plan) and reads
+    g's weights against it (_read_cases). The cases are tried in case
+    order, i.a to vi, which is also the order their names sort in, so the
+    results come sorted by case.
     """
     g.require_bipartition()
-    tags: list[FamilyTag] = []
-    nbrs = _masks(g)
-    full = (1 << (g.n + 1)) - 1
-    if g.p == 0 or g.q == 0 or _reach(nbrs) != full:
-        return tags
-    p, q, n = g.p, g.q, g.n
-    b_bits = full ^ ((1 << (p + 1)) - 1)
-    bands, into_b = _census(g, p)
-
-    def side_b(i: int) -> tuple[str, int, int] | None:
-        return _side_family(nbrs, i, b_bits, into_b[i], bands["d"])
-
-    def add(case: str, *groups: dict) -> None:
-        # iv.a and iv.b list the first side's keys before the second side's
-        tags.append(FamilyTag("invariant_case", case, _params(*groups)))
-
-    # the root's A-edges, and the edges meeting B; with p <= 2 the two lists
-    # hold every edge but the chord {1, 2}
-    root_a = bands["a"]
-    a = uniform_weight(root_a)
-    meet_b = bands["c"] + bands["d"] + bands["e"]
-    rest = uniform_weight(meet_b)
-
-    # cases i.a / i.b / i.c: the whole graph is one cycle; in i.b (p = 1) and
-    # i.c (p = 2) the root joins all of A with one weight, the rest another
-    if len(g.edges) == n + 1 and _is_cycle_on(nbrs, full):
-        uniform = uniform_weight(w for _, _, w in g.edges)
-        if uniform is not None:
-            add("i.a", {"a": uniform})
-        one_each = None not in (a, rest) and a != rest
-        if p <= 2 and len(root_a) == p and one_each:
-            add("i.b" if p == 1 else "i.c", {"a": a, "b": rest})
-
-    # case ii: two first-block vertices, both joined to the root, and a full
-    # cycle plus the chord {1, 2}, the one pair of band b
-    chord = bands["b"]
-    ii_shape = len(g.edges) == n + 2 and p == 2 and len(root_a) == 2 and chord
-    if ii_shape and None not in (a, rest):
-        chordless = [nbrs[0], nbrs[1] ^ 1 << 2, nbrs[2] ^ 1 << 1, *nbrs[3:]]
-        if _is_cycle_on(chordless, full):
-            add("ii", {"a": a, "b": chord[0], "c": rest})
-
-    # case iii: complete up to absent bands, constant weight per band
-    table = _band_table(p, q)
-    banded = {name: _full_band(bands[name], table[name][0]) for name in bands}
-    if None not in banded.values() and banded["a"] >= 1 and banded["c"] >= 1:
-        add("iii", banded)
-
-    # cases iv.a / iv.b: first side is a cycle or complete, second side hangs
-    # off a limited attachment set: one vertex carrying a tree, cycle or
-    # complete side (iv.a), or several carrying a uniform forest (iv.b). The
-    # edges meeting B hang a tree off {0} | A exactly when there are q of
-    # them, since merging {0} | A into one vertex keeps the graph connected.
-    ga = _side_family(nbrs, ROOT, full ^ b_bits ^ 1, root_a, chord)
-    if ga is not None:
-        side_a = dict(zip(("a_shape", "a", "b"), ga))
-        attach = [v for v in range(p + 1) if into_b[v]]
-        tree = rest if len(meet_b) == q else None
-        if len(attach) == 1:
-            side = ("tree", tree, 0) if tree else side_b(attach[0])
-            if side is not None:
-                params_b = dict(zip(("b_shape", "c", "d"), side))
-                add("iv.a", side_a, {"attachment": attach[0], **params_b})
-        elif tree:
-            joined = ",".join(map(str, attach))
-            params_b = {"attachments": joined, "b_shape": "forest", "c": tree}
-            add("iv.b", side_a, params_b)
-
-    # case v: a cycle or complete second side on one vertex i that the root
-    # reaches inside {0} | A; every other edge, at least one of them inside
-    # {0} | A, hangs a uniform tree off {i} | B, so there are p of them
-    inside = root_a + chord
-    if inside:
-        reached = _reach(nbrs, b_bits | 1)
-        for i in (i for i in range(p + 1) if reached >> i & 1):
-            hanging = inside + [w for v in range(p + 1) if v != i for w in into_b[v]]
-            a_weight = uniform_weight(hanging) if len(hanging) == p else None
-            side = side_b(i) if a_weight else None
-            if side is not None:
-                side_a = {"a_shape": "forest", "a": a_weight, "attachment": i}
-                add("v", {**side_a, **dict(zip(("b_shape", "c", "d"), side))})
-                break
-
-    # case vi: a tree entering the first block with one weight, the second
-    # block with another
-    tree_bands = _tree_bands(g, nbrs) if len(g.edges) == n else None
-    if tree_bands is not None:
-        add("vi", {"a": tree_bands[0], "b": tree_bands[1]})
-    return tags
+    plan = _labeling_plan(g.p, g.q, [e[:2] for e in g.edges], False)
+    return list(_read_cases(plan, [w for _, _, w in g.edges]))
 
 
 def match_theorem61(g: RootedWeightedGraph) -> list[FamilyTag]:
     """All structural cases the graph matches, lowest case first.
 
-    The case list is stated for a root touching the first block, but a root
-    touching both blocks can realize a case in either labeling (a cycle
-    whose one odd edge meets the root on the second side, for instance), so
-    both labelings are matched whenever their root condition holds. Tags
-    found under the swapped labeling, on swap_blocks(g), describe the graph
-    with the blocks exchanged and are marked swapped=True as they are made.
-    The case names i.a .. vi sort in case order, so the tags are sorted by
-    name, then unswapped first.
+    The structure of g's pattern is planned once for each labeling the root
+    touches (_case_plan), and g's weights are read against that plan
+    (_read_cases); the sweep reads each weighting of a pattern against one
+    plan in the same way. Tags found under the swapped labeling describe
+    the graph with the blocks exchanged, as on swap_blocks(g), and are
+    marked swapped=True. The tags are sorted by case name, which is case
+    order, then unswapped first.
     """
     g.require_bipartition()
     if g.p == 0 or g.q == 0:
         raise BipartitionMissing("matching needs both blocks non-empty")
-    tags: list[FamilyTag] = []
-    ends = [j for i, j, _ in g.edges if i == ROOT]
-    touches_a = any(j <= g.p for j in ends)
-    touches_b = any(j > g.p for j in ends)
-    if touches_a:
-        tags.extend(matching_invariant_cases(g))
-    if touches_b:
-        flipped = matching_invariant_cases(swap_blocks(g))
-        tags.extend(FamilyTag(t.kind, t.case, t.params, True) for t in flipped)
-    tags.sort(key=lambda t: (t.case, t.swapped))
-    return tags
+    plan = _case_plan(g.p, g.q, [e[:2] for e in g.edges])
+    return list(_read_cases(plan, [w for _, _, w in g.edges]))
 
 
 def recognize_family(g: RootedWeightedGraph) -> FamilyTag:
@@ -693,13 +826,15 @@ def recognize_family(g: RootedWeightedGraph) -> FamilyTag:
     vertex of degree above two); non-uniform trees on a
     bipartition may be two-weight trees; cycles and banded complete graphs
     come next, then the lowest case match_theorem61 finds, and
-    "unclassified" as the fallback.
+    "unclassified" as the fallback. Each test plans g's structure and reads
+    its weights, as the case matcher does.
     """
+    pairs, weights = [e[:2] for e in g.edges], [w for _, _, w in g.edges]
     nbrs = _masks(g)
     if len(g.edges) == g.n and _reach(nbrs) == (1 << (g.n + 1)) - 1:
-        a = uniform_weight(w for _, _, w in g.edges)
+        a = uniform_weight(weights)
         if a is not None:  # a uniform tree has an edge, so n >= 1
-            if all(i == ROOT for i, _, _ in g.edges):
+            if all(i == ROOT for i, _ in pairs):
                 family = "uniform_star"
             elif max(map(len, g.adjacency)) <= 2:
                 family = "uniform_path"
@@ -707,14 +842,14 @@ def recognize_family(g: RootedWeightedGraph) -> FamilyTag:
                 family = "uniform_tree"
             return FamilyTag(family, params=_params({"a": a}))
         if g.has_bipartition:
-            bands = _tree_bands(g, nbrs)
+            bands = _read_tree_bands(_tree_plan(pairs, g.n), g.p, weights)
             if bands is not None:
                 params = _params(dict(zip("ab", bands)))
                 return FamilyTag("two_weight_tree", params=params)
     # a uniform cycle through every vertex, else a banded complete graph
-    bands = _census(g, g.n)[0]
-    others = (1 << (g.n + 1)) - 2
-    side = _side_family(nbrs, ROOT, others, bands["a"], bands["b"])
+    at = _census(pairs, g.n)[0]
+    side = _side_plan(nbrs, ROOT, (1 << (g.n + 1)) - 2, at["a"], at["b"])
+    side = side and _read_side(side, weights)
     if side is not None and side[0] == "cycle":
         return FamilyTag("uniform_cycle", params=_params({"a": side[1]}))
     if side is not None and g.n >= 2:

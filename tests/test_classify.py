@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import time
+import tracemalloc
 from collections import Counter
 from math import comb
 
@@ -958,7 +959,7 @@ class TestSweep:
         assert report == sweep_classification(3, 1)
 
     def test_unmatched_invariant_graphs_are_reported(self, monkeypatch) -> None:
-        monkeypatch.setattr(classify, "match_theorem61", lambda g: [])
+        monkeypatch.setattr(classify, "_read_cases", lambda plan, weights: iter(()))
         report = sweep_classification(2, 2)
         bad = report.counterexamples
         assert [d["reason"] for d in bad] == ["no-case-matches"] * 20
@@ -1048,9 +1049,11 @@ def walk_canonical(g) -> tuple:
 class TestSweepDigests:
     """Each split's invariant graphs, pinned up to relabeling inside the blocks.
 
-    A spy on construct_u_for_graph collects the graphs that reach the case
-    stage; each digest is the sha256 of repr() of the sorted list of
-    (walk_canonical(g), lowest case, swapped) over one split at w = 2.
+    A spy on the sweep's tag read, classify._read_cases, which the sweep
+    calls once for each graph that reaches the case stage, collects those
+    graphs, rebuilt from the pairs of their plan (a spy on classify._case_plan)
+    and the weights read; each digest is the sha256 of repr() of the sorted
+    list of (walk_canonical(g), lowest case, swapped) over one split at w = 2.
     """
 
     DIGESTS = {
@@ -1071,21 +1074,124 @@ class TestSweepDigests:
         "p, q", [(p, n - p) for n in range(2, 5) for p in range(1, n)]
     )
     def test_split_digest_is_pinned(self, p, q, monkeypatch) -> None:
-        rows = []
-        construct = classify.construct_u_for_graph
+        rows, planned = [], {}
+        case_plan, read_cases = classify._case_plan, classify._read_cases
 
-        def spy(g):
-            built = construct(g)
-            rows.append((walk_canonical(g), built.case.case, built.swapped))
-            return built
+        def plan_spy(p, q, pairs):
+            plan = case_plan(p, q, pairs)
+            planned[id(plan)] = plan, pairs  # the plan is kept, so its id is too
+            return plan
 
-        monkeypatch.setattr(classify, "construct_u_for_graph", spy)
+        def read_spy(plan, weights):
+            pairs = planned[id(plan)][1]
+            edges = tuple((i, j, w) for (i, j), w in zip(pairs, weights))
+            g = RootedWeightedGraph(p + q, edges, p, q)
+            tags = list(read_cases(plan, weights))
+            rows.append((walk_canonical(g), tags[0].case, tags[0].swapped))
+            return iter(tags)
+
+        monkeypatch.setattr(classify, "_case_plan", plan_spy)
+        monkeypatch.setattr(classify, "_read_cases", read_spy)
         tested, invariant, _, bad = classify._sweep_block((p, q, 2))
         assert (tested, invariant) == self.COUNTS[p, q]
         assert bad == [] and len(rows) == invariant
         assert len({row[0] for row in rows}) == invariant
         digest = hashlib.sha256(repr(sorted(rows)).encode()).hexdigest()
         assert digest == self.DIGESTS.get((p, q)), (p, q, digest)
+
+
+class TestCaseStage:
+    """The sweep plans each edge pattern's cases once, reads each invariant
+    weighting against that plan, and prices each lowest tag's grid once."""
+
+    @pytest.mark.parametrize(
+        "split, patterns, grids, invariant",
+        [((2, 2, 2), 78, 320, 528), ((1, 3, 2), 39, 110, 186)],
+    )
+    def test_plans_and_grids_are_made_once(
+        self, split, patterns, grids, invariant, monkeypatch
+    ) -> None:
+        planned, labelings, priced, holding = [], [], [], set()
+        case_plan, labeling_plan = classify._case_plan, graph._labeling_plan
+        grid_for_case, first_hole = classify._grid_for_case, classify._first_hole
+
+        def plan_spy(p, q, pairs):
+            planned.append(tuple(pairs))
+            return case_plan(p, q, pairs)
+
+        def labeling_spy(p, q, pairs, swapped):
+            labelings.append((tuple(pairs), swapped))
+            return labeling_plan(p, q, pairs, swapped)
+
+        def grid_spy(p, q, tag):
+            priced.append(tag)
+            return grid_for_case(p, q, tag)
+
+        def hole_spy(g, vectors):
+            found = first_hole(g, vectors)
+            if found[0] is None:
+                holding.add(tuple(e[:2] for e in g.edges))
+            return found
+
+        monkeypatch.setattr(classify, "_case_plan", plan_spy)
+        monkeypatch.setattr(graph, "_labeling_plan", labeling_spy)
+        monkeypatch.setattr(classify, "_grid_for_case", grid_spy)
+        monkeypatch.setattr(classify, "_first_hole", hole_spy)
+        _, found, _, bad = classify._sweep_block(split)
+        assert (found, bad) == (invariant, [])
+        # one plan per pattern that holds an invariant graph, each labeling
+        # the root touches planned once
+        assert len(planned) == len(set(planned)) == patterns
+        assert set(planned) == holding
+        assert len(labelings) == len(set(labelings)) <= 2 * patterns
+        assert len(priced) == len(set(priced)) == grids
+
+    def test_the_case_stage_searches_only_in_the_plan(self, monkeypatch) -> None:
+        # the solver's items are listed first, so every structural search
+        # in the sweep below belongs to the case stage
+        split = (2, 2, 2)
+        solved = [(n, list(gs)) for n, gs in classify._level_solutions(*split)]
+        monkeypatch.setattr(classify, "_level_solutions", lambda p, q, w: solved)
+        planning, outside = [], []
+        labeling_plan = graph._labeling_plan
+
+        def labeling_spy(*args):
+            planning.append(True)
+            try:
+                return labeling_plan(*args)
+            finally:
+                planning.pop()
+
+        def watched(name, f):
+            def spy(*args):
+                if not planning:
+                    outside.append(name)
+                return f(*args)
+
+            return spy
+
+        monkeypatch.setattr(graph, "_labeling_plan", labeling_spy)
+        for name in (
+            "_masks", "_reach", "_is_cycle_on", "_root_side_edges", "swap_blocks"
+        ):
+            monkeypatch.setattr(graph, name, watched(name, getattr(graph, name)))
+        assert classify._sweep_block(split)[1] == 528
+        assert outside == []
+
+    def test_a_patterns_graphs_are_streamed(self) -> None:
+        # the one pattern of three edges at (1, 1) has 40 ** 3 weightings,
+        # every one level; listed, they take 17 MB
+        tested = graphs = 0
+        tracemalloc.start()
+        try:
+            for count, solved in classify._level_solutions(1, 1, 40):
+                tested += count
+                graphs += sum(1 for _ in solved)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tested == graphs == 3 * 40**2 + 40**3
+        assert peak < 1_000_000
 
 
 class TestLevelSolver:

@@ -574,6 +574,9 @@ def _level_weightings(steps: list[list], group: list, max_w: int):
     top = [0] * m  # the largest weight the bounds allow at each position
     gap = [0] * m  # each equality's sum so far; there are fewer than m
     undecided = [_relabeling_states(group, m)] + [None] * (m - 1)
+    if not m:  # the root alone: one empty weighting
+        yield weights
+        return
     d = 0
     while d >= 0:
         w = weights[d]

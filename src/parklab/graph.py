@@ -413,9 +413,10 @@ def two_weight_tree_bands(g: RootedWeightedGraph) -> tuple[int, int] | None:
     vertices reports band 0.
     """
     g.require_bipartition()
-    if len(g.edges) != g.n or not is_connected(g):
+    nbrs = _masks(g)
+    if len(g.edges) != g.n or _reach(nbrs) != (1 << (g.n + 1)) - 1:
         return None
-    up = _tree_plan([e[:2] for e in g.edges], g.n)
+    up = _tree_plan([e[:2] for e in g.edges], nbrs)
     return _read_tree_bands(up, g.p, [w for _, _, w in g.edges])
 
 
@@ -424,23 +425,18 @@ def _uniform_at(weights: Sequence[int], at: Iterable[int]) -> int | None:
     return uniform_weight(weights[k] for k in at)
 
 
-def _tree_plan(pairs: Sequence[tuple[int, int]], n: int) -> list[int]:
+def _tree_plan(pairs: Sequence[tuple[int, int]], nbrs: list[int]) -> list[int]:
     """The position in pairs of each non-root vertex's parent edge, vertex v's
-    at index v - 1, in the tree on vertices 0..n with these pairs.
+    at index v - 1, in the tree with these pairs and neighbour masks nbrs:
+    the one edge joining v to the root's component of the tree less v.
     """
-    incident: list[list[int]] = [[] for _ in range(n + 1)]
-    for k, (i, j) in enumerate(pairs):
-        incident[i].append(k)
-        incident[j].append(k)
-    up = [-1] * (n + 1)
-    order = [ROOT]
-    for u in order:  # breadth first from the root
-        for k in incident[u]:
-            v = sum(pairs[k]) - u
-            if v != ROOT and up[v] < 0:
-                up[v] = k
-                order.append(v)
-    return up[1:]
+    up = []
+    for v in range(1, len(nbrs)):
+        side = _reach(nbrs, 1 | 1 << v)
+        up += [
+            k for k, (i, j) in enumerate(pairs) if v in (i, j) and side >> i + j - v & 1
+        ]
+    return up
 
 
 def _read_tree_bands(
@@ -688,7 +684,7 @@ def _labeling_plan(
     # case vi: a tree entering the first block with one weight, the second
     # block with another
     if len(pairs) == n:
-        check("vi", _tree_plan(pairs, n), p)
+        check("vi", _tree_plan(pairs, nbrs), p)
     return checks
 
 
@@ -842,7 +838,7 @@ def recognize_family(g: RootedWeightedGraph) -> FamilyTag:
                 family = "uniform_tree"
             return FamilyTag(family, params=_params({"a": a}))
         if g.has_bipartition:
-            bands = _read_tree_bands(_tree_plan(pairs, g.n), g.p, weights)
+            bands = _read_tree_bands(_tree_plan(pairs, nbrs), g.p, weights)
             if bands is not None:
                 params = _params(dict(zip("ab", bands)))
                 return FamilyTag("two_weight_tree", params=params)

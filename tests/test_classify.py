@@ -1199,7 +1199,7 @@ class TestLevelSolver:
 
     @pytest.mark.parametrize(
         "p, q, max_w",
-        [(p, n - p, w) for n in range(1, 5) for p in range(n + 1) for w in (1, 2)]
+        [(p, n - p, w) for n in range(5) for p in range(n + 1) for w in (1, 2)]
         + [(2, 2, 3)],
     )
     def test_solutions_are_the_walks_survivors(self, p, q, max_w) -> None:

@@ -1152,7 +1152,7 @@ class TestCaseStage:
         split = (2, 2, 2)
         solved = [(n, list(gs)) for n, gs in classify._level_solutions(*split)]
         monkeypatch.setattr(classify, "_level_solutions", lambda p, q, w: solved)
-        planning, outside = [], []
+        planning, inside, outside = [], [], []
         labeling_plan = graph._labeling_plan
 
         def labeling_spy(*args):
@@ -1164,8 +1164,7 @@ class TestCaseStage:
 
         def watched(name, f):
             def spy(*args):
-                if not planning:
-                    outside.append(name)
+                (inside if planning else outside).append(name)
                 return f(*args)
 
             return spy
@@ -1176,7 +1175,7 @@ class TestCaseStage:
         ):
             monkeypatch.setattr(graph, name, watched(name, getattr(graph, name)))
         assert classify._sweep_block(split)[1] == 528
-        assert outside == []
+        assert outside == [] and {"_reach", "_is_cycle_on"} <= set(inside)
 
     def test_a_patterns_graphs_are_streamed(self) -> None:
         # the one pattern of three edges at (1, 1) has 40 ** 3 weightings,

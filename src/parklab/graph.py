@@ -718,13 +718,13 @@ _A_SIDE, _B_SIDE = ("a_shape", "a", "b"), ("b_shape", "c", "d")
 def _read_cases(plan: list[tuple], weights: Sequence[int]) -> Iterator[FamilyTag]:
     """The tags of the plan's checks that a weighting meets, in the plan's order.
 
-    weights[k] is the weight of the plan's k-th pair. Only conditions on
-    weights are read: which position groups share one weight, the tree's
-    parent weights, the two distinct weights of i.b and i.c, and the
-    ordered alternatives (a cycle before a complete side, a tree before a
-    side in iv.a, the first attachment that reads in v). The tags are made
-    one at a time, so a caller that wants the lowest case reads only up to
-    it.
+    weights[k] is the weight of the k-th pair the plan was built from.
+    Only conditions on weights are read: which position groups share one
+    weight, the tree's parent weights, the two distinct weights of i.b and
+    i.c, and the ordered alternatives (a cycle before a complete side, a
+    tree before a side in iv.a, the first attachment that reads in v). The
+    tags are made one at a time, so a caller that wants the lowest case
+    reads only up to it.
     """
     for case, swapped, data in plan:
         groups: tuple[dict, ...] = ()

@@ -11,17 +11,17 @@ Besides construction and validation the module answers the structural
 questions the classification asks: weights into a subset, cut vertices and
 the root's side of a vertex, induced subgraphs, quotients and relabelings,
 recognizers for the named families, and the matcher of the invariance
-cases. The matcher has two halves: a plan of an edge pattern
-(_case_plan), holding everything the structure decides, and a read of one
-weighting against it (_read_cases), checking only conditions on weights.
+cases. The matcher plans an edge pattern once (_case_plan): each case its
+structure leaves open is one check carrying its own read of a weighting,
+made where that structure is settled, and _read_cases calls the reads.
 match_theorem61, matching_invariant_cases and recognize_family plan and
-read one graph; the classification sweep plans each pattern once and
-reads every weighting of it. One table of the five bands of a complete
-block graph serves both case iii's matcher and its builder,
-graph_from_affine_u. The searches run on per-vertex neighbour bitmasks
-and take edges and masks rather than a graph, because classify's
-block-graph generator keeps those masks at each leaf and asks the same
-questions before it builds one.
+read one graph, recognize_family through the same tree and side reads;
+the classification sweep plans each pattern once and reads every
+weighting of it. One table of the five bands of a complete block graph
+serves both case iii's matcher and its builder, graph_from_affine_u. The
+searches run on per-vertex neighbour bitmasks and take edges and masks
+rather than a graph, because classify's block-graph generator keeps those
+masks at each leaf and asks the same questions before it builds one.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BipartitionMissing,
@@ -404,20 +404,8 @@ def uniform_weight(weights: Iterable[int]) -> int | None:
     return None
 
 
-def two_weight_tree_bands(g: RootedWeightedGraph) -> tuple[int, int] | None:
-    """Bands (a, b) of a tree whose root-away edges enter A with weight a, B with b.
-
-    Every non-root vertex v has one parent edge on the path toward the root,
-    the only edge joining v to the root's component of g - v. The A-entering
-    weights must agree, as must the B-entering weights. A block with no
-    vertices reports band 0.
-    """
-    g.require_bipartition()
-    nbrs = _masks(g)
-    if len(g.edges) != g.n or _reach(nbrs) != (1 << (g.n + 1)) - 1:
-        return None
-    up = _tree_plan([e[:2] for e in g.edges], nbrs)
-    return _read_tree_bands(up, g.p, [w for _, _, w in g.edges])
+# a plan's read of a weighting, by position in the plan's pairs
+_Read = Callable[[Sequence[int]], tuple | None]
 
 
 def _uniform_at(weights: Sequence[int], at: Iterable[int]) -> int | None:
@@ -425,10 +413,11 @@ def _uniform_at(weights: Sequence[int], at: Iterable[int]) -> int | None:
     return uniform_weight(weights[k] for k in at)
 
 
-def _tree_plan(pairs: Sequence[tuple[int, int]], nbrs: list[int]) -> list[int]:
-    """The position in pairs of each non-root vertex's parent edge, vertex v's
-    at index v - 1, in the tree with these pairs and neighbour masks nbrs:
-    the one edge joining v to the root's component of the tree less v.
+def _tree_plan(pairs: Sequence[tuple[int, int]], nbrs: list[int], p: int) -> _Read:
+    """The read of the bands of the tree with these pairs, neighbour masks nbrs
+    and A = 1..p: ({"a": a, "b": b},) when its parent edges (each vertex's one
+    edge to the root's component of the tree less that vertex) enter A with
+    weight a and B with weight b, 0 for an empty block; else None.
     """
     up = []
     for v in range(1, len(nbrs)):
@@ -436,20 +425,16 @@ def _tree_plan(pairs: Sequence[tuple[int, int]], nbrs: list[int]) -> list[int]:
         up += [
             k for k, (i, j) in enumerate(pairs) if v in (i, j) and side >> i + j - v & 1
         ]
-    return up
+    into_a, into_b = up[:p], up[p:]
 
+    def read(weights: Sequence[int]) -> tuple | None:
+        a = _uniform_at(weights, into_a) if into_a else 0
+        b = _uniform_at(weights, into_b) if into_b else 0
+        if a is None or b is None:
+            return None
+        return ({"a": a, "b": b},)
 
-def _read_tree_bands(
-    up: list[int], p: int, weights: Sequence[int]
-) -> tuple[int, int] | None:
-    """The bands (a, b) of a tree whose parent edges are at the positions up:
-    one weight entering A = 1..p, one entering B; 0 for an empty block.
-    """
-    a = _uniform_at(weights, up[:p]) if p else 0
-    b = _uniform_at(weights, up[p:]) if len(up) > p else 0
-    if a is None or b is None:
-        return None
-    return a, b
+    return read
 
 
 def _is_cycle_on(nbrs: list[int], verts: int) -> bool:
@@ -552,48 +537,42 @@ def _census(
 
 def _side_plan(
     nbrs: list[int], root: int, others: int, spokes: list[int], rim: list[int]
-) -> tuple | None:
-    """The shapes the subgraph induced on root and the vertex bitmask others
-    can take under some weighting: (cycle, complete), or None for neither.
+) -> _Read | None:
+    """The read of the subgraph induced on root and the vertex bitmask others,
+    or None when its structure is neither a cycle nor complete.
 
     spokes holds the positions of root's edges into others, rim those of the
-    edges inside others, and nbrs the graph's neighbour bitmasks. cycle
-    lists every position when the subgraph is one cycle, and complete is
-    (spokes, rim) when root joins every vertex of others and every pair
-    inside others is an edge (a lone leaf has no inner pair); each is None
-    otherwise.
+    edges inside others, and nbrs the graph's neighbour bitmasks. The read
+    maps a weighting to (shape, first_band, second_band), else None: a cycle
+    of one weight reads first, with its weight as first_band and 0 as
+    second_band; else a complete side (root joins every vertex of others
+    and every pair inside others is an edge; a lone leaf has no inner pair)
+    whose spokes share one weight and whose inner pairs share another.
     """
     k = others.bit_count()
-    cycle = complete = None
     # a cycle on k + 1 vertices has k + 1 edges
-    if len(spokes) + len(rim) == k + 1 and _is_cycle_on(nbrs, others | 1 << root):
-        cycle = spokes + rim
-    if len(spokes) == k and len(rim) == k * (k - 1) // 2:
-        complete = spokes, rim
-    if cycle is None and complete is None:
+    cycle = len(spokes) + len(rim) == k + 1 and _is_cycle_on(nbrs, others | 1 << root)
+    complete = len(spokes) == k and len(rim) == k * (k - 1) // 2
+    if not (cycle or complete):
         return None
-    return cycle, complete
+    ring = spokes + rim
+
+    def read(weights: Sequence[int]) -> tuple[str, int, int] | None:
+        if cycle:
+            weight = _uniform_at(weights, ring)
+            if weight is not None:
+                return "cycle", weight, 0
+        if complete:
+            a = _uniform_at(weights, spokes)
+            b = _uniform_at(weights, rim) if rim else 0
+            if a is not None and b is not None:
+                return "complete", a, b
+        return None
+
+    return read
 
 
-def _read_side(side: tuple, weights: Sequence[int]) -> tuple[str, int, int] | None:
-    """A side's family under these weights: (shape, first_band, second_band).
-
-    side is _side_plan's result. A cycle of one weight reads first, with its
-    weight as first_band and 0 as second_band; else a complete side whose
-    spokes share one weight and whose inner pairs share another.
-    """
-    cycle, complete = side
-    if cycle is not None:
-        weight = _uniform_at(weights, cycle)
-        if weight is not None:
-            return "cycle", weight, 0
-    if complete is not None:
-        spokes, rim = complete
-        a = _uniform_at(weights, spokes)
-        b = _uniform_at(weights, rim) if rim else 0
-        if a is not None and b is not None:
-            return "complete", a, b
-    return None
+_A_SIDE, _B_SIDE = ("a_shape", "a", "b"), ("b_shape", "c", "d")
 
 
 def _labeling_plan(
@@ -602,13 +581,14 @@ def _labeling_plan(
     """The checks of the cases that one labeling's structure leaves open.
 
     pairs lists the edges (i, j), i < j, of a graph on A = 1..p and B =
-    p+1..p+q, in any order: each check reads a weighting by position in
-    pairs, and nothing else here depends on their order. A check is
-    (case, swapped, data), in case order, and _read_cases decides it from
-    the weights. Everything the structure decides is settled here once:
-    connectivity, the band positions, the cycle and side shapes, the tree's
-    parent edges and the attachments. An empty block or a disconnected
-    graph leaves no case open.
+    p+1..p+q, in any order. A check is (case, swapped, read), in case order:
+    read maps a weighting, by position in pairs, to the case's parameter
+    groups, or to a falsy value. The structure is settled once, where each
+    read is made (connectivity, the band positions, the cycle and side
+    shapes, the tree's parent edges, the attachments), and a read checks
+    only weights. It closes only over names never rebound after it is made,
+    so a kept plan reads every weighting of its pattern. An empty block or
+    a disconnected graph leaves no case open.
     """
     n = p + q
     full = (1 << (n + 1)) - 1
@@ -626,48 +606,100 @@ def _labeling_plan(
     root_a, chord, inner_b = bands["a"], bands["b"], bands["d"]
     meet_b = bands["c"] + inner_b + bands["e"]
 
-    def check(case: str, *data) -> None:
-        checks.append((case, swapped, data))
+    def check(case: str, read: _Read) -> None:
+        checks.append((case, swapped, read))
 
     # cases i.a / i.b / i.c: the whole graph is one cycle; in i.b (p = 1) and
     # i.c (p = 2) the root joins all of A with one weight, the rest another
     if len(pairs) == n + 1 and _is_cycle_on(nbrs, full):
-        check("i.a")
+
+        def one_cycle(weights: Sequence[int]) -> tuple | None:
+            a = uniform_weight(weights)
+            return None if a is None else ({"a": a},)
+
+        check("i.a", one_cycle)
         if p <= 2 and len(root_a) == p:
-            check("i.b" if p == 1 else "i.c", root_a, meet_b)
+
+            def marked_cycle(weights: Sequence[int]) -> tuple | None:
+                a, rest = _uniform_at(weights, root_a), _uniform_at(weights, meet_b)
+                if None in (a, rest) or a == rest:
+                    return None
+                return ({"a": a, "b": rest},)
+
+            check("i.b" if p == 1 else "i.c", marked_cycle)
 
     # case ii: two first-block vertices, both joined to the root, and a full
     # cycle plus the chord {1, 2}, the one pair of band b
     if len(pairs) == n + 2 and p == 2 and len(root_a) == 2 and chord:
         chordless = [nbrs[0], nbrs[1] ^ 1 << 2, nbrs[2] ^ 1 << 1, *nbrs[3:]]
         if _is_cycle_on(chordless, full):
-            check("ii", root_a, chord[0], meet_b)
+
+            def chorded_cycle(weights: Sequence[int]) -> tuple | None:
+                a, rest = _uniform_at(weights, root_a), _uniform_at(weights, meet_b)
+                if None in (a, rest):
+                    return None
+                return ({"a": a, "b": weights[chord[0]], "c": rest},)
+
+            check("ii", chorded_cycle)
 
     # case iii: complete up to absent bands, constant weight per band
     table = _band_table(p, q)
     if bands["a"] and bands["c"]:
         if all(len(at) in (0, table[name][0]) for name, at in bands.items()):
-            check("iii", bands)
+
+            def banded(weights: Sequence[int]) -> tuple | None:
+                group = {
+                    name: _uniform_at(weights, at) if at else 0
+                    for name, at in bands.items()
+                }
+                return None if None in group.values() else (group,)
+
+            check("iii", banded)
 
     # cases iv.a / iv.b: first side is a cycle or complete, second side hangs
     # off a limited attachment set: one vertex carrying a tree, cycle or
-    # complete side (iv.a), or several carrying a uniform forest (iv.b). The
-    # edges meeting B hang a tree off {0} | A exactly when there are q of
-    # them, since merging {0} | A into one vertex keeps the graph connected.
+    # complete side (iv.a, a tree read first), or several carrying a uniform
+    # forest (iv.b). The edges meeting B hang a tree off {0} | A exactly when
+    # there are q of them, since merging {0} | A into one vertex keeps the
+    # graph connected.
     side_a = _side_plan(nbrs, ROOT, full ^ b_bits ^ 1, root_a, chord)
     tree = meet_b if len(meet_b) == q else None
     if side_a is not None:
         attach = [v for v in range(p + 1) if into_b[v]]
         if len(attach) == 1:
-            side_b = _side_plan(nbrs, attach[0], b_bits, into_b[attach[0]], inner_b)
-            if tree or side_b:
-                check("iv.a", side_a, attach[0], tree, side_b)
+            hub = attach[0]
+            hub_side = _side_plan(nbrs, hub, b_bits, into_b[hub], inner_b)
+            if tree or hub_side:
+
+                def one_attachment(weights: Sequence[int]) -> tuple | None:
+                    first = side_a(weights)
+                    weight = tree and _uniform_at(weights, tree)
+                    if weight:
+                        second = "tree", weight, 0
+                    else:
+                        second = hub_side and hub_side(weights)
+                    if not (first and second):
+                        return None
+                    b_side = {"attachment": hub, **dict(zip(_B_SIDE, second))}
+                    return dict(zip(_A_SIDE, first)), b_side
+
+                check("iv.a", one_attachment)
         elif tree:
-            check("iv.b", side_a, ",".join(map(str, attach)), tree)
+            joined = ",".join(map(str, attach))
+
+            def forest(weights: Sequence[int]) -> tuple | None:
+                first, weight = side_a(weights), _uniform_at(weights, tree)
+                if not (first and weight):
+                    return None
+                b_side = {"attachments": joined, "b_shape": "forest", "c": weight}
+                return dict(zip(_A_SIDE, first)), b_side
+
+            check("iv.b", forest)
 
     # case v: a cycle or complete second side on one vertex i that the root
     # reaches inside {0} | A; every other edge, at least one of them inside
-    # {0} | A, hangs a uniform tree off {i} | B, so there are p of them
+    # {0} | A, hangs a uniform tree off {i} | B, so there are p of them; the
+    # first such i whose weights read is the one reported
     inside = root_a + chord
     if inside:
         reached = _reach(nbrs, b_bits | 1)
@@ -679,12 +711,22 @@ def _labeling_plan(
                 if side_b is not None:
                     hangs.append((i, hanging, side_b))
         if hangs:
-            check("v", hangs)
+
+            def hanging_forest(weights: Sequence[int]) -> tuple | None:
+                for i, hanging, side_b in hangs:
+                    weight = _uniform_at(weights, hanging)
+                    second = weight and side_b(weights)
+                    if second:
+                        a_side = {"a_shape": "forest", "a": weight, "attachment": i}
+                        return ({**a_side, **dict(zip(_B_SIDE, second))},)
+                return None
+
+            check("v", hanging_forest)
 
     # case vi: a tree entering the first block with one weight, the second
     # block with another
     if len(pairs) == n:
-        check("vi", _tree_plan(pairs, nbrs), p)
+        check("vi", _tree_plan(pairs, nbrs, p))
     return checks
 
 
@@ -712,71 +754,16 @@ def _case_plan(p: int, q: int, pairs: Sequence[tuple[int, int]]) -> list[tuple]:
     return plan
 
 
-_A_SIDE, _B_SIDE = ("a_shape", "a", "b"), ("b_shape", "c", "d")
-
-
 def _read_cases(plan: list[tuple], weights: Sequence[int]) -> Iterator[FamilyTag]:
     """The tags of the plan's checks that a weighting meets, in the plan's order.
 
-    weights[k] is the weight of the k-th pair the plan was built from.
-    Only conditions on weights are read: which position groups share one
-    weight, the tree's parent weights, the two distinct weights of i.b and
-    i.c, and the ordered alternatives (a cycle before a complete side, a
-    tree before a side in iv.a, the first attachment that reads in v). The
-    tags are made one at a time, so a caller that wants the lowest case
-    reads only up to it.
+    weights[k] is the weight of the k-th pair the plan was built from. Each
+    check's read returns its case's parameter groups when the weights meet
+    the case. The tags are made one at a time, so a caller that wants the
+    lowest case reads only up to it.
     """
-    for case, swapped, data in plan:
-        groups: tuple[dict, ...] = ()
-        if case == "i.a":
-            a = uniform_weight(weights)
-            if a is not None:
-                groups = ({"a": a},)
-        elif case in ("i.b", "i.c"):
-            a, rest = (_uniform_at(weights, at) for at in data)
-            if None not in (a, rest) and a != rest:
-                groups = ({"a": a, "b": rest},)
-        elif case == "ii":
-            root_a, chord, meet_b = data
-            a, rest = _uniform_at(weights, root_a), _uniform_at(weights, meet_b)
-            if None not in (a, rest):
-                groups = ({"a": a, "b": weights[chord], "c": rest},)
-        elif case == "iii":
-            banded = {
-                name: _uniform_at(weights, at) if at else 0
-                for name, at in data[0].items()
-            }
-            if None not in banded.values():
-                groups = (banded,)
-        elif case == "iv.a":
-            side_a, attachment, tree, side_b = data
-            first = _read_side(side_a, weights)
-            weight = tree and _uniform_at(weights, tree)
-            if weight:
-                second = "tree", weight, 0
-            else:
-                second = side_b and _read_side(side_b, weights)
-            if first and second:
-                params_b = {"attachment": attachment, **dict(zip(_B_SIDE, second))}
-                groups = (dict(zip(_A_SIDE, first)), params_b)
-        elif case == "iv.b":
-            side_a, joined, tree = data
-            first, weight = _read_side(side_a, weights), _uniform_at(weights, tree)
-            if first and weight:
-                params_b = {"attachments": joined, "b_shape": "forest", "c": weight}
-                groups = (dict(zip(_A_SIDE, first)), params_b)
-        elif case == "v":
-            for i, hanging, side_b in data[0]:
-                weight = _uniform_at(weights, hanging)
-                second = weight and _read_side(side_b, weights)
-                if second:
-                    side_a = {"a_shape": "forest", "a": weight, "attachment": i}
-                    groups = ({**side_a, **dict(zip(_B_SIDE, second))},)
-                    break
-        else:  # vi
-            tree_bands = _read_tree_bands(*data, weights)
-            if tree_bands is not None:
-                groups = (dict(zip("ab", tree_bands)),)
+    for case, swapped, read in plan:
+        groups = read(weights)
         if groups:
             yield FamilyTag("invariant_case", case, _params(*groups), swapped)
 
@@ -786,9 +773,10 @@ def matching_invariant_cases(g: RootedWeightedGraph) -> list[FamilyTag]:
 
     The graph must carry a bipartition; an empty block or a disconnected
     graph matches no case. Matching is purely structural, with no root
-    condition and no block swap: callers reach it through match_theorem61,
-    which adds both. It plans g's own labeling (_labeling_plan) and reads
-    g's weights against it (_read_cases). The cases are tried in case
+    condition and no block swap; match_theorem61 checks both, planning each
+    labeling the root touches itself (_case_plan), and no library code
+    calls this function. It plans g's own labeling (_labeling_plan) and
+    reads g's weights against it (_read_cases). The cases are tried in case
     order, i.a to vi, which is also the order their names sort in, so the
     results come sorted by case.
     """
@@ -822,8 +810,9 @@ def recognize_family(g: RootedWeightedGraph) -> FamilyTag:
     vertex of degree above two); non-uniform trees on a
     bipartition may be two-weight trees; cycles and banded complete graphs
     come next, then the lowest case match_theorem61 finds, and
-    "unclassified" as the fallback. Each test plans g's structure and reads
-    its weights, as the case matcher does.
+    "unclassified" as the fallback. The tree bands and the cycle or
+    complete test are the matcher's own reads, made by _tree_plan and
+    _side_plan from g's structure and called on g's weights.
     """
     pairs, weights = [e[:2] for e in g.edges], [w for _, _, w in g.edges]
     nbrs = _masks(g)
@@ -838,14 +827,13 @@ def recognize_family(g: RootedWeightedGraph) -> FamilyTag:
                 family = "uniform_tree"
             return FamilyTag(family, params=_params({"a": a}))
         if g.has_bipartition:
-            bands = _read_tree_bands(_tree_plan(pairs, nbrs), g.p, weights)
-            if bands is not None:
-                params = _params(dict(zip("ab", bands)))
-                return FamilyTag("two_weight_tree", params=params)
+            bands = _tree_plan(pairs, nbrs, g.p)(weights)
+            if bands:
+                return FamilyTag("two_weight_tree", params=_params(*bands))
     # a uniform cycle through every vertex, else a banded complete graph
     at = _census(pairs, g.n)[0]
-    side = _side_plan(nbrs, ROOT, (1 << (g.n + 1)) - 2, at["a"], at["b"])
-    side = side and _read_side(side, weights)
+    read = _side_plan(nbrs, ROOT, (1 << (g.n + 1)) - 2, at["a"], at["b"])
+    side = read and read(weights)
     if side is not None and side[0] == "cycle":
         return FamilyTag("uniform_cycle", params=_params({"a": side[1]}))
     if side is not None and g.n >= 2:

@@ -51,7 +51,6 @@ from parklab.graph import (
     RootedWeightedGraph,
     is_connected,
     matching_invariant_cases,
-    two_weight_tree_bands,
 )
 from parklab.lattice import (
     WeightGrid,
@@ -874,7 +873,15 @@ class TestSearchOracle:
                 b = {parent[v] for v in range(g.p + 1, g.n + 1)}
                 if len(a) == len(b) == 1:
                     bands = (a.pop(), b.pop())
-            assert two_weight_tree_bands(g) == bands, g
+            # the tree bands recognize_family reads: (a, a) for a uniform
+            # tree, (a, b) for a two-weight tree, none for any other kind
+            family, found = recognize_family(g), None
+            params = dict(family.params)
+            if family.kind in ("uniform_tree", "uniform_star", "uniform_path"):
+                found = params["a"], params["a"]
+            elif family.kind == "two_weight_tree":
+                found = params["a"], params["b"]
+            assert found == bands, g
         assert (tested, bridges, cuts, trees) == (35_933, 19_732, 13_732, 1_433)
 
 
@@ -1145,6 +1152,26 @@ class TestCaseStage:
         assert set(planned) == holding
         assert len(labelings) == len(set(labelings)) <= 2 * patterns
         assert len(priced) == len(set(priced)) == grids
+
+    def test_a_kept_plan_reads_as_a_fresh_one(self) -> None:
+        # every plan is made before any graph is read, from the first graph
+        # of its pattern, and then reads each graph of the pattern, invariant
+        # or not; a read that saw a name rebound after it was made would
+        # differ from match_theorem61's fresh plan
+        graphs = list(connected_block_graphs(2, 2, 2))
+        plans = {}
+        for g in graphs:
+            pairs = tuple(e[:2] for e in g.edges)
+            if pairs not in plans:
+                plans[pairs] = graph._case_plan(2, 2, pairs)
+        counts = Counter()
+        for g in graphs:
+            plan = plans[tuple(e[:2] for e in g.edges)]
+            tags = list(graph._read_cases(plan, [w for _, _, w in g.edges]))
+            assert tags == match_theorem61(g), g
+            counts[min(len(tags), 2)] += 1
+        # graphs with no tag, one tag and several tags are all read
+        assert len(graphs) == 14_901 and min(counts.values()) > 0, counts
 
     def test_the_case_stage_searches_only_in_the_plan(self, monkeypatch) -> None:
         # the solver's items are listed first, so every structural search

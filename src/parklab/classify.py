@@ -9,12 +9,11 @@ Invariant graphs are matched against the structural case list (cycles
 with up to two marked vertices, a cycle with a chord, banded complete
 graphs, a cycle or complete first side with restricted attachments,
 uniform forests carrying one cycle or complete second side, and two-weight
-trees) by graph's one matcher: a plan of an edge pattern holds one check
-per case its structure leaves open, and each check carries its own read
-of a weighting. Each matched case prescribes a weight grid whose parking
-pairs reproduce the graph's parking functions; verify_equality checks
-that claim exactly, and construct_u_for_graph builds the grid of a
-graph's lowest case.
+trees) by graph's one matcher: a plan of an edge pattern with one check
+per case its structure leaves open, each carrying its own weight read.
+Each matched case prescribes a weight grid whose parking pairs reproduce
+the graph's parking functions; verify_equality checks that claim exactly,
+and construct_u_for_graph builds the grid of a graph's lowest case.
 sweep_classification checks the classification by brute force on every
 block graph within a budget, up to relabeling inside the blocks. It counts
 the graphs per edge pattern and builds only those whose blocks are level;

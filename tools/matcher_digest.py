@@ -31,15 +31,15 @@ DEFAULT_SPLITS = [
 ]
 
 
-def split_digest(p: int, q: int, w: int, *totals) -> tuple[int, str]:
-    """(graphs, SHA-256) of one split's tags; each hash in totals is fed too."""
+def split_digest(p: int, q: int, w: int, total) -> tuple[int, str]:
+    """(graphs, SHA-256) of one split's tags; the hash total is fed them too."""
     count, digest = 0, hashlib.sha256()
     for g in connected_block_graphs(p, q, w):
         count += 1
         tags = [t.to_json() for t in match_theorem61(g)]
         row = repr((tags, recognize_family(g).to_json())).encode()
-        for h in (digest, *totals):
-            h.update(row)
+        digest.update(row)
+        total.update(row)
     return count, digest.hexdigest()
 
 
@@ -49,8 +49,7 @@ def main(argv: list[str]) -> None:
     for p, q, w in splits:
         count, digest = split_digest(p, q, w, total)
         graphs += count
-        print(f"{p},{q},{w} {count} {digest}")
-        sys.stdout.flush()
+        print(f"{p},{q},{w} {count} {digest}", flush=True)
     print(f"all {graphs} {total.hexdigest()}")
 
 

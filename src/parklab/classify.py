@@ -319,7 +319,10 @@ def _still_least(states: list, weights: list, d: int, m: int) -> list | None:
     A relabeling is compared with the identity on positions 0..d only.
     Where it reads smaller, the prefix starts no orbit's least member and
     its subtree is pruned; where it reads larger, or fixes all m positions,
-    it is dropped for the subtree.
+    it is dropped for the subtree. Fixing all m positions is first decided
+    at d = m - 1, so a relabeling that fixes an assignment is still in the
+    states that enter its last position: _level_solutions reads Stab(P)
+    from them.
     """
     kept = []
     for state in states:
@@ -339,7 +342,7 @@ def _still_least(states: list, weights: list, d: int, m: int) -> list | None:
 
 
 def _block_leaves(p: int, q: int, max_w: int):
-    """The walk behind connected_block_graphs, yielding (edges, nbrs, total).
+    """The walk behind connected_block_graphs, yielding (edges, nbrs, total, states).
 
     The walk assigns the slots depth first, in order (orderly generation,
     after Read 1978), and keeps a prefix only while no block relabeling
@@ -349,11 +352,14 @@ def _block_leaves(p: int, q: int, max_w: int):
     graph._masks reads from them, and total is the weight sum. The walk
     keeps them slot by slot: each weight step adds 1 to the total, a slot
     whose weights run out takes max_w back off, and the last slot's edge is
-    appended for the yield and popped on resume. The two lists are the
-    walk's live state, valid until the next item is requested; a caller
-    that keeps a leaf copies tuple(edges), as the search does only for the
-    leaves that pass its sum test, and the sweep only for the edge patterns
-    whose levels it can meet.
+    appended for the yield and popped on resume. states lists the
+    relabeling states (perm, wait, t) of _relabeling_states that enter the
+    last slot, identity excluded; every relabeling that fixes the leaf is
+    among them (_still_least). The three lists are the walk's live state,
+    valid until the next item is requested; a caller that keeps a leaf
+    copies tuple(edges), as the search does only for the leaves that pass
+    its sum test, and the sweep only for the edge patterns whose levels it
+    can meet.
 
     Deeper slots only add edges, and a weight rising past 1 leaves a slot's
     bits set. So once a leaf's search reaches every vertex, every later leaf
@@ -375,7 +381,7 @@ def _block_leaves(p: int, q: int, max_w: int):
     n = p + q
     slots, index, perms = _block_relabelings(p, q)
     if not slots:  # the root alone
-        yield (), [0], 0
+        yield (), [0], 0, []
         return
     m = len(slots)
     weights = [-1] * m  # -1: slot not assigned yet
@@ -421,7 +427,7 @@ def _block_leaves(p: int, q: int, max_w: int):
             # n >= 1 here, so a connected leaf has a present slot
             connected_at = index[edges[-1][:2]]
         if connected_at >= 0:
-            yield edges, nbrs, total
+            yield edges, nbrs, total, undecided[d]
         if w:
             edges.pop()
 
@@ -434,7 +440,7 @@ def connected_block_graphs(p: int, q: int, max_w: int):
     yielded, in lexicographic order, when it is connected. The graphs are
     the leaves of _block_leaves.
     """
-    for edges, _, _ in _block_leaves(p, q, max_w):
+    for edges, _, _, _ in _block_leaves(p, q, max_w):
         yield RootedWeightedGraph(p + q, tuple(edges), p, q)
 
 
@@ -457,52 +463,26 @@ class SweepReport:
         }
 
 
-def _blocks_level(p: int, edges: tuple, nbrs: list[int]) -> bool:
-    """Whether the vertices of each block share their largest parking entry.
-
-    By Dhar's burning, v's largest entry is w(v, R) - 1, for R the root's
-    component of g - v: the vertices outside R have edges out only at v, and
-    with v at w(v, R) - 1 and zeros elsewhere, R burns, then v, then the
-    rest. A block permutation moves a largest entry to any vertex of its
-    block, so every invariant graph passes; many others pass too, so this
-    only spares _first_hole graphs it would reject. It reads a leaf of
-    _block_leaves whose first block is 1..p, and stops at the first vertex
-    whose entry differs from its block's first.
-
-    w(v, R) is the weight sum of v's edges when v is no cut vertex, and
-    otherwise that of the edges at _root_side_edges' positions. The sweep
-    solves these equalities per edge pattern in _level_solutions; this
-    reads one graph, and with the walk it is that solver's oracle.
-    """
-    for first, last in ((1, p), (p + 1, len(nbrs) - 1)):
-        if first < last:
-            top = None
-            for v in range(first, last + 1):
-                at = _root_side_edges(edges, v, nbrs)
-                if at is None:
-                    at = [k for k, (i, j, _) in enumerate(edges) if v in (i, j)]
-                level = sum(edges[k][2] for k in at)
-                if top is None:
-                    top = level
-                elif level != top:
-                    return False
-    return True
-
-
 def _level_plans(p: int, edges: list, nbrs: list[int], max_w: int) -> list | None:
     """Each block vertex's plan in one edge pattern; None if no weighting levels it.
 
+    By Dhar's burning, v's largest parking entry is w(v, R) - 1, for R the
+    root's component of g - v: the vertices outside R have edges out only
+    at v, and with v at w(v, R) - 1 and zeros elsewhere, R burns, then v,
+    then the rest. A block permutation moves a largest entry to any vertex
+    of its block, so in an invariant graph each block's vertices are level:
+    they share w(v, R).
+
     edges and nbrs are a leaf of _block_leaves(p, q, 1), so nbrs[v] has one
-    bit per edge of v. v's level, w(v, R) in _blocks_level, is the weight sum
-    over its plan: the positions in edges that _root_side_edges lists, or
-    all of v's edges when v is no cut vertex (ats[v] is None then). The
-    plans depend on the pattern alone. With weights in 1..max_w a plan of k
-    positions reads a level in k..k * max_w, so a block whose intervals
-    share no value is level under no weighting. The vertices are read in
-    order, and the reads stop at the first vertex whose interval misses
-    the common part of those before it in its block, as _blocks_level stops
-    at its first differing vertex. With max_w = 1 each interval is the one
-    level its vertex reads, so the test is exact.
+    bit per edge of v. v's level w(v, R) is the weight sum over its plan:
+    the positions in edges that _root_side_edges lists, or all of v's edges
+    when v is no cut vertex (ats[v] is None then). The plans depend on the
+    pattern alone. With weights in 1..max_w a plan of k positions reads a
+    level in k..k * max_w, so a block whose intervals share no value is
+    level under no weighting. The vertices are read in order, and the reads
+    stop at the first vertex whose interval misses the common part of those
+    before it in its block. With max_w = 1 each interval is the one level
+    its vertex reads, so the test is exact.
     """
     ats = [None] * len(nbrs)
     for first, last in ((1, p), (p + 1, len(nbrs) - 1)):
@@ -635,30 +615,33 @@ def _level_solutions(p: int, q: int, max_w: int):
     once. The weighted graphs whose support lies in P's orbit correspond one
     to one with the orbits of weightings of P in 1..max_w under Stab(P), the
     block relabelings that fix P, and Burnside's lemma counts those orbits:
-    the mean of max_w ** (cycles of g on P) over Stab(P). With max_w <= 1 a
-    pattern has at most one weighting, so the group is left trivial: it
-    counts the same and prunes nothing. tested sums that count over the
+    the mean of max_w ** (cycles of g on P) over Stab(P). Stab(P) is read
+    off the walk that yields P: the identity, and the relabeling states
+    entering P's last slot (the walk's fourth item) whose perm maps P's
+    slots onto themselves. With max_w <= 1 a pattern has at most one
+    weighting, so the group is left trivial: it counts the same, prunes
+    nothing, and is not mapped to positions. tested sums that count over the
     patterns read since the previous item, so the items' tested add up to
     the split's number of graphs; an item is yielded for each pattern that
     _level_plans finds possibly level, and once at the end.
 
     graphs is a lazy iterator over the edge tuples of the lex-least
     weighting of each orbit whose block levels are equal, the exact
-    largest-entry criterion of _blocks_level (_level_plans, _level_steps,
+    largest-entry criterion (_level_plans, _level_steps,
     _level_weightings), so memory does not grow with a pattern's
     weightings. Every other graph of the orbits is rejected by a level
     equality that fails, and is never built.
     """
-    _, index, perms = _block_relabelings(p, q)
+    _, index, _ = _block_relabelings(p, q)
     tested = 0
-    for edges, nbrs, _ in _block_leaves(p, q, 1):
+    for edges, nbrs, _, states in _block_leaves(p, q, 1):
         m = len(edges)
         orbits = max_w**m
         group = []  # Stab(P) less the identity, as permutations of positions
         if max_w > 1:
             at = [index[i, j] for i, j, _ in edges]
             position = dict(zip(at, range(m)))
-            for perm in perms[1:]:
+            for perm, _, _ in states:
                 if position.keys() >= set(map(perm.__getitem__, at)):
                     group.append([position[perm[k]] for k in at])
             orbits += sum(max_w ** _cycle_count(pi) for pi in group)
@@ -783,7 +766,7 @@ def search_graph_matching_grid(
     n = grid.p + grid.q
     one_sum = len(sums) == 1
     tested = 0
-    for edges, _, total in _block_leaves(grid.p, grid.q, max_w):
+    for edges, _, total, _ in _block_leaves(grid.p, grid.q, max_w):
         tested += 1
         if not one_sum or total - n not in sums:
             continue

@@ -402,6 +402,38 @@ def weighted_degrees(g) -> list[int]:
     return degree
 
 
+def blocks_level(p: int, edges: tuple, nbrs: list[int]) -> bool:
+    """Whether the vertices of each block share their largest parking entry.
+
+    By Dhar's burning, v's largest entry is w(v, R) - 1, for R the root's
+    component of g - v: the vertices outside R have edges out only at v, and
+    with v at w(v, R) - 1 and zeros elsewhere, R burns, then v, then the
+    rest. A block permutation moves a largest entry to any vertex of its
+    block, so every invariant graph passes; many others pass too, so this
+    only spares _first_hole graphs it would reject. It reads a leaf of
+    _block_leaves whose first block is 1..p, and stops at the first vertex
+    whose entry differs from its block's first.
+
+    w(v, R) is the weight sum of v's edges when v is no cut vertex, and
+    otherwise that of the edges at _root_side_edges' positions. The sweep
+    solves these equalities per edge pattern in _level_solutions; this
+    reads one graph, and with the walk it is that solver's oracle.
+    """
+    for first, last in ((1, p), (p + 1, len(nbrs) - 1)):
+        if first < last:
+            top = None
+            for v in range(first, last + 1):
+                at = graph._root_side_edges(edges, v, nbrs)
+                if at is None:
+                    at = [k for k, (i, j, _) in enumerate(edges) if v in (i, j)]
+                level = sum(edges[k][2] for k in at)
+                if top is None:
+                    top = level
+                elif level != top:
+                    return False
+    return True
+
+
 class TestLargestEntryFilter:
     def test_formula_is_each_vertex_largest_parking_entry(self) -> None:
         tested = 0
@@ -416,8 +448,8 @@ class TestLargestEntryFilter:
         passed = invariant = 0
         for n in range(2, 5):
             for p in range(1, n):
-                for edges, nbrs, _ in classify._block_leaves(p, n - p, 2):
-                    level = classify._blocks_level(p, edges, nbrs)
+                for edges, nbrs, _, _ in classify._block_leaves(p, n - p, 2):
+                    level = blocks_level(p, edges, nbrs)
                     g = RootedWeightedGraph(n, edges, p, n - p)
                     closed = classify._first_hole(g, _mpf_walk(g))[0] is None
                     assert level or not closed, g
@@ -433,7 +465,7 @@ class TestLargestEntryFilter:
         degree = weighted_degrees(g)
         assert degree[2:] == [1, 3]
         assert largest_entries(g) == [0, 0, 0]
-        assert classify._blocks_level(g.p, g.edges, graph._masks(g))
+        assert blocks_level(g.p, g.edges, graph._masks(g))
         assert classify._first_hole(g, _mpf_walk(g)) == (None, {(0, 0, 0)})
         assert match_theorem61(g)[0].case == "v"
 
@@ -445,7 +477,7 @@ class TestLargestEntryFilter:
         ]
         passed = 0
         for p, q, max_w in shapes + [(2, 2, 3)]:
-            for edges, nbrs, _ in classify._block_leaves(p, q, max_w):
+            for edges, nbrs, _, _ in classify._block_leaves(p, q, max_w):
                 degree = weighted_degrees(RootedWeightedGraph(p + q, edges, p, q))
                 levels = []
                 for v in range(1, p + q + 1):
@@ -453,7 +485,7 @@ class TestLargestEntryFilter:
                     level = degree[v] if at is None else sum(edges[k][2] for k in at)
                     levels.append(level)
                 direct = len(set(levels[:p])) == 1 == len(set(levels[p:]))
-                alone = classify._blocks_level(p, edges, nbrs)
+                alone = blocks_level(p, edges, nbrs)
                 assert direct == alone, edges
                 passed += alone
         # the sweep's 225 and 2,878 survivors at w <= 1 and 2, and the a09 shape's
@@ -790,13 +822,34 @@ class TestBlockGraphGeneration:
 
     @pytest.mark.parametrize("p, q, max_w", SMALL_SHAPES)  # (2, 2, 2) included
     def test_leaf_records_match_the_built_graph(self, p, q, max_w) -> None:
-        # checked at yield time: nbrs is the walk's live list
+        # checked at yield time: nbrs and states are the walk's live lists
+        slots = list(itertools.combinations(range(p + q + 1), 2))
+        index = {pair: k for k, pair in enumerate(slots)}
+        relabelings = [  # the non-identity vertex maps, each with its slot map
+            (v, tuple(index[tuple(sorted((v[i], v[j])))] for i, j in slots))
+            for v in itertools.islice(block_relabelings(p, q), 1, None)
+        ]
         streamed = []
-        for edges, nbrs, total in classify._block_leaves(p, q, max_w):
+        for edges, nbrs, total, states in classify._block_leaves(p, q, max_w):
             edges = tuple(edges)  # the live list changes when the walk resumes
             g = RootedWeightedGraph(p + q, edges, p, q)
             assert nbrs == graph._masks(g), g
             assert total == g.total_weight, g
+            # the states that fix the leaf are its stabilizer less the identity
+            weights = [0] * len(slots)
+            for i, j, w in edges:
+                weights[index[i, j]] = w
+            fixing = {
+                perm
+                for perm, _, _ in states
+                if all(weights[perm[k]] == w for k, w in enumerate(weights))
+            }
+            stabilizer = {
+                perm
+                for v, perm in relabelings
+                if {(*sorted((v[i], v[j])), w) for i, j, w in edges} == set(edges)
+            }
+            assert fixing == stabilizer, g
             streamed.append((p, q, edges))
         assert streamed == self.stream(connected_block_graphs(p, q, max_w))
 
@@ -1220,8 +1273,26 @@ class TestCaseStage:
         assert peak < 1_000_000
 
 
+def pattern_stabilizer(relabelings: tuple, pattern) -> list[list[int]]:
+    """Stab(P), the identity first, as permutations of P's positions.
+
+    relabelings is _block_relabelings' result for P's split, and pattern
+    lists P's edges in slot order. Each block relabeling is tested against
+    P in turn and kept when it maps P's slots onto themselves: the oracle
+    of the stabilizer that _level_solutions reads off the walk.
+    """
+    _, index, perms = relabelings
+    at = [index[i, j] for i, j, _ in pattern]
+    position = {k: t for t, k in enumerate(at)}
+    return [
+        [position[perm[k]] for k in at]
+        for perm in perms
+        if {perm[k] for k in at} == position.keys()
+    ]
+
+
 class TestLevelSolver:
-    """The sweep's per-pattern solver against the walk plus _blocks_level."""
+    """The sweep's per-pattern solver against the walk plus blocks_level."""
 
     @pytest.mark.parametrize(
         "p, q, max_w",
@@ -1234,9 +1305,9 @@ class TestLevelSolver:
             tested += count
             solved += [RootedWeightedGraph(p + q, edges, p, q) for edges in graphs]
         leaves, survivors = 0, []
-        for edges, nbrs, _ in classify._block_leaves(p, q, max_w):
+        for edges, nbrs, _, _ in classify._block_leaves(p, q, max_w):
             leaves += 1
-            if classify._blocks_level(p, edges, nbrs):
+            if blocks_level(p, edges, nbrs):
                 survivors.append(RootedWeightedGraph(p + q, tuple(edges), p, q))
         # one graph per orbit, each under its own labeling, and no other
         assert sorted(map(walk_canonical, solved)) == sorted(
@@ -1266,29 +1337,62 @@ class TestLevelSolver:
     def test_free_weightings_are_the_orbit_minima(self, p, q, max_w, patterns) -> None:
         # with no equality to meet, the solver's walk prunes by the shared
         # relabeling step alone, over Stab(P) built here from the slot maps
-        _, index, perms = classify._block_relabelings(p, q)
+        relabelings = classify._block_relabelings(p, q)
         read = 0
         for g in connected_block_graphs(p, q, 1):
             read += 1
-            at = [index[i, j] for i, j, _ in g.edges]
-            position = {k: t for t, k in enumerate(at)}
-            stab = [  # the identity first
-                [position[perm[k]] for k in at]
-                for perm in perms
-                if {perm[k] for k in at} == position.keys()
-            ]
-            steps = [[] for _ in at]
+            stab = pattern_stabilizer(relabelings, g.edges)  # the identity first
+            steps = [[] for _ in g.edges]
             walked = [
                 tuple(w) for w in classify._level_weightings(steps, stab[1:], max_w)
             ]
             least = {
                 min(tuple(x[t] for t in pi) for pi in stab)
-                for x in itertools.product(range(1, max_w + 1), repeat=len(at))
+                for x in itertools.product(range(1, max_w + 1), repeat=len(g.edges))
             }
             assert walked == sorted(least), g
             burnside = sum(max_w ** len(cycles(pi)) for pi in stab)
             assert len(walked) * len(stab) == burnside, g
         assert read == patterns
+
+    @pytest.mark.parametrize(
+        "p, q, max_w",
+        [(p, n - p, w) for n in range(5) for p in range(n + 1) for w in (1, 2)]
+        + [(2, 2, 3)],
+    )
+    def test_the_group_is_the_patterns_stabilizer(
+        self, p, q, max_w, monkeypatch
+    ) -> None:
+        # the solver hands _level_weightings the group it read off the walk,
+        # right after planning the pattern; at w = 1 it prunes nothing, so
+        # it stays empty
+        level_plans = classify._level_plans
+        level_weightings = classify._level_weightings
+        pattern, groups = None, []
+
+        def plans_spy(p, edges, nbrs, max_w):
+            nonlocal pattern
+            pattern = tuple(edges)
+            return level_plans(p, edges, nbrs, max_w)
+
+        def weightings_spy(steps, group, max_w):
+            groups.append((pattern, group))
+            return level_weightings(steps, group, max_w)
+
+        monkeypatch.setattr(classify, "_level_plans", plans_spy)
+        monkeypatch.setattr(classify, "_level_weightings", weightings_spy)
+        for _ in classify._level_solutions(p, q, max_w):
+            pass
+        relabelings = classify._block_relabelings(p, q)
+        larger = 0  # the patterns whose stabilizer is not the identity alone
+        for pattern, group in groups:
+            stab = pattern_stabilizer(relabelings, pattern)
+            expected = {tuple(pi) for pi in stab[1:]} if max_w > 1 else set()
+            assert len(group) == len({tuple(pi) for pi in group}), pattern
+            assert {tuple(pi) for pi in group} == expected, pattern
+            larger += len(stab) > 1
+        assert groups
+        assert larger > 0 or max(p, q) < 2
 
 
 class TestOneBlockBaseCase:
@@ -1298,8 +1402,8 @@ class TestOneBlockBaseCase:
 
     @staticmethod
     def invariant_graphs(n: int, max_w: int):
-        for edges, nbrs, _ in classify._block_leaves(n, 0, max_w):
-            if classify._blocks_level(n, edges, nbrs):
+        for edges, nbrs, _, _ in classify._block_leaves(n, 0, max_w):
+            if blocks_level(n, edges, nbrs):
                 g = RootedWeightedGraph(n, tuple(edges), n, 0)
                 hole, maximal = classify._first_hole(g, _mpf_walk(g))
                 if hole is None:
@@ -1393,8 +1497,8 @@ def sweep_invariant_graphs():
     """The 1,120 invariant graphs of sweep_classification(4, 2), by its route."""
     for n in range(2, 5):
         for p in range(1, n):
-            for edges, nbrs, _ in classify._block_leaves(p, n - p, 2):
-                if classify._blocks_level(p, edges, nbrs):
+            for edges, nbrs, _, _ in classify._block_leaves(p, n - p, 2):
+                if blocks_level(p, edges, nbrs):
                     g = RootedWeightedGraph(n, tuple(edges), p, n - p)
                     if classify._first_hole(g, _mpf_walk(g))[0] is None:
                         yield g

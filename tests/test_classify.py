@@ -1387,9 +1387,8 @@ class TestLevelSolver:
         larger = 0  # the patterns whose stabilizer is not the identity alone
         for pattern, group in groups:
             stab = pattern_stabilizer(relabelings, pattern)
-            expected = {tuple(pi) for pi in stab[1:]} if max_w > 1 else set()
-            assert len(group) == len({tuple(pi) for pi in group}), pattern
-            assert {tuple(pi) for pi in group} == expected, pattern
+            expected = sorted(map(tuple, stab[1:])) if max_w > 1 else []
+            assert sorted(map(tuple, group)) == expected, pattern
             larger += len(stab) > 1
         assert groups
         assert larger > 0 or max(p, q) < 2

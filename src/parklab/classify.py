@@ -10,7 +10,8 @@ with up to two marked vertices, a cycle with a chord, banded complete
 graphs, a cycle or complete first side with restricted attachments,
 uniform forests carrying one cycle or complete second side, and two-weight
 trees) by graph's one matcher: a plan of an edge pattern with one check
-per case its structure leaves open, each carrying its own weight read.
+per case its structure leaves open, whose weight condition one routine
+reads from named groups of edge positions.
 Each matched case prescribes a weight grid whose parking pairs reproduce
 the graph's parking functions; verify_equality checks that claim exactly,
 and construct_u_for_graph builds the grid of a graph's lowest case.
@@ -632,7 +633,8 @@ def _level_solutions(p: int, q: int, max_w: int):
     weightings. Every other graph of the orbits is rejected by a level
     equality that fails, and is never built.
     """
-    _, index, _ = _block_relabelings(p, q)
+    slots = itertools.combinations(range(p + q + 1), 2)
+    index = {pair: k for k, pair in enumerate(slots)}  # _block_relabelings' index
     tested = 0
     for edges, nbrs, _, states in _block_leaves(p, q, 1):
         m = len(edges)

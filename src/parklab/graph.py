@@ -12,10 +12,12 @@ questions the classification asks: weights into a subset, cut vertices and
 the root's side of a vertex, induced subgraphs, quotients and relabelings,
 recognizers for the named families, and the matcher of the invariance
 cases. The matcher plans an edge pattern once (_case_plan): each case its
-structure leaves open is one check carrying its own read of a weighting,
-made where that structure is settled, and _read_cases calls the reads.
+structure leaves open is one check, made where that structure is settled.
+A check's weight condition is data, slots of named groups of edge
+positions that must each carry one weight, and one routine,
+_groups_plan, reads every check's slots; _read_cases calls the reads.
 match_theorem61, matching_invariant_cases and recognize_family plan and
-read one graph, recognize_family through the same tree and side reads;
+read one graph, recognize_family through the same tree and side slots;
 the classification sweep plans each pattern once and reads every
 weighting of it. One table of the five bands of a complete block graph
 serves both case iii's matcher and its builder, graph_from_affine_u. The
@@ -397,27 +399,52 @@ def _params(*groups: dict) -> tuple[tuple[str, int | str], ...]:
     return tuple(kv for group in groups for kv in sorted(group.items()))
 
 
-def uniform_weight(weights: Iterable[int]) -> int | None:
-    values = set(weights)
-    if len(values) == 1:
-        return values.pop()
-    return None
-
-
-# a plan's read of a weighting, by position in the plan's pairs
-_Read = Callable[[Sequence[int]], tuple | None]
+# a slot's alternatives (fixed, bands), read by _groups_plan
+_Slot = list[tuple[dict, dict]]
 
 
 def _uniform_at(weights: Sequence[int], at: Iterable[int]) -> int | None:
-    """The one weight at the positions at, else None, also when at is empty."""
-    return uniform_weight(weights[k] for k in at)
+    """The one weight at the positions at, 0 when at is empty, else None."""
+    values = {weights[k] for k in at}
+    return None if len(values) > 1 else max(values, default=0)
 
 
-def _tree_plan(pairs: Sequence[tuple[int, int]], nbrs: list[int], p: int) -> _Read:
-    """The read of the bands of the tree with these pairs, neighbour masks nbrs
-    and A = 1..p: ({"a": a, "b": b},) when its parent edges (each vertex's one
-    edge to the root's component of the tree less that vertex) enter A with
-    weight a and B with weight b, 0 for an empty block; else None.
+def _groups_plan(*slots: _Slot) -> Callable[[Sequence[int]], list | None]:
+    """The read of a weighting, by position, as one parameter group per slot
+    in slot order, or None.
+
+    A slot lists its alternatives (fixed, bands) in order of preference:
+    fixed maps parameter names to values, and bands maps names to the
+    positions that must share one weight, read as 0 when empty. A slot's
+    group is fixed plus its bands' weights, from its first alternative
+    whose bands each carry one weight; the read is None when some slot has
+    no such alternative.
+    """
+
+    def read(weights: Sequence[int]) -> list | None:
+        groups = []
+        for alternatives in slots:
+            for fixed, bands in alternatives:
+                group = dict(fixed)
+                for name, at in bands.items():
+                    group[name] = weight = _uniform_at(weights, at)
+                    if weight is None:
+                        break
+                else:
+                    groups.append(group)
+                    break
+            else:
+                return None
+        return groups
+
+    return read
+
+
+def _tree_plan(pairs: Sequence[tuple[int, int]], nbrs: list[int], p: int) -> _Slot:
+    """The slot of the bands of the tree with these pairs, neighbour masks
+    nbrs and A = 1..p: {"a": a, "b": b} when its parent edges (each vertex's
+    one edge to the root's component of the tree less that vertex) enter A
+    with weight a and B with weight b, 0 for an empty block.
     """
     up = []
     for v in range(1, len(nbrs)):
@@ -425,16 +452,7 @@ def _tree_plan(pairs: Sequence[tuple[int, int]], nbrs: list[int], p: int) -> _Re
         up += [
             k for k, (i, j) in enumerate(pairs) if v in (i, j) and side >> i + j - v & 1
         ]
-    into_a, into_b = up[:p], up[p:]
-
-    def read(weights: Sequence[int]) -> tuple | None:
-        a = _uniform_at(weights, into_a) if into_a else 0
-        b = _uniform_at(weights, into_b) if into_b else 0
-        if a is None or b is None:
-            return None
-        return ({"a": a, "b": b},)
-
-    return read
+    return [({}, {"a": up[:p], "b": up[p:]})]
 
 
 def _is_cycle_on(nbrs: list[int], verts: int) -> bool:
@@ -536,40 +554,29 @@ def _census(
 
 
 def _side_plan(
-    nbrs: list[int], root: int, others: int, spokes: list[int], rim: list[int]
-) -> _Read | None:
-    """The read of the subgraph induced on root and the vertex bitmask others,
-    or None when its structure is neither a cycle nor complete.
+    nbrs: list[int], root: int, others: int, spokes: list, rim: list, names: tuple
+) -> _Slot:
+    """The slot that reads the subgraph induced on root and the vertex
+    bitmask others: no alternative when it is neither a cycle nor complete.
 
     spokes holds the positions of root's edges into others, rim those of the
-    edges inside others, and nbrs the graph's neighbour bitmasks. The read
-    maps a weighting to (shape, first_band, second_band), else None: a cycle
-    of one weight reads first, with its weight as first_band and 0 as
-    second_band; else a complete side (root joins every vertex of others
-    and every pair inside others is an edge; a lone leaf has no inner pair)
-    whose spokes share one weight and whose inner pairs share another.
+    edges inside others, and nbrs the graph's neighbour bitmasks. names =
+    (shape, first, second) names the group's keys. A cycle of one weight
+    reads first, as shape "cycle" with its weight as first and 0 as second;
+    then a complete side (root joins every vertex of others and every pair
+    inside others is an edge; a lone leaf has no inner pair), as shape
+    "complete" with its spokes' one weight as first and its inner pairs'
+    as second.
     """
+    shape, first, second = names
     k = others.bit_count()
+    alternatives = []
     # a cycle on k + 1 vertices has k + 1 edges
-    cycle = len(spokes) + len(rim) == k + 1 and _is_cycle_on(nbrs, others | 1 << root)
-    complete = len(spokes) == k and len(rim) == k * (k - 1) // 2
-    if not (cycle or complete):
-        return None
-    ring = spokes + rim
-
-    def read(weights: Sequence[int]) -> tuple[str, int, int] | None:
-        if cycle:
-            weight = _uniform_at(weights, ring)
-            if weight is not None:
-                return "cycle", weight, 0
-        if complete:
-            a = _uniform_at(weights, spokes)
-            b = _uniform_at(weights, rim) if rim else 0
-            if a is not None and b is not None:
-                return "complete", a, b
-        return None
-
-    return read
+    if len(spokes) + len(rim) == k + 1 and _is_cycle_on(nbrs, others | 1 << root):
+        alternatives.append(({shape: "cycle", second: 0}, {first: spokes + rim}))
+    if len(spokes) == k and len(rim) == k * (k - 1) // 2:
+        alternatives.append(({shape: "complete"}, {first: spokes, second: rim}))
+    return alternatives
 
 
 _A_SIDE, _B_SIDE = ("a_shape", "a", "b"), ("b_shape", "c", "d")
@@ -586,9 +593,10 @@ def _labeling_plan(
     groups, or to a falsy value. The structure is settled once, where each
     read is made (connectivity, the band positions, the cycle and side
     shapes, the tree's parent edges, the attachments), and a read checks
-    only weights. It closes only over names never rebound after it is made,
-    so a kept plan reads every weighting of its pattern. An empty block or
-    a disconnected graph leaves no case open.
+    only weights: each is a _groups_plan over the case's slots, and i.b /
+    i.c's also asks that a differ from the rest. No slot list is changed
+    after its read is made, so a kept plan reads every weighting of its
+    pattern. An empty block or a disconnected graph leaves no case open.
     """
     n = p + q
     full = (1 << (n + 1)) - 1
@@ -606,55 +614,34 @@ def _labeling_plan(
     root_a, chord, inner_b = bands["a"], bands["b"], bands["d"]
     meet_b = bands["c"] + inner_b + bands["e"]
 
-    def check(case: str, read: _Read) -> None:
-        checks.append((case, swapped, read))
+    def check(case: str, *slots: _Slot) -> None:
+        checks.append((case, swapped, _groups_plan(*slots)))
 
     # cases i.a / i.b / i.c: the whole graph is one cycle; in i.b (p = 1) and
     # i.c (p = 2) the root joins all of A with one weight, the rest another
     if len(pairs) == n + 1 and _is_cycle_on(nbrs, full):
-
-        def one_cycle(weights: Sequence[int]) -> tuple | None:
-            a = uniform_weight(weights)
-            return None if a is None else ({"a": a},)
-
-        check("i.a", one_cycle)
+        check("i.a", [({}, {"a": range(n + 1)})])
         if p <= 2 and len(root_a) == p:
+            marked = _groups_plan([({}, {"a": root_a, "b": meet_b})])
 
-            def marked_cycle(weights: Sequence[int]) -> tuple | None:
-                a, rest = _uniform_at(weights, root_a), _uniform_at(weights, meet_b)
-                if None in (a, rest) or a == rest:
-                    return None
-                return ({"a": a, "b": rest},)
+            def marked_cycle(weights: Sequence[int]) -> list | None:
+                groups = marked(weights)
+                return groups and groups[0]["a"] != groups[0]["b"] and groups
 
-            check("i.b" if p == 1 else "i.c", marked_cycle)
+            checks.append(("i.b" if p == 1 else "i.c", swapped, marked_cycle))
 
     # case ii: two first-block vertices, both joined to the root, and a full
     # cycle plus the chord {1, 2}, the one pair of band b
     if len(pairs) == n + 2 and p == 2 and len(root_a) == 2 and chord:
         chordless = [nbrs[0], nbrs[1] ^ 1 << 2, nbrs[2] ^ 1 << 1, *nbrs[3:]]
         if _is_cycle_on(chordless, full):
-
-            def chorded_cycle(weights: Sequence[int]) -> tuple | None:
-                a, rest = _uniform_at(weights, root_a), _uniform_at(weights, meet_b)
-                if None in (a, rest):
-                    return None
-                return ({"a": a, "b": weights[chord[0]], "c": rest},)
-
-            check("ii", chorded_cycle)
+            check("ii", [({}, {"a": root_a, "b": chord, "c": meet_b})])
 
     # case iii: complete up to absent bands, constant weight per band
     table = _band_table(p, q)
     if bands["a"] and bands["c"]:
         if all(len(at) in (0, table[name][0]) for name, at in bands.items()):
-
-            def banded(weights: Sequence[int]) -> tuple | None:
-                group = {
-                    name: _uniform_at(weights, at) if at else 0
-                    for name, at in bands.items()
-                }
-                return None if None in group.values() else (group,)
-
-            check("iii", banded)
+            check("iii", [({}, bands)])
 
     # cases iv.a / iv.b: first side is a cycle or complete, second side hangs
     # off a limited attachment set: one vertex carrying a tree, cycle or
@@ -662,39 +649,20 @@ def _labeling_plan(
     # forest (iv.b). The edges meeting B hang a tree off {0} | A exactly when
     # there are q of them, since merging {0} | A into one vertex keeps the
     # graph connected.
-    side_a = _side_plan(nbrs, ROOT, full ^ b_bits ^ 1, root_a, chord)
-    tree = meet_b if len(meet_b) == q else None
-    if side_a is not None:
+    side_a = _side_plan(nbrs, ROOT, full ^ b_bits ^ 1, root_a, chord, _A_SIDE)
+    tree = [({"b_shape": "tree", "d": 0}, {"c": meet_b})] if len(meet_b) == q else []
+    if side_a:
         attach = [v for v in range(p + 1) if into_b[v]]
         if len(attach) == 1:
             hub = attach[0]
-            hub_side = _side_plan(nbrs, hub, b_bits, into_b[hub], inner_b)
-            if tree or hub_side:
-
-                def one_attachment(weights: Sequence[int]) -> tuple | None:
-                    first = side_a(weights)
-                    weight = tree and _uniform_at(weights, tree)
-                    if weight:
-                        second = "tree", weight, 0
-                    else:
-                        second = hub_side and hub_side(weights)
-                    if not (first and second):
-                        return None
-                    b_side = {"attachment": hub, **dict(zip(_B_SIDE, second))}
-                    return dict(zip(_A_SIDE, first)), b_side
-
-                check("iv.a", one_attachment)
+            second = tree + _side_plan(nbrs, hub, b_bits, into_b[hub], inner_b, _B_SIDE)
+            if second:
+                at_hub = [({**fixed, "attachment": hub}, at) for fixed, at in second]
+                check("iv.a", side_a, at_hub)
         elif tree:
             joined = ",".join(map(str, attach))
-
-            def forest(weights: Sequence[int]) -> tuple | None:
-                first, weight = side_a(weights), _uniform_at(weights, tree)
-                if not (first and weight):
-                    return None
-                b_side = {"attachments": joined, "b_shape": "forest", "c": weight}
-                return dict(zip(_A_SIDE, first)), b_side
-
-            check("iv.b", forest)
+            forest = {"attachments": joined, "b_shape": "forest"}
+            check("iv.b", side_a, [(forest, {"c": meet_b})])
 
     # case v: a cycle or complete second side on one vertex i that the root
     # reaches inside {0} | A; every other edge, at least one of them inside
@@ -707,21 +675,13 @@ def _labeling_plan(
         for i in (i for i in range(p + 1) if reached >> i & 1):
             hanging = inside + [k for v in range(p + 1) if v != i for k in into_b[v]]
             if len(hanging) == p:
-                side_b = _side_plan(nbrs, i, b_bits, into_b[i], inner_b)
-                if side_b is not None:
-                    hangs.append((i, hanging, side_b))
+                a_side = {"a_shape": "forest", "attachment": i}
+                side_b = _side_plan(nbrs, i, b_bits, into_b[i], inner_b, _B_SIDE)
+                hangs += [
+                    ({**a_side, **fixed}, {"a": hanging, **at}) for fixed, at in side_b
+                ]
         if hangs:
-
-            def hanging_forest(weights: Sequence[int]) -> tuple | None:
-                for i, hanging, side_b in hangs:
-                    weight = _uniform_at(weights, hanging)
-                    second = weight and side_b(weights)
-                    if second:
-                        a_side = {"a_shape": "forest", "a": weight, "attachment": i}
-                        return ({**a_side, **dict(zip(_B_SIDE, second))},)
-                return None
-
-            check("v", hanging_forest)
+            check("v", hangs)
 
     # case vi: a tree entering the first block with one weight, the second
     # block with another
@@ -810,15 +770,16 @@ def recognize_family(g: RootedWeightedGraph) -> FamilyTag:
     vertex of degree above two); non-uniform trees on a
     bipartition may be two-weight trees; cycles and banded complete graphs
     come next, then the lowest case match_theorem61 finds, and
-    "unclassified" as the fallback. The tree bands and the cycle or
-    complete test are the matcher's own reads, made by _tree_plan and
-    _side_plan from g's structure and called on g's weights.
+    "unclassified" as the fallback. The uniform tree test is
+    _uniform_at over every edge; the tree bands and the cycle or complete
+    test are the matcher's own slots, made by _tree_plan and _side_plan
+    from g's structure and read on g's weights by _groups_plan.
     """
     pairs, weights = [e[:2] for e in g.edges], [w for _, _, w in g.edges]
-    nbrs = _masks(g)
-    if len(g.edges) == g.n and _reach(nbrs) == (1 << (g.n + 1)) - 1:
-        a = uniform_weight(weights)
-        if a is not None:  # a uniform tree has an edge, so n >= 1
+    nbrs, full = _masks(g), (1 << (g.n + 1)) - 1
+    if len(g.edges) == g.n and _reach(nbrs) == full:
+        a = _uniform_at(weights, range(g.n))
+        if a:  # 0 only on the root alone, which is no uniform tree
             if all(i == ROOT for i, _ in pairs):
                 family = "uniform_star"
             elif max(map(len, g.adjacency)) <= 2:
@@ -827,17 +788,18 @@ def recognize_family(g: RootedWeightedGraph) -> FamilyTag:
                 family = "uniform_tree"
             return FamilyTag(family, params=_params({"a": a}))
         if g.has_bipartition:
-            bands = _tree_plan(pairs, nbrs, g.p)(weights)
+            bands = _groups_plan(_tree_plan(pairs, nbrs, g.p))(weights)
             if bands:
                 return FamilyTag("two_weight_tree", params=_params(*bands))
     # a uniform cycle through every vertex, else a banded complete graph
     at = _census(pairs, g.n)[0]
-    read = _side_plan(nbrs, ROOT, (1 << (g.n + 1)) - 2, at["a"], at["b"])
-    side = read and read(weights)
-    if side is not None and side[0] == "cycle":
-        return FamilyTag("uniform_cycle", params=_params({"a": side[1]}))
-    if side is not None and g.n >= 2:
-        return FamilyTag("banded_complete", params=_params(dict(zip("ab", side[1:]))))
+    slot = _side_plan(nbrs, ROOT, full - 1, at["a"], at["b"], ("shape", "a", "b"))
+    side = _groups_plan(slot)(weights)
+    if side and side[0]["shape"] == "cycle":
+        return FamilyTag("uniform_cycle", params=_params({"a": side[0]["a"]}))
+    if side and g.n >= 2:
+        bands = {k: side[0][k] for k in "ab"}
+        return FamilyTag("banded_complete", params=_params(bands))
     if g.has_bipartition and g.p and g.q:
         cases = match_theorem61(g)
         if cases:

@@ -1206,6 +1206,35 @@ class TestCaseStage:
         assert len(labelings) == len(set(labelings)) <= 2 * patterns
         assert len(priced) == len(set(priced)) == grids
 
+    # every case's read is graph._groups_plan over slots of (fixed, bands);
+    # by position, these weights put 2 at 0 and 1 and 3 at 2
+    WEIGHTS = [2, 2, 3]
+
+    def test_a_slots_first_alternative_that_reads_wins(self) -> None:
+        read = graph._groups_plan(
+            [
+                ({"shape": "mixed"}, {"a": [0, 2]}),
+                ({"shape": "first"}, {"a": [0, 1]}),
+                ({"shape": "later"}, {"a": [2]}),
+            ]
+        )
+        assert read(self.WEIGHTS) == [{"shape": "first", "a": 2}]
+
+    def test_an_empty_band_reads_zero(self) -> None:
+        read = graph._groups_plan([({}, {"a": [2], "b": []})])
+        assert read(self.WEIGHTS) == [{"a": 3, "b": 0}]
+
+    def test_a_slot_with_no_alternative_that_reads_gives_none(self) -> None:
+        reads = [({}, {"a": [0]})]
+        assert graph._groups_plan(reads, [({}, {"b": [1, 2]})])(self.WEIGHTS) is None
+        assert graph._groups_plan(reads, [])(self.WEIGHTS) is None
+
+    def test_one_group_per_slot_in_slot_order(self) -> None:
+        read = graph._groups_plan(
+            [({"x": "tree"}, {"c": [2]})], [({}, {"a": [0]})], [({"y": 1}, {})]
+        )
+        assert read(self.WEIGHTS) == [{"x": "tree", "c": 3}, {"a": 2}, {"y": 1}]
+
     def test_a_kept_plan_reads_as_a_fresh_one(self) -> None:
         # every plan is made before any graph is read, from the first graph
         # of its pattern, and then reads each graph of the pattern, invariant

@@ -47,8 +47,6 @@ from .lattice import (
     WeightGrid,
     _node_grid,
     _orbit_size,
-    grid_from_affine,
-    grid_from_vectors,
     increasing_maximal_pairs,
 )
 from .parking import (
@@ -177,16 +175,6 @@ def _side_vector(shape: str, length: int, first: int, second: int) -> Vector:
     return tuple(first + k * second for k in range(length))
 
 
-def _cycle_case_grid(p: int, q: int, a: int, rest: int, chord: int) -> WeightGrid:
-    """Grid for cycles: marked-root band a, the rest, and chord {1, 2} (0 if absent)."""
-    return _node_grid(
-        p,
-        q,
-        lambda i, j: a + chord + (rest if j == q else 0) if i >= p - 1 else a,
-        lambda i, j: 2 * rest if i == p and j >= q - 1 else rest,
-    )
-
-
 @dataclass(frozen=True)
 class GridConstruction:
     """Grid built for a matched graph, with the case that produced it."""
@@ -207,34 +195,41 @@ class GridConstruction:
 def _grid_for_case(p: int, q: int, tag: FamilyTag) -> WeightGrid:
     """The grid of a matched case, on blocks p and q as the graph is labeled.
 
-    A swapped tag's grid is the transpose of its own grid on (q, p), built
-    directly in one validated construction: vector grids exchange their
-    vectors, case iii exchanges a with e, b with d and c with c', and the
-    cycle formulas are read at (j, i) with u and v exchanged.
+    Each case family's grid is one pair of node formulas (u_at, v_at) on the
+    blocks (first, second) that its tag reads: affine for case iii; for the
+    cycles i.a-ii, a marked-root band a, the rest, and the chord {1, 2} (0
+    when absent); for iv.a-vi, the side vectors, whose last entry repeats
+    into the unread row and column. A swapped tag's grid is the transpose
+    of its own grid on (q, p), so its formulas are read at (j, i) with u and
+    v exchanged; either way the grid is one validated construction.
     """
-    case, params, swapped = tag.case, dict(tag.params), tag.swapped
+    case, params = tag.case, dict(tag.params)
+    first, second = (q, p) if tag.swapped else (p, q)  # the block sizes the tag reads
     if case == "iii":
-        a, b, c, d, e = (params[k] for k in ("edcba" if swapped else "abcde"))
-        return grid_from_affine(p, q, a=a, b=b, c=c, cprime=c, d=d, e=e)
-    if case in ("i.a", "i.b", "i.c", "ii"):
+        a, b, c, d, e = (params[k] for k in "abcde")
+        u_at, v_at = lambda i, j: b * i + c * j + a, lambda i, j: c * i + d * j + e
+    elif case in ("i.a", "i.b", "i.c", "ii"):
         a, rest, chord = params["a"], params.get("b", params["a"]), 0
         if case == "ii":
             rest, chord = params["c"], params["b"]
-        if not swapped:
-            return _cycle_case_grid(p, q, a, rest, chord)
-        return _node_grid(
-            p,
-            q,
-            lambda i, j: 2 * rest if j == q and i >= p - 1 else rest,
-            lambda i, j: a + chord + (rest if i == p else 0) if j >= q - 1 else a,
+        band = a + chord  # the last two rows carry the chord
+        u_at, v_at = (
+            lambda i, j: band + (rest if j == second else 0) if i >= first - 1 else a,
+            lambda i, j: 2 * rest if i == first and j >= second - 1 else rest,
         )
-    first, second = (q, p) if swapped else (p, q)  # the block sizes the tag reads
-    if case == "vi":
-        u, v = (params["a"],) * first, (params["b"],) * second
-    else:  # iv.a, iv.b and v; v has no inner A band, iv.b no inner B band
-        u = _side_vector(params["a_shape"], first, params["a"], params.get("b", 0))
-        v = _side_vector(params["b_shape"], second, params["c"], params.get("d", 0))
-    return grid_from_vectors(v, u) if swapped else grid_from_vectors(u, v)
+    else:
+        if case == "vi":
+            u, v = (params["a"],) * first, (params["b"],) * second
+        else:  # iv.a, iv.b and v; v has no inner A band, iv.b no inner B band
+            u = _side_vector(params["a_shape"], first, params["a"], params.get("b", 0))
+            v = _side_vector(params["b_shape"], second, params["c"], params.get("d", 0))
+        u_at, v_at = (
+            lambda i, j: u[min(i, first - 1)],
+            lambda i, j: v[min(j, second - 1)],
+        )
+    if tag.swapped:
+        return _node_grid(p, q, lambda i, j: v_at(j, i), lambda i, j: u_at(j, i))
+    return _node_grid(p, q, u_at, v_at)
 
 
 def construct_u_for_graph(g: RootedWeightedGraph) -> GridConstruction:
@@ -314,16 +309,17 @@ def _relabeling_states(perms: list, m: int) -> list:
 
 
 def _still_least(states: list, weights: list, d: int, m: int) -> list | None:
-    """The states still undecided once position d is set, or None when a
-    relabeling reads the prefix smaller.
+    """The states still undecided once position d is set, with those that
+    fix the whole assignment, or None when a relabeling reads the prefix
+    smaller.
 
     A relabeling is compared with the identity on positions 0..d only.
     Where it reads smaller, the prefix starts no orbit's least member and
-    its subtree is pruned; where it reads larger, or fixes all m positions,
-    it is dropped for the subtree. Fixing all m positions is first decided
-    at d = m - 1, so a relabeling that fixes an assignment is still in the
-    states that enter its last position: _level_solutions reads Stab(P)
-    from them.
+    its subtree is pruned; where it reads larger, it is dropped for the
+    subtree. Where it fixes all m positions it is kept, as (perm, wait, m).
+    That is first decided at d = m - 1, where every state is decided, so
+    the list kept at the last position is exactly the relabelings in states
+    that fix the assignment.
     """
     kept = []
     for state in states:
@@ -331,9 +327,7 @@ def _still_least(states: list, weights: list, d: int, m: int) -> list | None:
         if wait[t] == d:
             while t < m and wait[t] <= d and weights[perm[t]] == weights[t]:
                 t += 1
-            if t == m:
-                continue  # perm fixes the assignment
-            if wait[t] <= d:
+            if t < m and wait[t] <= d:
                 if weights[perm[t]] < weights[t]:
                     return None  # a relabeling reads smaller: prune
                 continue  # it reads larger for good
@@ -353,14 +347,14 @@ def _block_leaves(p: int, q: int, max_w: int):
     graph._masks reads from them, and total is the weight sum. The walk
     keeps them slot by slot: each weight step adds 1 to the total, a slot
     whose weights run out takes max_w back off, and the last slot's edge is
-    appended for the yield and popped on resume. states lists the
-    relabeling states (perm, wait, t) of _relabeling_states that enter the
-    last slot, identity excluded; every relabeling that fixes the leaf is
-    among them (_still_least). The three lists are the walk's live state,
-    valid until the next item is requested; a caller that keeps a leaf
-    copies tuple(edges), as the search does only for the leaves that pass
-    its sum test, and the sweep only for the edge patterns whose levels it
-    can meet.
+    appended for the yield and popped on resume. states lists the leaf's
+    stabilizer less the identity: the states (perm, wait, m) of the
+    relabelings that fix every slot's weight, which _still_least keeps at
+    the last slot. The three lists are the walk's live state, valid until
+    the next item is requested; a caller that keeps a leaf copies
+    tuple(edges), as the search does only for the leaves that pass its sum
+    test, and the sweep only for the edge patterns whose levels it can
+    meet.
 
     Deeper slots only add edges, and a weight rising past 1 leaves a slot's
     bits set. So once a leaf's search reaches every vertex, every later leaf
@@ -428,7 +422,7 @@ def _block_leaves(p: int, q: int, max_w: int):
             # n >= 1 here, so a connected leaf has a present slot
             connected_at = index[edges[-1][:2]]
         if connected_at >= 0:
-            yield edges, nbrs, total, undecided[d]
+            yield edges, nbrs, total, kept
         if w:
             edges.pop()
 
@@ -617,14 +611,14 @@ def _level_solutions(p: int, q: int, max_w: int):
     to one with the orbits of weightings of P in 1..max_w under Stab(P), the
     block relabelings that fix P, and Burnside's lemma counts those orbits:
     the mean of max_w ** (cycles of g on P) over Stab(P). Stab(P) is read
-    off the walk that yields P: the identity, and the relabeling states
-    entering P's last slot (the walk's fourth item) whose perm maps P's
-    slots onto themselves. With max_w <= 1 a pattern has at most one
-    weighting, so the group is left trivial: it counts the same, prunes
-    nothing, and is not mapped to positions. tested sums that count over the
-    patterns read since the previous item, so the items' tested add up to
-    the split's number of graphs; an item is yielded for each pattern that
-    _level_plans finds possibly level, and once at the end.
+    off the walk that yields P: the identity, and the relabelings of the
+    walk's fourth item, each mapped to a permutation of P's positions. With
+    max_w <= 1 a pattern has at most one weighting, so the group is left
+    trivial: it counts the same, prunes nothing, and is not mapped to
+    positions. tested sums that count over the patterns read since the
+    previous item, so the items' tested add up to the split's number of
+    graphs; an item is yielded for each pattern that _level_plans finds
+    possibly level, and once at the end.
 
     graphs is a lazy iterator over the edge tuples of the lex-least
     weighting of each orbit whose block levels are equal, the exact
@@ -643,9 +637,7 @@ def _level_solutions(p: int, q: int, max_w: int):
         if max_w > 1:
             at = [index[i, j] for i, j, _ in edges]
             position = dict(zip(at, range(m)))
-            for perm, _, _ in states:
-                if position.keys() >= set(map(perm.__getitem__, at)):
-                    group.append([position[perm[k]] for k in at])
+            group = [[position[perm[k]] for k in at] for perm, _, _ in states]
             orbits += sum(max_w ** _cycle_count(pi) for pi in group)
             orbits //= len(group) + 1
         tested += orbits

@@ -192,10 +192,11 @@ def build_graph(
     return g
 
 
-def _masks(g: RootedWeightedGraph) -> list[int]:
-    """Each vertex's neighbour bitmask, read from g.edges."""
-    nbrs = [0] * (g.n + 1)
-    for i, j, _ in g.edges:
+def _masks(n: int, edges: Iterable[Sequence[int]]) -> list[int]:
+    """Each vertex's neighbour bitmask, read from edges (i, j) or (i, j, w)."""
+    nbrs = [0] * (n + 1)
+    for edge in edges:
+        i, j = edge[0], edge[1]  # indexing is cheaper than starred unpacking
         nbrs[i] |= 1 << j
         nbrs[j] |= 1 << i
     return nbrs
@@ -225,7 +226,7 @@ def _root_side_edges(
 ) -> list[int] | None:
     """Positions in edges of non-root v's edges into R, the root's component of g - v.
 
-    g is the connected graph with these edges and nbrs is _masks(g).
+    g is the connected graph with these edges and nbrs is _masks(g.n, edges).
     None when v is no cut vertex, so that R is every other vertex. v is no
     cut vertex when each of its neighbours is the root or adjacent to it,
     and then R is not searched.
@@ -242,7 +243,7 @@ def _root_side_edges(
 
 
 def is_connected(g: RootedWeightedGraph) -> bool:
-    return _reach(_masks(g)) == (1 << (g.n + 1)) - 1
+    return _reach(_masks(g.n, g.edges)) == (1 << (g.n + 1)) - 1
 
 
 def d_U(g: RootedWeightedGraph, U: Iterable[int], i: int) -> int:
@@ -262,7 +263,7 @@ def d_U(g: RootedWeightedGraph, U: Iterable[int], i: int) -> int:
 
 def cut_vertices(g: RootedWeightedGraph) -> frozenset[int]:
     """Non-root vertices whose removal disconnects the rest of the graph."""
-    nbrs = _masks(g)
+    nbrs = _masks(g.n, g.edges)
     full = (1 << len(nbrs)) - 1
     return frozenset(v for v in range(1, g.n + 1) if _reach(nbrs, 1 | 1 << v) != full)
 
@@ -600,10 +601,7 @@ def _labeling_plan(
     """
     n = p + q
     full = (1 << (n + 1)) - 1
-    nbrs = [0] * (n + 1)
-    for i, j in pairs:
-        nbrs[i] |= 1 << j
-        nbrs[j] |= 1 << i
+    nbrs = _masks(n, pairs)
     checks: list[tuple] = []
     if p == 0 or q == 0 or _reach(nbrs) != full:
         return checks
@@ -776,7 +774,7 @@ def recognize_family(g: RootedWeightedGraph) -> FamilyTag:
     from g's structure and read on g's weights by _groups_plan.
     """
     pairs, weights = [e[:2] for e in g.edges], [w for _, _, w in g.edges]
-    nbrs, full = _masks(g), (1 << (g.n + 1)) - 1
+    nbrs, full = _masks(g.n, g.edges), (1 << (g.n + 1)) - 1
     if len(g.edges) == g.n and _reach(nbrs) == full:
         a = _uniform_at(weights, range(g.n))
         if a:  # 0 only on the root alone, which is no uniform tree

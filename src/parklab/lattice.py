@@ -11,9 +11,11 @@ scan of the C(p+q, p) paths.
 
 Only part of the grid is ever read by a path: u[i][j] with i < p and
 v[i][j] with j < q (a path east of column p cannot step east again). The
-full arrays are stored for uniformity. Vector grids repeat their vectors
-row by row; every other constructor fills every node through _node_grid,
-from a formula in (i, j). Vector and case grids repeat their last read
+full arrays are stored for uniformity. grid_from_vectors repeats its
+vectors row by row; grid_from_affine and grid_transpose fill every node
+through _node_grid, from a formula in (i, j), and so does classify for
+every case grid, from one pair of formulas per case family, read at
+(j, i) for a swapped case. Vector and case grids repeat their last read
 entry into the unread row u[p][.] and column v[.][q], and affine grids
 extend their formula there. No builder takes a grid of more than
 _MAX_GRID_NODES (one million) nodes.

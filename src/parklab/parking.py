@@ -189,7 +189,7 @@ def _mpf_walk(g: RootedWeightedGraph) -> Iterator[Vector]:
         yield ()
         return
     edges = g.edges
-    nbr = _masks(g)
+    nbr = _masks(n, edges)
     pos = [0] * (n + 1)
     # frames (depth, placed, owed, reached, candidates): reached holds every
     # neighbour of a placed vertex; the candidates left at this depth are

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parklab import (
+    FamilyTag,
     build_graph,
     enumerate_A,
     enumerate_mupf,
@@ -32,7 +33,7 @@ from parklab import (
     verify_equality,
     witness_path,
 )
-from parklab.classify import _cycle_case_grid
+from parklab.classify import _grid_for_case
 from parklab.errors import (
     DomainError,
     InvalidParameters,
@@ -186,7 +187,7 @@ class TestGridGuards:
         [
             lambda p, q: grid_from_affine(p, q, a=1, b=0, c=0, cprime=0, d=0, e=1),
             lambda p, q: grid_from_vectors((1,) * p, (1,) * q),
-            lambda p, q: _cycle_case_grid(p, q, 1, 1, 0),
+            lambda p, q: cycle_grid(p, q, 1, 1, 0),
         ],
     )
     def test_node_guard_is_exact(self, monkeypatch, build) -> None:
@@ -218,6 +219,12 @@ class TestGridGuards:
             grid_from_affine(10**5, 10**5, a=1, b=1, c=1, cprime=1, d=1, e=1)
 
 
+def cycle_grid(p: int, q: int, a: int, rest: int, chord: int) -> WeightGrid:
+    """A cycle case's grid: case ii's, whose chord {1, 2} may be 0."""
+    params = (("a", a), ("b", chord), ("c", rest))
+    return _grid_for_case(p, q, FamilyTag("invariant_case", "ii", params))
+
+
 def _pinned_constructions():
     """Every grid construction the whole-grid digest covers, in a fixed order."""
     for p, q in product(range(4), repeat=2):
@@ -230,9 +237,9 @@ def _pinned_constructions():
         yield partial(grid_from_vectors, u, v)
     for p, q in product(range(1, 5), repeat=2):
         for a, b in product(range(4), repeat=2):
-            yield partial(_cycle_case_grid, p, q, a, b, 0)
+            yield partial(cycle_grid, p, q, a, b, 0)
         for a, b, c in product(range(4), repeat=3):
-            yield partial(_cycle_case_grid, p, q, a, c, b)
+            yield partial(cycle_grid, p, q, a, c, b)
 
 
 def test_whole_grids_are_pinned() -> None:

@@ -20,7 +20,10 @@ block graph within a budget, up to relabeling inside the blocks. It counts
 the graphs per edge pattern and builds only those whose blocks are level;
 each other graph is rejected by a level equality that fails. It plans each
 pattern's cases once and reads each invariant graph's lowest case from
-that plan, the case construct_u_for_graph would use.
+that plan, the case construct_u_for_graph would use. Its swap-burn walk
+also works per pattern: the burning orders and the incidence that the
+burns read depend on the pattern alone, so each is made once and read
+with every weighting's weights.
 """
 
 from __future__ import annotations
@@ -29,13 +32,15 @@ import itertools
 import os
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InvalidParameters, NotClassified, ShapeMismatch
 from .graph import (
     FamilyTag,
     RootedWeightedGraph,
     _case_plan,
+    _incidence,
+    _masks,
     _reach,
     _read_cases,
     _root_side_edges,
@@ -52,7 +57,9 @@ from .lattice import (
 from .parking import (
     Vector,
     _burn_order,
+    _burning_orders,
     _mpf_walk,
+    _order_mpf,
     enumerate_mpf,
     enumerate_pf,
     order_statistics,
@@ -91,10 +98,13 @@ class InvarianceReport:
         }
 
 
-def _first_hole(g: RootedWeightedGraph, vectors: Iterable[Vector]) -> tuple:
+def _first_hole(p: int, incidence, edges, vectors: Iterable[Vector]) -> tuple:
     """The first vector with an in-block swap that does not park: (hole, read).
 
-    vectors is the maximal set or the full parking set, in any order. The
+    The graph has first block 1..p, edges, and their incidence
+    (graph._incidence), which _burn_order reads; the sweep passes one
+    incidence for all weightings of an edge pattern. vectors is the graph's
+    maximal set or its full parking set, in any order. The
     adjacent swaps inside a block generate the block permutations, so the
     set is closed under them exactly when no vector has an adjacent
     in-block swap outside it. The full set holds every parking vector, and
@@ -107,8 +117,7 @@ def _first_hole(g: RootedWeightedGraph, vectors: Iterable[Vector]) -> tuple:
     swaps found to park by then; with no hole, hole is None and read is the
     whole set.
     """
-    p = g.p
-    swaps = [i for i in range(g.n - 1) if i != p - 1]
+    swaps = [i for i in range(len(incidence) - 2) if i != p - 1]
     known: set[Vector] = set()
     for vec in vectors:
         known.add(vec)
@@ -116,7 +125,7 @@ def _first_hole(g: RootedWeightedGraph, vectors: Iterable[Vector]) -> tuple:
             if vec[i] != vec[i + 1]:
                 swapped = vec[:i] + (vec[i + 1], vec[i]) + vec[i + 2 :]
                 if swapped not in known:
-                    if _burn_order(g, swapped) is None:
+                    if _burn_order(incidence, edges, swapped) is None:
                         return (vec, swapped), known
                     known.add(swapped)
     return None, known
@@ -129,7 +138,7 @@ def is_invariant(g: RootedWeightedGraph) -> InvarianceReport:
     closure of the full parking set, so no down-set is enumerated.
     """
     g.require_bipartition()
-    witness = _first_hole(g, enumerate_mpf(g))[0]
+    witness = _first_hole(g.p, g.incidence, g.edges, enumerate_mpf(g))[0]
     tags = match_theorem61(g) if g.p and g.q else []
     swapped = tags[0].swapped if tags else False
     return InvarianceReport(witness is None, witness, tuple(tags), swapped)
@@ -145,8 +154,9 @@ def check_lemma61(g: RootedWeightedGraph) -> bool:
     default.
     """
     g.require_bipartition()
-    full_hole = _first_hole(g, enumerate_pf(g))[0]
-    return (full_hole is None) == (_first_hole(g, _mpf_walk(g))[0] is None)
+    full_hole = _first_hole(g.p, g.incidence, g.edges, enumerate_pf(g))[0]
+    maximal_hole = _first_hole(g.p, g.incidence, g.edges, _mpf_walk(g))[0]
+    return (full_hole is None) == (maximal_hole is None)
 
 
 # ---------------------------------------------------------------------------
@@ -654,25 +664,45 @@ def _level_solutions(p: int, q: int, max_w: int):
     yield tested, ()
 
 
+def _replay(seen: list, source: Iterator) -> Iterator:
+    """The items in seen, then source's next ones, each appended to seen as drawn."""
+    yield from seen
+    for item in source:
+        seen.append(item)
+        yield item
+
+
 def _sweep_block(args: tuple[int, int, int]) -> tuple:
     """Test each graph of one split once: (tested, invariant, counts, bad).
 
-    The case stage works per edge pattern: its structure is planned once,
-    on the first invariant graph (graph._case_plan), and each invariant
-    graph's weights are read against that plan up to the lowest case. The
-    lowest case's grid is priced once per distinct tag in the split.
+    The swap-burn walk works per edge pattern: on the pattern's first
+    weighting it makes the pattern's incidence (graph._incidence) and its
+    source of burning orders (parking._burning_orders), which depend on the
+    pattern alone. Each weighting replays the orders drawn so far and draws
+    new ones only past them (_replay), reading each with its own weights
+    (parking._order_mpf), so a walk that stops at an early hole leaves the
+    rest of the source undrawn. A graph is built only to report a failure.
+    The case stage also works per edge pattern: its structure is planned
+    once, on the first invariant graph (graph._case_plan), and each
+    invariant graph's weights are read against that plan up to the lowest
+    case. The lowest case's grid is priced once per distinct tag in the
+    split.
     """
     p, q, max_w = args
+    n = p + q
     tested = invariant = 0
     counts: Counter[str] = Counter()
     bad: list[dict] = []
     priced: dict[FamilyTag, list[Pair]] = {}  # each tag's increasing pairs
     for count, graphs in _level_solutions(p, q, max_w):
         tested += count
-        plan = None
+        plan = orders = None
         for edges in graphs:
-            g = RootedWeightedGraph(p + q, edges, p, q)
-            hole, maximal = _first_hole(g, _mpf_walk(g))
+            if orders is None:
+                incidence, seen = _incidence(n, edges), []
+                orders = _burning_orders(_masks(n, edges))
+            vectors = map(_order_mpf, _replay(seen, orders), itertools.repeat(edges))
+            hole, maximal = _first_hole(p, incidence, edges, vectors)
             if hole is not None:
                 continue
             invariant += 1
@@ -680,15 +710,16 @@ def _sweep_block(args: tuple[int, int, int]) -> tuple:
                 plan = _case_plan(p, q, [e[:2] for e in edges])
             tag = next(_read_cases(plan, [w for _, _, w in edges]), None)
             if tag is None:
-                bad.append({"graph": g.to_json(), "reason": "no-case-matches"})
-                continue
-            counts[tag.case] += 1
-            if tag not in priced:
-                priced[tag] = increasing_maximal_pairs(_grid_for_case(p, q, tag))
-            if not _matches_grid(maximal, p, priced[tag]):
-                bad.append(
-                    {"graph": g.to_json(), "reason": "grid-mismatch", "case": tag.case}
-                )
+                failure = {"reason": "no-case-matches"}
+            else:
+                counts[tag.case] += 1
+                if tag not in priced:
+                    priced[tag] = increasing_maximal_pairs(_grid_for_case(p, q, tag))
+                if _matches_grid(maximal, p, priced[tag]):
+                    continue
+                failure = {"reason": "grid-mismatch", "case": tag.case}
+            g = RootedWeightedGraph(n, edges, p, q)
+            bad.append({"graph": g.to_json(), **failure})
     return tested, invariant, counts, bad
 
 
@@ -707,12 +738,16 @@ def sweep_classification(
     fails a level equality; they count in graphs_tested like any other
     non-invariant graph. The rest are tested while their maximal parking
     set is walked, and the walk stops at the first adjacent in-block swap
-    that does not park. Only invariant graphs are matched against the case
-    list; each must match a case whose grid has the same maximal set. The
-    lowest case is read from a plan made once per edge pattern, and its
-    grid is priced once per split (_sweep_block); both are the case and the
-    grid that construct_u_for_graph gives the graph.
-    Failures are reported as counterexamples, in the labeling of their
+    that does not park. The walk's burning orders depend on the edge
+    pattern alone, so each pattern's are drawn once, as far as its
+    weightings read them, and replayed for its later weightings; one
+    incidence of the pattern serves every burn. Only invariant graphs are
+    matched against the case list; each must match a case whose grid has
+    the same maximal set. The lowest case is read from a plan made once per
+    edge pattern, and its grid is priced once per split (_sweep_block);
+    both are the case and the grid that construct_u_for_graph gives the
+    graph. A graph is built only for a counterexample: failures are
+    reported as counterexamples, in the labeling of their
     pattern's lex-least weighting. Each block split (p, q) is one task whose
     graphs are generated once; jobs worker processes, at most
     os.cpu_count(), take the tasks in turn. The max_n - 1 splits of the

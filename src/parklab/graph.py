@@ -23,7 +23,11 @@ weighting of it. One table of the five bands of a complete block graph
 serves both case iii's matcher and its builder, graph_from_affine_u. The
 searches run on per-vertex neighbour bitmasks and take edges and masks
 rather than a graph, because classify's block-graph generator keeps those
-masks at each leaf and asks the same questions before it builds one.
+masks at each leaf and asks the same questions before it builds one. For
+the same reason a graph's incidence, each vertex's (neighbour, edge
+position) pairs that Dhar's burn reads, names positions rather than
+weights: _incidence builds it from edges alone, and the sweep builds it
+once per edge pattern.
 """
 
 from __future__ import annotations
@@ -82,14 +86,8 @@ class RootedWeightedGraph:
     q: int | None = None
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        # edges are sorted with i < j, so each vertex meets its smaller
-        # neighbours in order and then its larger ones: no list needs sorting
-        nbrs: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
-        for i, j, w in self.edges:
-            nbrs[i].append((j, w))
-            nbrs[j].append((i, w))
-        return tuple(map(tuple, nbrs))
+    def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return _incidence(self.n, self.edges)
 
     @property
     def vertices(self) -> range:
@@ -100,7 +98,9 @@ class RootedWeightedGraph:
         return sum(w for _, _, w in self.edges)
 
     def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
-        return self.adjacency[v]
+        """v's (neighbour, weight) pairs, in edge order."""
+        edges = self.edges
+        return tuple((u, edges[k][2]) for u, k in self.incidence[v])
 
     @property
     def has_bipartition(self) -> bool:
@@ -200,6 +200,23 @@ def _masks(n: int, edges: Iterable[Sequence[int]]) -> list[int]:
         nbrs[i] |= 1 << j
         nbrs[j] |= 1 << i
     return nbrs
+
+
+def _incidence(
+    n: int, edges: Sequence[Sequence[int]]
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each vertex's (neighbour, position in edges) pairs, a tuple per vertex.
+
+    The pairs name no weight, so one incidence serves every weighting of an
+    edge pattern. Sorted edges with i < j meet each vertex's smaller
+    neighbours in order and then its larger ones: no row needs sorting.
+    """
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for k, edge in enumerate(edges):
+        i, j = edge[0], edge[1]
+        rows[i].append((j, k))
+        rows[j].append((i, k))
+    return tuple(map(tuple, rows))
 
 
 def _reach(nbrs: Sequence[int], seen: int = 1, start: int = 1) -> int:
@@ -780,7 +797,7 @@ def recognize_family(g: RootedWeightedGraph) -> FamilyTag:
         if a:  # 0 only on the root alone, which is no uniform tree
             if all(i == ROOT for i, _ in pairs):
                 family = "uniform_star"
-            elif max(map(len, g.adjacency)) <= 2:
+            elif max(map(int.bit_count, nbrs)) <= 2:
                 family = "uniform_path"
             else:
                 family = "uniform_tree"

@@ -477,7 +477,7 @@ def path_from_orientation(
     g.require_bipartition()
     if (o.graph.n, o.graph.edges) != (g.n, g.edges):
         raise ShapeMismatch("orientation is not of this graph's edges")
-    order = _burn_order(g, _ori.orientation_to_mpf(o))
+    order = _burn_order(g.incidence, g.edges, _ori.orientation_to_mpf(o))
     return "".join("E" if v <= g.p else "N" for v in order[1:])
 
 

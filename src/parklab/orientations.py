@@ -148,7 +148,7 @@ def mpf_to_orientation(
             "maximal parking functions have non-negative entries summing to "
             f"{g.total_weight - g.n}"
         )
-    order = _burn_order(g, b)
+    order = _burn_order(g.incidence, g.edges, b)
     if order is None:
         raise InconsistentIndegrees(
             f"no orientation realizes indegree targets {b}"

@@ -7,9 +7,11 @@ parking functions require every non-empty set of non-root vertices to
 contain a vertex whose entry is beaten by its outward weighted degree.
 
 Graph parking rests on Dhar's burning order, and this module owns it:
-membership burns the vector, and the maximal parking functions, the
-weighted indegrees minus one of the acyclic orientations with the root as
-unique source, are read off one walk over the burning orders. The full
+membership burns the vector over the graph's incidence, and the maximal
+parking functions, the weighted indegrees minus one of the acyclic
+orientations with the root as unique source, are read off one walk over
+the burning orders. Neither the incidence nor the walk depends on the
+weights, so every weighting of one edge pattern can share them. The full
 parking set of a graph is the downward closure of its maximal elements,
 generated in lexicographic order with no membership test; the same closure
 serves the parking pairs of a weight grid. Its last three coordinates are
@@ -103,16 +105,18 @@ def _check_length(g: RootedWeightedGraph, b: Sequence[int]) -> None:
     _check_ints(b, "vector entry")
 
 
-def _burn_order(g: RootedWeightedGraph, b) -> list[int] | None:
+def _burn_order(incidence, edges, b) -> list[int] | None:
     """Dhar's burning order [ROOT, ...] of b, None if it stalls.
 
-    From the root, repeatedly burn the smallest-indexed vertex whose entry
-    is beaten by its weighted degree into the burned set. b parks exactly
-    when every vertex burns. slack[v] is b's entry less v's degree into the
-    burned set; it only falls, so a vertex joins the heap of burnable
-    vertices once, when its slack turns negative. A vertex whose slack
-    starts below zero is never lowered or pushed, so a negative entry never
-    burns.
+    incidence[v] lists v's (neighbour, position in edges) pairs, as
+    graph._incidence builds them; the weights are read from edges, so one
+    incidence serves every weighting of an edge pattern. From the root,
+    repeatedly burn the smallest-indexed vertex whose entry is beaten by its
+    weighted degree into the burned set. b parks exactly when every vertex
+    burns. slack[v] is b's entry less v's degree into the burned set; it
+    only falls, so a vertex joins the heap of burnable vertices once, when
+    its slack turns negative. A vertex whose slack starts below zero is
+    never lowered or pushed, so a negative entry never burns.
     """
     slack = [-1, *b]
     ready = [ROOT]
@@ -120,12 +124,12 @@ def _burn_order(g: RootedWeightedGraph, b) -> list[int] | None:
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
-        for u, w in g.neighbors(v):
+        for u, k in incidence[v]:
             if slack[u] >= 0:
-                slack[u] -= w
+                slack[u] -= edges[k][2]
                 if slack[u] < 0:
                     heapq.heappush(ready, u)
-    return order if len(order) == g.n + 1 else None
+    return order if len(order) == len(incidence) else None
 
 
 def is_g_pf(g: RootedWeightedGraph, b: Sequence[int]) -> bool:
@@ -135,7 +139,7 @@ def is_g_pf(g: RootedWeightedGraph, b: Sequence[int]) -> bool:
     entry never burns, so no vector with one parks.
     """
     _check_length(g, b)
-    return _burn_order(g, b) is not None
+    return _burn_order(g.incidence, g.edges, b) is not None
 
 
 def is_g_pf_by_subsets(g: RootedWeightedGraph, b: Sequence[int]) -> bool:
@@ -152,12 +156,13 @@ def is_g_pf_by_subsets(g: RootedWeightedGraph, b: Sequence[int]) -> bool:
     if any(x < 0 for x in b):
         return False
     verts = range(1, g.n + 1)
+    nbrs = list(map(g.neighbors, g.vertices))  # each built once, not per subset
     for size in range(1, g.n + 1):
         for subset in itertools.combinations(verts, size):
             chosen = set(subset)
             ok = False
             for v in subset:
-                out = sum(w for u, w in g.neighbors(v) if u not in chosen)
+                out = sum(w for u, w in nbrs[v] if u not in chosen)
                 if b[v - 1] < out:
                     ok = True
                     break
@@ -174,23 +179,32 @@ def enumerate_mpf(g: RootedWeightedGraph) -> list[Vector]:
 def _mpf_walk(g: RootedWeightedGraph) -> Iterator[Vector]:
     """The maximal parking functions, one per orientation, in walk order.
 
-    Grows only burning orders from the root. A vertex may come next if it
-    has a placed neighbour and is not owed. Placing v makes every unplaced
-    u < v not adjacent to v owed: u was passed over, so a neighbour of u
-    must be placed before u; placing a neighbour clears the debt. A vertex
-    whose neighbours are all placed could never be cleared, so once it has
-    been tried no larger vertex is placed at that depth. Each complete order
-    gives one vector: every edge's weight goes to its later endpoint, less
-    one per vertex. The walk keeps its own stack of bitmask frames, so the
-    recursion limit does not bound n.
+    Each burning order of g's edge pattern (_burning_orders) is read with
+    g's weights into its vector (_order_mpf).
     """
-    n = g.n
-    if n == 0:
-        yield ()
-        return
     edges = g.edges
-    nbr = _masks(n, edges)
+    return map(_order_mpf, _burning_orders(_masks(g.n, edges)), itertools.repeat(edges))
+
+
+def _burning_orders(nbr: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """One burning order per orientation of an edge pattern, as positions.
+
+    nbr[v] is v's neighbour bitmask, so the walk depends on the pattern
+    alone, never on its weights. Each item gives each vertex's position in
+    its order, the root's 0. Grows only burning orders from the root. A
+    vertex may come next if it has a placed neighbour and is not owed.
+    Placing v makes every unplaced u < v not adjacent to v owed: u was
+    passed over, so a neighbour of u must be placed before u; placing a
+    neighbour clears the debt. A vertex whose neighbours are all placed
+    could never be cleared, so once it has been tried no larger vertex is
+    placed at that depth. The walk keeps its own stack of bitmask frames,
+    so the recursion limit does not bound n.
+    """
+    n = len(nbr) - 1
     pos = [0] * (n + 1)
+    if n == 0:
+        yield tuple(pos)
+        return
     # frames (depth, placed, owed, reached, candidates): reached holds every
     # neighbour of a placed vertex; the candidates left at this depth are
     # tried lowest first
@@ -204,10 +218,7 @@ def _mpf_walk(g: RootedWeightedGraph) -> Iterator[Vector]:
         if cand != bit and nbr[v] & ~placed:
             stack.append((depth, placed, owed, reached, cand ^ bit))
         if depth == n:
-            acc = [-1] * (n + 1)
-            for i, j, w in edges:
-                acc[j if pos[i] < pos[j] else i] += w
-            yield tuple(acc[1:])
+            yield tuple(pos)
             continue
         owed = (owed | (bit - 1) & ~placed) & ~nbr[v]
         placed |= bit
@@ -215,6 +226,17 @@ def _mpf_walk(g: RootedWeightedGraph) -> Iterator[Vector]:
         cand = reached & ~(placed | owed)
         if cand:
             stack.append((depth + 1, placed, owed, reached, cand))
+
+
+def _order_mpf(pos: Sequence[int], edges: Sequence[Sequence[int]]) -> Vector:
+    """The maximal vector of one burning order, given as positions, on edges.
+
+    Every edge's weight goes to its later endpoint, less one per vertex.
+    """
+    acc = [-1] * len(pos)
+    for i, j, w in edges:
+        acc[j if pos[i] < pos[j] else i] += w
+    return tuple(acc[1:])
 
 
 def _closure_block(

@@ -166,7 +166,7 @@ class TestOrbitCount:
                 for g in connected_block_graphs(p, n - p, 2):
                     full = enumerate_pf(g)
                     want = orbit_closed_by_expansion(set(full), g.p)
-                    hole = classify._first_hole(g, full)[0]
+                    hole = classify._first_hole(g.p, g.incidence, g.edges, full)[0]
                     assert (hole is None) == (want is None), g
                     assert hole == first_swap_hole(full, g.p), g
                     holes += want is not None
@@ -323,7 +323,7 @@ class TestLazyInvariance:
         for g in small_block_graphs():
             tested += 1
             full = set(enumerate_mpf(g))
-            hole, lazy = classify._first_hole(g, _mpf_walk(g))
+            hole, lazy = classify._first_hole(g.p, g.incidence, g.edges, _mpf_walk(g))
             closed = orbit_closed_by_expansion(full, g.p) is None
             assert (hole is None) == closed, g
             grids = [previous[g.p, g.q]] if (g.p, g.q) in previous else []
@@ -361,7 +361,7 @@ class TestLazyInvariance:
         monkeypatch.setattr(
             classify, "_level_steps", lambda p, edges, ats, max_w: [[] for _ in edges]
         )
-        monkeypatch.setattr(classify, "_burn_order", lambda g, b: [0])
+        monkeypatch.setattr(classify, "_burn_order", lambda incidence, edges, b: [0])
         report = sweep_classification(3, 2)
         assert report.invariant_count == report.graphs_tested == 704
         bad = report.counterexamples
@@ -370,6 +370,87 @@ class TestLazyInvariance:
             "i.a": 10, "i.b": 8, "i.c": 4, "ii": 16, "iii": 82,
             "iv.a": 60, "iv.b": 8, "v": 32,
         }
+
+
+class TestPatternReplay:
+    """The sweep reads each edge pattern's burning orders once: every
+    weighting replays the orders already drawn and draws new ones past them,
+    so a weighting that stops at a hole leaves the rest for later ones."""
+
+    SPLITS = [
+        (p, n - p, w) for n in range(2, 5) for p in range(1, n) for w in (1, 2)
+    ] + [(2, 2, 3)]
+
+    def test_each_weighting_reads_its_own_walk(self, monkeypatch) -> None:
+        first_hole, burning_orders = classify._first_hole, classify._burning_orders
+        calls, draws = [], []
+
+        def hole_spy(p, incidence, edges, vectors):
+            read = []  # the vectors drawn, in order
+            logged = (read.append(v) or v for v in vectors)
+            found = first_hole(p, incidence, edges, logged)
+            calls.append((edges, read, found))
+            return found
+
+        def orders_spy(nbr):
+            draws.append(0)
+            for pos in burning_orders(nbr):
+                draws[-1] += 1
+                yield pos
+
+        monkeypatch.setattr(classify, "_first_hole", hole_spy)
+        monkeypatch.setattr(classify, "_burning_orders", orders_spy)
+        replays = resumed = 0
+        for p, q, max_w in self.SPLITS:
+            calls.clear()
+            draws.clear()
+            _, invariant, _, bad = classify._sweep_block((p, q, max_w))
+            assert bad == []
+            solved = [
+                edges
+                for _, graphs in classify._level_solutions(p, q, max_w)
+                for edges in graphs
+            ]
+            assert [edges for edges, _, _ in calls] == solved
+            deepest = {}  # each pattern's most orders read, in pattern order
+            for edges, read, found in calls:
+                g = RootedWeightedGraph(p + q, edges, p, q)
+                walk = list(_mpf_walk(g))
+                assert read == walk[: len(read)], edges
+                assert found == first_hole(p, g.incidence, g.edges, iter(walk)), edges
+                if found[0] is None:
+                    assert read == walk, edges
+                else:  # it stops at its hole
+                    assert read[-1] == found[0][0], edges
+                pattern = tuple(e[:2] for e in edges)
+                if pattern in deepest:
+                    replays += 1
+                    resumed += len(read) > deepest[pattern]
+                deepest[pattern] = max(deepest.get(pattern, 0), len(read))
+            assert invariant == sum(found[0] is None for _, _, found in calls)
+            # one source per pattern, drawn once per order that was read
+            assert draws == list(deepest.values())
+        # later weightings replay an earlier one's orders, and some of them
+        # draw past an earlier hole
+        assert (replays, resumed) == (10_022, 35)
+
+    def test_an_abandoned_replay_leaves_every_item_for_the_next(self) -> None:
+        drawn = []
+
+        def source():
+            for item in "abcdef":
+                drawn.append(item)
+                yield item
+
+        seen, items = [], source()
+        first = classify._replay(seen, items)
+        assert [next(first) for _ in range(3)] == list("abc")
+        # abandoned while replaying, then while drawing past the replay
+        assert list(itertools.islice(classify._replay(seen, items), 2)) == list("ab")
+        assert list(itertools.islice(classify._replay(seen, items), 4)) == list("abcd")
+        assert list(classify._replay(seen, items)) == list("abcdef")
+        assert list(classify._replay(seen, items)) == list("abcdef")
+        assert drawn == seen == list("abcdef")
 
 
 def block_graphs(max_n: int, max_w: int):
@@ -451,7 +532,9 @@ class TestLargestEntryFilter:
                 for edges, nbrs, _, _ in classify._block_leaves(p, n - p, 2):
                     level = blocks_level(p, edges, nbrs)
                     g = RootedWeightedGraph(n, edges, p, n - p)
-                    closed = classify._first_hole(g, _mpf_walk(g))[0] is None
+                    walk = _mpf_walk(g)
+                    hole = classify._first_hole(g.p, g.incidence, g.edges, walk)[0]
+                    closed = hole is None
                     assert level or not closed, g
                     passed += level
                     invariant += closed
@@ -466,7 +549,8 @@ class TestLargestEntryFilter:
         assert degree[2:] == [1, 3]
         assert largest_entries(g) == [0, 0, 0]
         assert blocks_level(g.p, g.edges, graph._masks(g.n, g.edges))
-        assert classify._first_hole(g, _mpf_walk(g)) == (None, {(0, 0, 0)})
+        found = classify._first_hole(g.p, g.incidence, g.edges, _mpf_walk(g))
+        assert found == (None, {(0, 0, 0)})
         assert match_theorem61(g)[0].case == "v"
 
     def test_the_filter_gives_the_direct_verdict(self) -> None:
@@ -522,7 +606,7 @@ class TestLargestEntryFilter:
     def test_rejected_graphs_count_as_tested(self, monkeypatch) -> None:
         # the burn accepts every swap, so only the prefilter rejects: 278 of
         # the 704 graphs pass it, and the 58 non-invariant ones match no case
-        monkeypatch.setattr(classify, "_burn_order", lambda g, b: [0])
+        monkeypatch.setattr(classify, "_burn_order", lambda incidence, edges, b: [0])
         report = sweep_classification(3, 2)
         assert (report.graphs_tested, report.invariant_count) == (704, 278)
         bad = report.counterexamples
@@ -1179,10 +1263,10 @@ class TestCaseStage:
             priced.append(tag)
             return grid_for_case(p, q, tag)
 
-        def hole_spy(g, vectors):
-            found = first_hole(g, vectors)
+        def hole_spy(p, incidence, edges, vectors):
+            found = first_hole(p, incidence, edges, vectors)
             if found[0] is None:
-                holding.add(tuple(e[:2] for e in g.edges))
+                holding.add(tuple(e[:2] for e in edges))
             return found
 
         monkeypatch.setattr(classify, "_case_plan", plan_spy)
@@ -1425,7 +1509,8 @@ class TestOneBlockBaseCase:
         for edges, nbrs, _, _ in classify._block_leaves(n, 0, max_w):
             if blocks_level(n, edges, nbrs):
                 g = RootedWeightedGraph(n, tuple(edges), n, 0)
-                hole, maximal = classify._first_hole(g, _mpf_walk(g))
+                walk = _mpf_walk(g)
+                hole, maximal = classify._first_hole(g.p, g.incidence, g.edges, walk)
                 if hole is None:
                     yield g, maximal
 
@@ -1520,7 +1605,8 @@ def sweep_invariant_graphs():
             for edges, nbrs, _, _ in classify._block_leaves(p, n - p, 2):
                 if blocks_level(p, edges, nbrs):
                     g = RootedWeightedGraph(n, tuple(edges), p, n - p)
-                    if classify._first_hole(g, _mpf_walk(g))[0] is None:
+                    walk = _mpf_walk(g)
+                    if classify._first_hole(g.p, g.incidence, g.edges, walk)[0] is None:
                         yield g
 
 

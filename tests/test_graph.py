@@ -16,6 +16,7 @@ from parklab import (
     format_graph_text,
     graph_from_affine_u,
     induced_subgraph,
+    is_g_pf_by_subsets,
     parse_graph_text,
     quotient_graph,
     recognize_family,
@@ -175,6 +176,45 @@ class TestDU:
             for i in range(1, g.n + 1):
                 expected = sum(w for u, w in g.neighbors(i))
                 assert d_U(g, {i}, i) == expected
+
+
+def edge_neighbors(g, v: int) -> list[tuple[int, int]]:
+    """v's (neighbour, weight) pairs read straight off g.edges, in edge order."""
+    return [(i + j - v, w) for i, j, w in g.edges if v in (i, j)]
+
+
+class TestNeighbors:
+    """neighbors and its readers agree with the edge list itself."""
+
+    @staticmethod
+    def graphs() -> list:
+        rng = random.Random(44)
+        return [random_connected_graph(rng, 6, 3) for _ in range(40)]
+
+    def test_pairs_are_the_edges_in_edge_order(self):
+        for g in self.graphs():
+            for v in g.vertices:
+                assert g.neighbors(v) == tuple(edge_neighbors(g, v)), g
+
+    def test_d_u_and_the_subset_scan_read_the_edges(self):
+        rng = random.Random(45)
+        verdicts = set()
+        for g in self.graphs():
+            out = {}  # (U, i) -> weight from i to outside U, read off the edges
+            for size in range(1, g.n + 1):
+                for U in itertools.combinations(range(1, g.n + 1), size):
+                    for i in U:
+                        pairs = edge_neighbors(g, i)
+                        out[U, i] = sum(w for u, w in pairs if u not in U)
+                        assert d_U(g, U, i) == out[U, i], (g, U, i)
+            for _ in range(10):
+                b = tuple(rng.randint(0, 3) for _ in range(g.n))
+                parks = all(
+                    any(b[i - 1] < out[U, i] for i in U) for U, _ in out
+                )
+                assert is_g_pf_by_subsets(g, b) == parks, (g, b)
+                verdicts.add(parks)
+        assert verdicts == {False, True}
 
 
 class TestCutVertices:

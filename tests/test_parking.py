@@ -260,7 +260,7 @@ class TestGraphMembership:
             )
             expected = scan(g, b)
             stalls += expected is None
-            assert _burn_order(g, b) == expected
+            assert _burn_order(g.incidence, g.edges, b) == expected
         assert 0 < stalls < 1500
 
     def test_burning_has_no_size_guard(self):

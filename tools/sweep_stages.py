@@ -8,12 +8,14 @@ as it is read, and so is one inside the items it yields (the solver's
 graphs). The stages:
 
 - solver: the level solver's patterns and weightings;
-- swap-burn walk: the invariance check on the maximal set;
+- swap-burn walk: the invariance check on the maximal set, with the
+  burning orders it draws or replays and reads into vectors;
 - case match: planning and reading the cases (construct_u_for_graph on
   trees whose sweep still calls it);
 - grid pricing: each case's grid and its increasing pairs;
 - grid check: a graph's maximal set against its grid;
-- rest: the rest of the sweep, such as building the graphs;
+- rest: the rest of the sweep, such as each edge pattern's incidence
+  and the graphs built for counterexamples (the sweep builds no other);
 - total: the sweep's wall time with the timers in place.
 
 Each line is the least span over the k runs. A name the checked-out
